@@ -10,7 +10,7 @@ CHAOS_SEED ?=
 # seed (only matters once journals outgrow the exhaustive-sweep cap).
 CRASH_SEED ?=
 
-.PHONY: all vet build test race chaos crash-suite dht-suite bench bench-concurrent bench-wal bench-obs bench-wire bench-deposit bench-dht fuzz-wire load-smoke load-failover load-dht
+.PHONY: all vet build test race chaos crash-suite dht-suite bench bench-concurrent bench-wal bench-obs bench-wire bench-deposit bench-dht bench-e2e bench-quick fuzz-wire load-smoke load-failover load-dht
 
 all: vet build test
 
@@ -26,7 +26,7 @@ test: vet build
 	$(GO) test -race ./...
 
 race:
-	$(GO) test -race ./internal/bus/... ./internal/core/... ./internal/obs/ ./internal/federation/
+	$(GO) test -race ./internal/bus/... ./internal/core/... ./internal/obs/ ./internal/federation/ ./bench
 
 # Fault-injection smoke: the chaos lifecycles, retry-enabled chaos, and the
 # seed-reproducibility check. WHOPAY_CHAOS_SEED is honored when CHAOS_SEED
@@ -93,6 +93,17 @@ load-dht:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The end-to-end benchmark BENCHMARK.json declares (bench/README.md): four
+# closed-loop workloads, five end-to-end metrics, per-layer attribution
+# from a traced run. bench-e2e is the command the regression gate runs;
+# bench-quick is its one-second-phase smoke pass — a check that the harness
+# still builds and audits clean, not a measurement.
+bench-e2e:
+	bash bench/run.sh
+
+bench-quick:
+	$(GO) run ./bench -quick
 
 # WAL overhead on transfer and deposit, per fsync policy. Reference
 # numbers live in results/wal_bench.txt.

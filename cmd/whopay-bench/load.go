@@ -33,8 +33,7 @@ type loadOpts struct {
 	strict   bool
 	dump     bool
 
-	depositBatch  int           // broker deposit-batch flush size (0: scenario default)
-	depositLinger time.Duration // deposit-batch linger (0: default)
+	depositBatch int // broker deposit-batch flush size (0: scenario default)
 }
 
 // parseRate accepts "200/s" or a bare number.
@@ -138,15 +137,14 @@ func runLoadScenario(name string, rate float64, fsync wal.Policy, opts loadOpts,
 	}
 
 	wcfg := sc.WorldConfig(load.WorldConfig{
-		Actors:        opts.actors,
-		Scheme:        opts.scheme,
-		Seed:          opts.seed,
-		WALDir:        walDir,
-		Fsync:         fsync,
-		Reg:           reg,
-		GobWire:       opts.gobWire,
-		DepositBatch:  opts.depositBatch,
-		DepositLinger: opts.depositLinger,
+		Actors:       opts.actors,
+		Scheme:       opts.scheme,
+		Seed:         opts.seed,
+		WALDir:       walDir,
+		Fsync:        fsync,
+		Reg:          reg,
+		GobWire:      opts.gobWire,
+		DepositBatch: opts.depositBatch,
 	})
 	fmt.Printf("==> scenario %s: %s\n", sc.Name, sc.Summary)
 	fmt.Printf("    actors=%d rate=%.0f/s ops=%d duration=%s wal=%v detection=%v faults=%v channels=%d deposit-batch=%d\n",

@@ -79,7 +79,6 @@ func run() error {
 		outDir   = flag.String("out", ".", "load mode: directory for BENCH_load_<scenario>.json artifacts")
 		strict   = flag.Bool("strict", false, "load mode: exit nonzero on unexpected protocol errors or audit violations")
 		depBatch = flag.Int("deposit-batch", 0, "load mode: broker deposit-batch flush size (0: scenario default)")
-		depLing  = flag.Duration("deposit-linger", 0, "load mode: deposit-batch linger (0: 2ms default when batching is on)")
 	)
 	flag.Parse()
 
@@ -138,8 +137,7 @@ func run() error {
 			strict:   *strict,
 			dump:     *dump,
 
-			depositBatch:  *depBatch,
-			depositLinger: *depLing,
+			depositBatch: *depBatch,
 		})
 	}
 

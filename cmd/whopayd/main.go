@@ -63,7 +63,6 @@ func run() error {
 		linger   = flag.Duration("linger", 0, "keep the process alive this long after the demo (for scraping the admin endpoint)")
 		gobWire  = flag.Bool("gob-wire", false, "force the legacy one-connection-per-call gob wire instead of the framed binary protocol")
 		depBatch = flag.Int("deposit-batch", 0, "enable broker deposit batching with this flush size (0: off, the sequential path)")
-		depLing  = flag.Duration("deposit-linger", 2*time.Millisecond, "how long the first deposit of a batch waits for company (with -deposit-batch)")
 		chanPays = flag.Int("channel-pays", 12, "paywords streamed in the micropayment-channel demo (0: skip the demo)")
 		shards   = flag.Int("shards", 1, "federate the trust root over this many broker shards (coin IDs partition by hash)")
 		replicas = flag.Int("replicas", 1, "replicas per broker shard (WAL-streamed mirrors with lease failover)")
@@ -158,7 +157,7 @@ func run() error {
 
 	var depositBatch *core.DepositBatchConfig
 	if *depBatch > 0 {
-		depositBatch = &core.DepositBatchConfig{MaxBatch: *depBatch, MaxLinger: *depLing}
+		depositBatch = &core.DepositBatchConfig{MaxBatch: *depBatch}
 	}
 
 	// The trust root: a single broker, or a federated cluster of

@@ -3,7 +3,6 @@ package whopay_test
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"whopay"
 )
@@ -74,7 +73,7 @@ func ExamplePeer_OpenChannel() {
 	dir := whopay.NewDirectory()
 	broker, err := whopay.NewBroker(whopay.BrokerConfig{
 		Network: net, Scheme: scheme, Directory: dir, GroupPub: judge.GroupPublicKey(),
-		DepositBatch: &whopay.DepositBatchConfig{MaxBatch: 16, MaxLinger: time.Millisecond},
+		DepositBatch: &whopay.DepositBatchConfig{MaxBatch: 16},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -89,9 +89,9 @@ type BrokerConfig struct {
 	// would need an account shard of their own.
 	Federation *FederationConfig
 	// DepositBatch, when non-nil, enables the deposit-batching stage
-	// (DESIGN.md §12): incoming deposits queue briefly (bounded by
-	// MaxBatch and MaxLinger), then one signature-batch fan-out verifies
-	// the group and one atomic WAL record commits it, with per-request
+	// (DESIGN.md §12): a single worker flushes whatever deposits are
+	// queued (up to MaxBatch, never waiting for more) through one
+	// signature-batch fan-out and one atomic WAL record, with per-request
 	// error demux. Nil (the default) serves every deposit individually
 	// with behavior and error shapes identical to before batching
 	// existed.

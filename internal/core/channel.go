@@ -64,6 +64,12 @@ type ChannelReceipt struct {
 	// Won reports whether this payment's lottery ticket won (always
 	// false on plain payword channels).
 	Won bool
+	// Settled is the value this call converted into a WhoPay payment on
+	// its way: the threshold settle after the payment landed, or the
+	// closing settle of a window that ended underneath it — in which case
+	// it is reported alongside ErrChannelClosed. Zero when the call
+	// settled nothing.
+	Settled int64
 }
 
 // payerChannel is the payer-side state of one channel. All operations on a
@@ -177,7 +183,8 @@ func (p *Peer) openChannel(vendor bus.Address, opts ChannelOptions) (payword.Wor
 // and a hash check at the vendor — no signatures on the hot path. When the
 // window closes underneath the payment (chain exhausted or TTL expired) the
 // balance is settled, the channel is closed, and ErrChannelClosed is
-// returned; the caller opens a fresh channel to continue.
+// returned with a receipt naming the amount that closing settle paid; the
+// caller opens a fresh channel to continue.
 func (p *Peer) ChannelPay(root payword.Word) (ChannelReceipt, error) {
 	sp := p.instr.Begin("channel-pay")
 	rc, err := p.channelPay(root)
@@ -196,20 +203,22 @@ func (p *Peer) channelPay(root payword.Word) (ChannelReceipt, error) {
 		return ChannelReceipt{}, ErrChannelClosed
 	}
 	if pc.opts.TTL > 0 && p.cfg.Clock().Sub(pc.opened) >= pc.opts.TTL {
-		if _, err := p.settleChannelLocked(pc, true); err != nil {
+		n, err := p.settleChannelLocked(pc, true)
+		if err != nil {
 			return ChannelReceipt{}, fmt.Errorf("core: settling expired channel: %w", err)
 		}
 		p.channels.Delete(channelKey(root))
-		return ChannelReceipt{}, fmt.Errorf("%w: credit window expired", ErrChannelClosed)
+		return ChannelReceipt{Settled: n}, fmt.Errorf("%w: credit window expired", ErrChannelClosed)
 	}
 
 	pay, err := pc.chain.Pay()
 	if errors.Is(err, payword.ErrChainExhausted) {
-		if _, serr := p.settleChannelLocked(pc, true); serr != nil {
+		n, serr := p.settleChannelLocked(pc, true)
+		if serr != nil {
 			return ChannelReceipt{}, fmt.Errorf("core: settling exhausted channel: %w", serr)
 		}
 		p.channels.Delete(channelKey(root))
-		return ChannelReceipt{}, fmt.Errorf("%w: chain exhausted", ErrChannelClosed)
+		return ChannelReceipt{Settled: n}, fmt.Errorf("%w: chain exhausted", ErrChannelClosed)
 	}
 	if err != nil {
 		return ChannelReceipt{}, fmt.Errorf("core: channel pay: %w", err)
@@ -241,12 +250,13 @@ func (p *Peer) channelPay(root payword.Word) (ChannelReceipt, error) {
 	}
 	rc := ChannelReceipt{Owed: pr.Owed, Won: pr.Won}
 	if pc.opts.SettleThreshold > 0 && pc.outstanding >= pc.opts.SettleThreshold {
-		if _, err := p.settleChannelLocked(pc, false); err != nil {
+		n, err := p.settleChannelLocked(pc, false)
+		if err != nil {
 			// The payment itself landed; the balance simply stays open
 			// for the next settle attempt.
 			return rc, fmt.Errorf("core: threshold settle: %w", err)
 		}
-		rc.Owed = pc.outstanding
+		rc.Owed, rc.Settled = pc.outstanding, n
 	}
 	return rc, nil
 }

@@ -714,10 +714,7 @@ func TestChaosLifecyclesWithRetries(t *testing.T) {
 // how often it is touched.
 func runChaosChannels(t *testing.T, seed int64) chaosSummary {
 	t.Helper()
-	w := newChaosWorld(t, seed, nil, &DepositBatchConfig{
-		MaxBatch:  8,
-		MaxLinger: time.Millisecond,
-	})
+	w := newChaosWorld(t, seed, nil, &DepositBatchConfig{MaxBatch: 8})
 
 	// Quiescent warm-up: seed coins and one channel per peer before any
 	// faults are configured, so the early rounds have windows to stream on.

@@ -16,10 +16,12 @@ import (
 // verifications and, on a persisted broker, one WAL append with its fsync.
 // Both amortize: sig.VerifyBatch fans a whole group's checks into one
 // scheme-level batch, and wal.EncodeBatch commits a whole group's records
-// in one atomic append. The batcher queues incoming deposits briefly —
-// bounded by MaxBatch and MaxLinger — then flushes the group through one
-// verify fan-out and one journal record, demultiplexing per-request errors
-// so one bad deposit rejects alone.
+// in one atomic append. The batcher batches on backpressure, never on a
+// timer: the worker takes the first queued deposit, drains whatever else is
+// already queued (up to MaxBatch), and flushes the group through one verify
+// fan-out and one journal record, demultiplexing per-request errors so one
+// bad deposit rejects alone. A lone deposit is never delayed; under load
+// the batch is whatever arrived during the previous flush.
 //
 // The stage is default-off: a nil BrokerConfig.DepositBatch keeps every
 // deposit on the sequential handleDeposit path with behavior and error
@@ -37,10 +39,6 @@ type DepositBatchConfig struct {
 	// MaxBatch is the most deposits one flush serves (default
 	// DefaultDepositBatch).
 	MaxBatch int
-	// MaxLinger bounds how long the first deposit of a batch waits for
-	// company. Zero means no waiting: a flush takes whatever is already
-	// queued and never delays a lone deposit.
-	MaxLinger time.Duration
 }
 
 // depositJob carries one queued deposit and its reply channel.
@@ -147,30 +145,15 @@ func (q *depositBatcher) run() {
 	}
 }
 
-// fill grows a batch from the queue until MaxBatch, the linger deadline,
-// or (with no linger) the queue runs dry.
+// fill grows a batch from what is already queued, up to MaxBatch. It
+// never waits: an empty queue ends the batch.
 func (q *depositBatcher) fill(first depositJob) []depositJob {
 	batch := append(make([]depositJob, 0, q.cfg.MaxBatch), first)
-	if q.cfg.MaxLinger <= 0 {
-		for len(batch) < q.cfg.MaxBatch {
-			select {
-			case job := <-q.jobs:
-				batch = append(batch, job)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	timer := time.NewTimer(q.cfg.MaxLinger)
-	defer timer.Stop()
 	for len(batch) < q.cfg.MaxBatch {
 		select {
 		case job := <-q.jobs:
 			batch = append(batch, job)
-		case <-timer.C:
-			return batch
-		case <-q.quit:
+		default:
 			return batch
 		}
 	}

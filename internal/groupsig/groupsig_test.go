@@ -274,30 +274,36 @@ func TestDistinctMembersOpenDistinctly(t *testing.T) {
 	}
 }
 
+// TestMasterKeyEscrow round-trips the master key through Shamir escrow for
+// both production schemes: Ed25519's 64-byte key and ECDSA's 97-byte
+// scalar‖point key, whose last chunk is a short one.
 func TestMasterKeyEscrow(t *testing.T) {
-	scheme := sig.Ed25519{}
-	m, err := NewManager(scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shares, err := m.EscrowMasterKey(3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recovered, err := RecoverMasterKey(shares[1:4], len(m.master.Private))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(recovered, m.master.Private) {
-		t.Fatal("escrow recovery mismatch")
-	}
-	// Recovered key must actually sign valid certificates.
-	sigBytes, err := scheme.Sign(recovered, []byte("probe"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := scheme.Verify(m.GroupPublicKey(), []byte("probe"), sigBytes); err != nil {
-		t.Fatalf("recovered key does not match group public key: %v", err)
+	for _, scheme := range []sig.Scheme{sig.Ed25519{}, sig.ECDSA{}} {
+		t.Run(scheme.Name(), func(t *testing.T) {
+			m, err := NewManager(scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shares, err := m.EscrowMasterKey(3, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recovered, err := RecoverMasterKey(shares[1:4], len(m.master.Private))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(recovered, m.master.Private) {
+				t.Fatal("escrow recovery mismatch")
+			}
+			// Recovered key must actually sign valid certificates.
+			sigBytes, err := scheme.Sign(recovered, []byte("probe"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := scheme.Verify(m.GroupPublicKey(), []byte("probe"), sigBytes); err != nil {
+				t.Fatalf("recovered key does not match group public key: %v", err)
+			}
+		})
 	}
 }
 

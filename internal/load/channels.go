@@ -12,9 +12,10 @@ import (
 // broker's hot path, and only window settlements — one WhoPay purchase for
 // a whole balance — touch the coin layer. Channels follow the coin
 // checkout discipline: a verb takes a channel out of the pool, uses it
-// exclusively, and returns it, so the harness's view of the unsettled
-// balance (ch.owed) stays exact and settlement value can be counted into
-// the minted ledger the audit checks.
+// exclusively, and returns it. Settlement value is counted into the minted
+// ledger the audit checks from what the peer layer reports it settled —
+// SettleChannel's and CloseChannel's amounts, ChannelPay's receipt — never
+// from a balance the harness tracks on the side.
 
 // loadChannelCapacity is the chain length load channels open with: small
 // enough that a smoke run recycles whole windows (exhaustion settle +
@@ -26,14 +27,13 @@ type loadChannel struct {
 	payer  *Actor
 	vendor *Actor
 	root   payword.Word
-	owed   int64 // vendor-reported unsettled balance after the last verb
 }
 
-// openChannelBetween opens one channel and registers it with the pool.
-func (w *World) openChannelBetween(payer, vendor *Actor) (*loadChannel, error) {
-	root, err := payer.Peer.OpenChannel(vendor.Peer.Addr(), core.ChannelOptions{
-		Capacity: loadChannelCapacity,
-	})
+// openChannelBetween opens one channel and hands it to the caller checked
+// out: the drain knows it (allChans), but no other verb can take it until
+// the caller gives it to the pool.
+func (w *World) openChannelBetween(payer, vendor *Actor, opts core.ChannelOptions) (*loadChannel, error) {
+	root, err := payer.Peer.OpenChannel(vendor.Peer.Addr(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -41,7 +41,6 @@ func (w *World) openChannelBetween(payer, vendor *Actor) (*loadChannel, error) {
 	ch := &loadChannel{payer: payer, vendor: vendor, root: root}
 	w.chanMu.Lock()
 	w.allChans = append(w.allChans, ch)
-	w.chans = append(w.chans, ch)
 	w.chanMu.Unlock()
 	return ch, nil
 }
@@ -69,9 +68,10 @@ func (w *World) giveChannel(ch *loadChannel) {
 
 // OpChannelPay streams one payword down a pooled channel, opening a fresh
 // channel when the pool runs dry (every channel checked out, or recycled).
-// A window that closes underneath the payment (chain exhausted) was
-// settled by the peer layer on the way out; the harness observes the
-// settlement value and lets the next dry intent open a replacement.
+// Whatever the payment settled on its way — a threshold settle, or the
+// closing settle of a window that ended underneath it — bought a WhoPay
+// coin the broker minted, so the harness books the receipt's amount or the
+// post-run conservation check would flag the vendor's deposit.
 func (w *World) OpChannelPay(rng *rand.Rand) error {
 	ch, ok := w.takeChannel(rng)
 	if !ok {
@@ -82,18 +82,14 @@ func (w *World) OpChannelPay(rng *rand.Rand) error {
 		ch = nc
 	}
 	rc, err := ch.payer.Peer.ChannelPay(ch.root)
+	w.observeSettlement(rc.Settled)
 	switch {
 	case err == nil:
-		ch.owed = rc.Owed
 		w.channelPays.Add(1)
 		w.giveChannel(ch)
 		return nil
 	case errors.Is(err, core.ErrChannelClosed):
-		// The exhaustion settle inside ChannelPay bought one WhoPay coin
-		// for the whole window balance and issued it to the vendor —
-		// value the broker minted that this harness must observe, or the
-		// post-run conservation check would flag the vendor's deposit.
-		w.observeSettlement(ch.owed)
+		// The window is gone; the next dry intent opens a replacement.
 		w.channelRecycled.Add(1)
 		return nil // window recycling is the scenario working as designed
 	case errors.Is(err, core.ErrNoChannel):
@@ -101,11 +97,7 @@ func (w *World) OpChannelPay(rng *rand.Rand) error {
 	default:
 		// A payword burned on a failed call self-heals on the next
 		// release (the vendor credits skipped indices), so the channel
-		// stays in rotation. The payer-side balance only moves on
-		// success; refresh our copy from it.
-		if owed, _, found := ch.payer.Peer.ChannelBalance(ch.root); found {
-			ch.owed = owed
-		}
+		// stays in rotation.
 		w.giveChannel(ch)
 		return err
 	}
@@ -120,17 +112,10 @@ func (w *World) OpChannelSettle(rng *rand.Rand) error {
 		return ErrSkip
 	}
 	n, err := ch.payer.Peer.SettleChannel(ch.root)
-	switch {
-	case err == nil:
-		w.observeSettlement(n)
-		ch.owed = 0
-	case errors.Is(err, core.ErrNoChannel), errors.Is(err, core.ErrChannelClosed):
+	if errors.Is(err, core.ErrNoChannel) || errors.Is(err, core.ErrChannelClosed) {
 		return ErrSkip // raced a close; not returned to the pool
-	default:
-		if owed, _, found := ch.payer.Peer.ChannelBalance(ch.root); found {
-			ch.owed = owed
-		}
 	}
+	w.observeSettlement(n)
 	w.giveChannel(ch)
 	return err
 }
@@ -145,7 +130,7 @@ func (w *World) openLoadChannel(rng *rand.Rand) (*loadChannel, error) {
 	if vendor == nil {
 		return nil, ErrSkip
 	}
-	return w.openChannelBetween(payer, vendor)
+	return w.openChannelBetween(payer, vendor, core.ChannelOptions{Capacity: loadChannelCapacity})
 }
 
 // observeSettlement books one settlement's value as minted: the purchase

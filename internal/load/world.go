@@ -68,9 +68,6 @@ type WorldConfig struct {
 	// DepositBatch enables the broker's deposit-batching stage with this
 	// flush size (0: off — every deposit takes the sequential path).
 	DepositBatch int
-	// DepositLinger bounds how long the first deposit of a batch waits
-	// for company (default 2ms when DepositBatch is on).
-	DepositLinger time.Duration
 	// Shards and Replicas, when either exceeds 1, replace the single
 	// broker with a federated cluster: Shards trust-root partitions, each
 	// Replicas-wide with WAL-streamed mirrors and lease failover. Actors
@@ -340,11 +337,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 
 	var depositBatch *core.DepositBatchConfig
 	if cfg.DepositBatch > 0 {
-		linger := cfg.DepositLinger
-		if linger <= 0 {
-			linger = 2 * time.Millisecond
-		}
-		depositBatch = &core.DepositBatchConfig{MaxBatch: cfg.DepositBatch, MaxLinger: linger}
+		depositBatch = &core.DepositBatchConfig{MaxBatch: cfg.DepositBatch}
 	}
 	if cfg.Shards > 1 || cfg.Replicas > 1 {
 		// Federated trust root. Mirror replication is the log, so the
@@ -688,9 +681,11 @@ func (w *World) warmup() error {
 	for k := 0; k < w.cfg.Channels; k++ {
 		payer := w.Actors[k%n]
 		vendor := w.Actors[(k+1)%n]
-		if _, err := w.openChannelBetween(payer, vendor); err != nil {
+		ch, err := w.openChannelBetween(payer, vendor, core.ChannelOptions{Capacity: loadChannelCapacity})
+		if err != nil {
 			return fmt.Errorf("load: warm channel: %w", err)
 		}
+		w.giveChannel(ch)
 	}
 	return nil
 }

@@ -240,11 +240,17 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// lookup returns (creating on demand) the family and series for
-// name+labels. It panics on a kind mismatch — two call sites disagreeing on
-// what a name means is a programming error worth failing loudly on.
-func (r *Registry) lookup(name string, labels Labels, kind metricKind) *series {
+// lookup returns the series for name+labels, building it with mk under the
+// registry lock on first use — so two first observers can never each install
+// an instrument and lose one's samples — or, for a func-backed kind, on every
+// call (a later registration supersedes the earlier one). A published series
+// is never mutated, which is what lets Value and the exposition read its
+// fields outside the lock. It panics on a kind mismatch — two call sites
+// disagreeing on what a name means is a programming error worth failing
+// loudly on.
+func (r *Registry) lookup(name string, labels Labels, kind metricKind, mk func(*series)) *series {
 	key := canonLabels(labels)
+	replace := kind == kindCounterFunc || kind == kindGaugeFunc
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
@@ -261,9 +267,12 @@ func (r *Registry) lookup(name string, labels Labels, kind metricKind) *series {
 	}
 	s, ok := f.series[key]
 	if !ok {
-		s = &series{labels: key}
-		f.series[key] = s
 		f.order = append(f.order, key)
+	}
+	if !ok || replace {
+		s = &series{labels: key}
+		mk(s)
+		f.series[key] = s
 	}
 	return s
 }
@@ -274,11 +283,7 @@ func (r *Registry) Counter(name string, labels Labels) *Counter {
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, labels, kindCounter)
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.lookup(name, labels, kindCounter, func(s *series) { s.c = &Counter{} }).c
 }
 
 // Gauge returns the gauge for name+labels (nil on a nil registry).
@@ -286,11 +291,7 @@ func (r *Registry) Gauge(name string, labels Labels) *Gauge {
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, labels, kindGauge)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.lookup(name, labels, kindGauge, func(s *series) { s.g = &Gauge{} }).g
 }
 
 // Histogram returns the histogram for name+labels with the given bucket
@@ -300,11 +301,7 @@ func (r *Registry) Histogram(name string, labels Labels, bounds []float64) *Hist
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, labels, kindHistogram)
-	if s.h == nil {
-		s.h = newHistogram(bounds)
-	}
-	return s.h
+	return r.lookup(name, labels, kindHistogram, func(s *series) { s.h = newHistogram(bounds) }).h
 }
 
 // CounterFunc registers a counter whose value is read from fn at exposition
@@ -315,8 +312,9 @@ func (r *Registry) CounterFunc(name string, labels Labels, fn func() int64) {
 	if r == nil || fn == nil {
 		return
 	}
-	s := r.lookup(name, labels, kindCounterFunc)
-	s.fn = func() float64 { return float64(fn()) }
+	r.lookup(name, labels, kindCounterFunc, func(s *series) {
+		s.fn = func() float64 { return float64(fn()) }
+	})
 }
 
 // GaugeFunc registers a gauge read from fn at exposition time (live store
@@ -325,8 +323,7 @@ func (r *Registry) GaugeFunc(name string, labels Labels, fn func() float64) {
 	if r == nil || fn == nil {
 		return
 	}
-	s := r.lookup(name, labels, kindGaugeFunc)
-	s.fn = fn
+	r.lookup(name, labels, kindGaugeFunc, func(s *series) { s.fn = fn })
 }
 
 // Help sets the HELP text for a metric family (shown in the exposition).

@@ -206,6 +206,42 @@ func TestRegistryRaceHammer(t *testing.T) {
 	}
 }
 
+// TestConcurrentFirstRegistration: goroutines that race to be the first
+// user of one series must all land on the same instrument. Each round
+// releases a cohort at once against a fresh name; a registry that installs
+// the instrument outside its lock hands two of them different instances, one
+// of which is lost along with its samples (and trips -race).
+func TestConcurrentFirstRegistration(t *testing.T) {
+	reg := NewRegistry()
+	const rounds, cohort = 200, 8
+	for r := 0; r < rounds; r++ {
+		hist, ctr, gauge := fmt.Sprintf("first_h_%d", r), fmt.Sprintf("first_c_%d", r), fmt.Sprintf("first_g_%d", r)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < cohort; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				reg.Histogram(hist, nil, nil).Observe(time.Millisecond)
+				reg.Counter(ctr, nil).Inc()
+				reg.Gauge(gauge, nil).Add(1)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := reg.Histogram(hist, nil, nil).Count(); got != cohort {
+			t.Fatalf("round %d: histogram kept %d of %d first observations", r, got, cohort)
+		}
+		if got := reg.Counter(ctr, nil).Value(); got != cohort {
+			t.Fatalf("round %d: counter kept %d of %d first increments", r, got, cohort)
+		}
+		if got := reg.Gauge(gauge, nil).Value(); got != cohort {
+			t.Fatalf("round %d: gauge kept %d of %d first adds", r, got, cohort)
+		}
+	}
+}
+
 // TestSpanNesting proves same-goroutine parentage: a span opened while
 // another is active becomes its child, and ending the child restores the
 // parent as the ambient context.

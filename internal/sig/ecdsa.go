@@ -14,9 +14,12 @@ import (
 // measured in Table 2: the operation mix (key generation, signature
 // generation, signature verification) is identical.
 //
-// Encodings: private keys are the 32-byte big-endian scalar; public keys are
-// the 65-byte uncompressed SEC1 point (0x04 || X || Y); signatures are
-// ASN.1 DER as produced by crypto/ecdsa.
+// Encodings: public keys are the 65-byte uncompressed SEC1 point
+// (0x04 || X || Y); private keys are the 32-byte big-endian scalar followed
+// by that public point (97 bytes), so Sign never re-derives the point with a
+// base-point multiplication — a bare 32-byte scalar, as journals written
+// before the point rode along hold, still decodes by deriving it; signatures
+// are ASN.1 DER as produced by crypto/ecdsa.
 type ECDSA struct{}
 
 var (
@@ -38,10 +41,10 @@ func (ECDSA) GenerateKey() (KeyPair, error) {
 	if err != nil {
 		return KeyPair{}, fmt.Errorf("sig: ecdsa keygen: %w", err)
 	}
-	priv := make([]byte, ecdsaPrivLen)
-	key.D.FillBytes(priv)
 	pub := encodeECDSAPub(&key.PublicKey)
-	return KeyPair{Public: pub, Private: priv}, nil
+	priv := make([]byte, ecdsaPrivLen, ecdsaPrivLen+ecdsaPubLen)
+	key.D.FillBytes(priv)
+	return KeyPair{Public: pub, Private: append(priv, pub...)}, nil
 }
 
 // Sign implements Scheme.
@@ -117,16 +120,26 @@ func decodeECDSAPub(pub PublicKey) (*ecdsa.PublicKey, error) {
 }
 
 func decodeECDSAPriv(priv PrivateKey) (*ecdsa.PrivateKey, error) {
-	if len(priv) != ecdsaPrivLen {
-		return nil, fmt.Errorf("%w: want %d-byte scalar", ErrBadKey, ecdsaPrivLen)
+	if len(priv) != ecdsaPrivLen && len(priv) != ecdsaPrivLen+ecdsaPubLen {
+		return nil, fmt.Errorf("%w: want %d-byte scalar, alone or followed by its %d-byte point",
+			ErrBadKey, ecdsaPrivLen, ecdsaPubLen)
 	}
+	scalar, point := priv[:ecdsaPrivLen], priv[ecdsaPrivLen:]
 	curve := elliptic.P256()
-	d := new(big.Int).SetBytes(priv)
+	d := new(big.Int).SetBytes(scalar)
 	if d.Sign() == 0 || d.Cmp(curve.Params().N) >= 0 {
 		return nil, fmt.Errorf("%w: scalar out of range", ErrBadKey)
 	}
 	key := &ecdsa.PrivateKey{D: d}
-	key.Curve = curve
-	key.X, key.Y = curve.ScalarBaseMult(priv)
+	if len(point) == 0 {
+		key.Curve = curve
+		key.X, key.Y = curve.ScalarBaseMult(scalar)
+		return key, nil
+	}
+	pub, err := decodeECDSAPub(PublicKey(point))
+	if err != nil {
+		return nil, err
+	}
+	key.PublicKey = *pub
 	return key, nil
 }

@@ -127,6 +127,39 @@ func TestECDSARejectsZeroScalar(t *testing.T) {
 	}
 }
 
+// TestECDSAPrivateKeyEncodings: a generated key carries its public point
+// (scalar‖point) so Sign skips the base-point multiplication, and the bare
+// scalar an older journal holds still signs for the same public key.
+func TestECDSAPrivateKeyEncodings(t *testing.T) {
+	s := ECDSA{}
+	kp, err := s.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kp.Private) != ecdsaPrivLen+ecdsaPubLen || !bytes.Equal(kp.Private[ecdsaPrivLen:], kp.Public) {
+		t.Fatalf("generated private key is %d bytes, want scalar followed by the public point", len(kp.Private))
+	}
+	msg := []byte("both encodings")
+	for name, priv := range map[string]PrivateKey{
+		"scalar+point": kp.Private,
+		"bare scalar":  kp.Private[:ecdsaPrivLen],
+	} {
+		sigBytes, err := s.Sign(priv, msg)
+		if err != nil {
+			t.Fatalf("%s: Sign: %v", name, err)
+		}
+		if err := s.Verify(kp.Public, msg, sigBytes); err != nil {
+			t.Fatalf("%s: Verify: %v", name, err)
+		}
+	}
+	// A point that is not on the curve is rejected, not signed with.
+	bad := append(PrivateKey(nil), kp.Private...)
+	bad[ecdsaPrivLen+10] ^= 0xff
+	if _, err := s.Sign(bad, msg); !errors.Is(err, ErrBadKey) {
+		t.Fatalf("Sign(off-curve point) = %v, want ErrBadKey", err)
+	}
+}
+
 func TestKeysAreUnique(t *testing.T) {
 	for name, s := range schemes() {
 		t.Run(name, func(t *testing.T) {
