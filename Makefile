@@ -38,12 +38,13 @@ chaos:
 # Crash-injection suite: the WAL's own unit tests, byte-level crash sweeps
 # for broker and peer (every byte boundary of the journal while it fits the
 # exhaustive cap), corrupt-tail recovery, the DHT restart/epoch-fence
-# tests, and the gob round-trip net. A failing sweep budget prints the
+# tests, and the journal-record round-trip net (TestGobRoundTripByteStable,
+# TestOldFormatJournalRejected). A failing sweep budget prints the
 # WHOPAY_CRASH_BUDGET=<n> WHOPAY_CRASH_SEED=<n> pair that replays it.
 crash-suite:
 	$(GO) test -race -count=1 ./internal/wal/...
 	WHOPAY_CRASH_SEED=$(CRASH_SEED) $(GO) test -race -count=1 \
-		-run 'Crash|CorruptTail|GobRoundTrip|WALBatch' ./internal/core/
+		-run 'Crash|CorruptTail|GobRoundTrip|OldFormatJournal|WALBatch' ./internal/core/
 	$(GO) test -race -count=1 -run 'Restart|Epoch' ./internal/dht/
 
 # Replication suite for the double-spend DHT (DESIGN.md §14): the replica
@@ -117,22 +118,23 @@ bench-obs:
 	$(GO) test ./internal/core/ -run '^$$' \
 		-bench 'BenchmarkTransfer(WhoPay|Obs)' -benchtime 1s -count 3
 
-# Wire codec vs gob, both as micro-benchmarks (one TransferRequest) and
-# end to end (one transfer hop over TCP, framed vs legacy gob wire).
-# Reference numbers live in results/wire_bench.txt.
+# Wire codec as a micro-benchmark (one TransferRequest) and end to end (one
+# transfer hop over TCP). Reference numbers live in results/wire_bench.txt.
 bench-wire:
 	$(GO) test ./internal/core/ -run '^$$' \
 		-bench 'BenchmarkWireCodecTransferRequest|BenchmarkTransferWhoPayTCP' \
 		-benchmem -benchtime 2s
 
-# Short fuzz pass over the frame decoder and the registered-codec decoder —
-# the corpus regression net plus a fixed wall-clock budget of new inputs.
-# CI runs this; longer local runs just raise FUZZ_TIME.
+# Short fuzz pass over the frame decoder, the registered-codec decoder, and
+# the journal-record decoders — the corpus regression net plus a fixed
+# wall-clock budget of new inputs. CI runs this; longer local runs just
+# raise FUZZ_TIME.
 FUZZ_TIME ?= 20s
 fuzz-wire:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzParseFrame -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzWireDecodeRegistered -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzJournalRecordDecode -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/payword/ -run '^$$' -fuzz FuzzPaywordSpend -fuzztime $(FUZZ_TIME)
 
 # Deposit-batch amortization: broker deposit throughput under an
@@ -148,7 +150,7 @@ bench-deposit:
 # put. Reference numbers live in results/dht_replica_bench.txt.
 bench-dht:
 	$(GO) test ./internal/dht/ -run '^$$' \
-		-bench 'BenchmarkGetHot|BenchmarkQuorumPut|BenchmarkLegacyPut' \
+		-bench 'BenchmarkGetHot|BenchmarkQuorumPut|BenchmarkSingleCopyPut' \
 		-benchtime 1s -count 3
 
 # Goroutine-sweep benchmarks for the sharded state store: broker purchase

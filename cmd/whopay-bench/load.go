@@ -26,7 +26,6 @@ type loadOpts struct {
 	seed     int64
 	scheme   sig.Scheme
 	wal      bool
-	gobWire  bool   // force the legacy gob wire (A/B baseline)
 	walDir   string // -persist when set; otherwise a temp dir per run
 	fsync    string
 	out      string
@@ -143,7 +142,6 @@ func runLoadScenario(name string, rate float64, fsync wal.Policy, opts loadOpts,
 		WALDir:       walDir,
 		Fsync:        fsync,
 		Reg:          reg,
-		GobWire:      opts.gobWire,
 		DepositBatch: opts.depositBatch,
 	})
 	fmt.Printf("==> scenario %s: %s\n", sc.Name, sc.Summary)

@@ -75,7 +75,6 @@ func run() error {
 		loadDur  = flag.Duration("load-duration", 30*time.Second, "load mode: bound the schedule by time")
 		loadSeed = flag.Int64("load-seed", 1, "load mode: seed for the op mix and fault schedules")
 		walOn    = flag.Bool("wal", false, "load mode: journal the broker (under -persist, or a temp dir)")
-		gobWire  = flag.Bool("gob-wire", false, "load mode: force the legacy one-connection-per-call gob wire (baseline for the framed binary protocol)")
 		outDir   = flag.String("out", ".", "load mode: directory for BENCH_load_<scenario>.json artifacts")
 		strict   = flag.Bool("strict", false, "load mode: exit nonzero on unexpected protocol errors or audit violations")
 		depBatch = flag.Int("deposit-batch", 0, "load mode: broker deposit-batch flush size (0: scenario default)")
@@ -130,7 +129,6 @@ func run() error {
 			seed:     *loadSeed,
 			scheme:   schemes[0],
 			wal:      *walOn,
-			gobWire:  *gobWire,
 			walDir:   *persistDir,
 			fsync:    *fsyncMode,
 			out:      *outDir,

@@ -5,11 +5,11 @@
 // broker after an owner "disconnects", and a final deposit.
 //
 // All traffic — payments AND judge enrollment — crosses real sockets on the
-// framed binary wire (see PROTOCOL.md, "Wire format"; -gob-wire falls back
-// to the legacy gob framing) under ECDSA P-256 signatures. Only the identity directory is
-// shared in-process configuration (the PKI of the paper's model). Note the
-// enrollment responses carry credential private keys: production transports
-// must add TLS.
+// framed binary wire (see PROTOCOL.md, "Wire format") under ECDSA P-256
+// signatures. Only the identity directory is shared in-process
+// configuration (the PKI of the paper's model). Note the enrollment
+// responses carry credential private keys: production transports must add
+// TLS.
 //
 // With -admin the process also serves the observability admin endpoint
 // (DESIGN.md §11): /metrics, /healthz, /traces, and /debug/pprof. All
@@ -61,7 +61,6 @@ func run() error {
 		host     = flag.String("host", "127.0.0.1", "host/interface to bind")
 		admin    = flag.String("admin", "", "serve the admin endpoint (/metrics, /healthz, /traces, pprof) on this address")
 		linger   = flag.Duration("linger", 0, "keep the process alive this long after the demo (for scraping the admin endpoint)")
-		gobWire  = flag.Bool("gob-wire", false, "force the legacy one-connection-per-call gob wire instead of the framed binary protocol")
 		depBatch = flag.Int("deposit-batch", 0, "enable broker deposit batching with this flush size (0: off, the sequential path)")
 		chanPays = flag.Int("channel-pays", 12, "paywords streamed in the micropayment-channel demo (0: skip the demo)")
 		shards   = flag.Int("shards", 1, "federate the trust root over this many broker shards (coin IDs partition by hash)")
@@ -99,11 +98,7 @@ func run() error {
 	}
 
 	core.RegisterWireTypes()
-	topts := []tcpbus.Option{tcpbus.WithObs(reg)}
-	if *gobWire {
-		topts = append(topts, tcpbus.WithGobWire())
-	}
-	network := tcpbus.New(topts...)
+	network := tcpbus.New(tcpbus.WithObs(reg))
 	scheme := sig.ECDSA{}
 	dir := core.NewDirectory()
 

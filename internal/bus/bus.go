@@ -5,7 +5,7 @@
 // Two implementations exist: Memory (this file) — an in-process network with
 // per-address message counters and offline simulation, used by tests and by
 // the load simulator (the paper's communication cost metric is "number of
-// messages sent/received", which Memory counts exactly) — and the TCP/gob
+// messages sent/received", which Memory counts exactly) — and the TCP
 // transport in the tcpbus subpackage used by the networked daemons.
 package bus
 

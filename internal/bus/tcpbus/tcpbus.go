@@ -7,31 +7,23 @@
 // connection per destination: each request carries a 64-bit request ID in a
 // length-prefixed binary frame (internal/wire, PROTOCOL.md "Wire format"),
 // so concurrent calls pipeline on the same socket instead of paying a dial
-// and a gob type-descriptor exchange each. A flusher goroutine coalesces
-// back-to-back frames into one write; idle connections are reaped; a dead
-// connection is redialed on the next call.
+// each. Every connection opens with wire.Preamble, the protocol-version
+// check. A flusher goroutine coalesces back-to-back frames into one write;
+// idle connections are reaped; a dead connection is redialed on the next
+// call.
 //
-// gob remains the negotiated fallback for mixed-version interop. A framed
-// connection opens with wire.Preamble, whose leading zero byte can never
-// begin a gob stream, so a listener serves old one-call-per-connection gob
-// peers and new framed peers on the same port. A caller that finds its
-// framed opening rejected by an old server falls back to one-shot gob for
-// that destination. Payload types without a registered wire codec ride
-// individual frames gob-encoded (FlagGob).
-//
-// Message payload types must be registered with RegisterType before use;
-// the core package registers all protocol messages (and their binary
-// codecs) in RegisterWireTypes.
+// Every payload type needs a codec registered with internal/wire; the core
+// package registers all protocol messages in RegisterWireTypes. A payload
+// with no codec fails the call ("no wire codec for T") on the side that
+// tried to encode it.
 package tcpbus
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,78 +33,6 @@ import (
 	"whopay/internal/wire"
 )
 
-// Registered gob names, kept to reject divergent re-registration with a
-// clear message (gob's own panic names neither the transport nor the fix).
-var (
-	regTypeMu    sync.Mutex
-	regTypeNames = map[string]reflect.Type{}
-)
-
-// gobName mirrors gob.Register's default-name derivation so the conflict
-// check below sees exactly the name gob will transmit.
-func gobName(rt reflect.Type) string {
-	name := rt.String()
-	star := ""
-	if rt.Kind() == reflect.Pointer {
-		star = "*"
-		rt = rt.Elem()
-	}
-	if rt.Name() != "" {
-		if rt.PkgPath() != "" {
-			name = star + rt.PkgPath() + "." + rt.Name()
-		} else {
-			name = star + rt.Name()
-		}
-	}
-	return name
-}
-
-// RegisterType registers a payload type for gob transport (the fallback
-// wire format). Call it once per concrete message type (typically from an
-// init function). Registering the same type again is a no-op; registering a
-// different type under an already-taken wire name panics — a silent rebind
-// would make two nodes disagree on what the name means on the wire.
-func RegisterType(v any) {
-	t := reflect.TypeOf(v)
-	name := gobName(t)
-	regTypeMu.Lock()
-	if prev, ok := regTypeNames[name]; ok && prev != t {
-		regTypeMu.Unlock()
-		panic(fmt.Sprintf(
-			"tcpbus: RegisterType: wire name %q is already registered for %v and cannot be rebound to %v; wire names must map to exactly one concrete type",
-			name, prev, t))
-	}
-	regTypeNames[name] = t
-	regTypeMu.Unlock()
-	gob.Register(v)
-}
-
-// envelope frames a request on the legacy gob wire. TraceID/SpanID are the
-// optional obs trace identity (PROTOCOL.md): empty when the caller is
-// untraced, in which case gob omits the zero-valued fields entirely, so the
-// wire bytes are identical to pre-obs builds; decoders that predate the
-// fields skip them, so the extension is backward compatible in both
-// directions.
-type envelope struct {
-	From    bus.Address
-	Payload any
-	TraceID string
-	SpanID  string
-}
-
-// reply frames a response on the legacy gob wire. Code carries the
-// machine-readable sentinel code registered with bus.RegisterErrorCode, so
-// errors.Is on protocol sentinels (core.ErrCoinBusy, core.ErrUnknownCoin,
-// ...) keeps working across the TCP hop — a plain string cannot feed
-// errors.Is, and the retry layer needs the distinction to never replay
-// protocol rejections.
-type reply struct {
-	Payload any
-	Err     string
-	Code    string
-	IsErr   bool
-}
-
 // Network is a TCP-backed bus.Network. The zero value is not usable; use
 // New.
 type Network struct {
@@ -121,7 +41,6 @@ type Network struct {
 	idleTimeout  time.Duration
 	readTimeout  time.Duration
 	writeTimeout time.Duration
-	gobWire      bool
 	reg          *obs.Registry
 
 	// obs handles; nil (no-op) unless WithObs is given.
@@ -177,15 +96,6 @@ func WithReadTimeout(d time.Duration) Option {
 // deadline frees the goroutine instead of wedging on it.
 func WithWriteTimeout(d time.Duration) Option {
 	return func(n *Network) { n.writeTimeout = d }
-}
-
-// WithGobWire forces the legacy wire format: one gob-encoded call per
-// short-lived connection, exactly as nodes before the framed protocol
-// spoke. Listeners still sniff and serve framed peers. The option exists
-// for interop tests and for benchmarking the framed transport against the
-// gob baseline.
-func WithGobWire() Option {
-	return func(n *Network) { n.gobWire = true }
 }
 
 // WithObs enables transport metrics on reg: open inbound and outbound
@@ -261,9 +171,7 @@ func (e *timeoutError) Timeout() bool   { return true }
 func (e *timeoutError) Temporary() bool { return true }
 
 // connFailedError marks errors delivered to in-flight calls because their
-// connection died (read/write failure, reap, endpoint close) — the signal
-// Call uses to distinguish "the pipe broke" from a remote rejection when
-// deciding whether a peer might be a legacy gob node.
+// connection died (read/write failure, reap, endpoint close).
 type connFailedError struct{ err error }
 
 func (e *connFailedError) Error() string { return e.err.Error() }
@@ -294,8 +202,6 @@ func (n *Network) Listen(addr bus.Address, h bus.Handler) (bus.Endpoint, error) 
 		done:    make(chan struct{}),
 		conns:   make(map[net.Conn]struct{}),
 		pool:    make(map[bus.Address]*connSlot),
-		legacy:  make(map[bus.Address]bool),
-		framed:  make(map[bus.Address]bool),
 	}
 	ep.wg.Add(2)
 	go ep.serve()
@@ -317,13 +223,6 @@ type endpoint struct {
 
 	poolMu sync.Mutex
 	pool   map[bus.Address]*connSlot
-
-	// Wire-format memory per destination: framed records peers that have
-	// answered in frames (never downgraded afterwards); legacy records peers
-	// whose framed opening failed and who are spoken to in one-shot gob.
-	negMu  sync.RWMutex
-	legacy map[bus.Address]bool
-	framed map[bus.Address]bool
 }
 
 // track registers a connection so Close can sever it; it reports false
@@ -360,30 +259,6 @@ func (e *endpoint) isClosed() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.closed
-}
-
-func (e *endpoint) markLegacy(to bus.Address) {
-	e.negMu.Lock()
-	e.legacy[to] = true
-	e.negMu.Unlock()
-}
-
-func (e *endpoint) isLegacy(to bus.Address) bool {
-	e.negMu.RLock()
-	defer e.negMu.RUnlock()
-	return e.legacy[to]
-}
-
-func (e *endpoint) markFramed(to bus.Address) {
-	e.negMu.Lock()
-	e.framed[to] = true
-	e.negMu.Unlock()
-}
-
-func (e *endpoint) isFramed(to bus.Address) bool {
-	e.negMu.RLock()
-	defer e.negMu.RUnlock()
-	return e.framed[to]
 }
 
 // Accept-failure backoff bounds: a persistent error (fd exhaustion, a
@@ -466,10 +341,9 @@ func (e *endpoint) reap() {
 
 var errConnIdle = errors.New("tcpbus: connection reaped while idle")
 
-// serveConn sniffs the first byte to pick the wire format: framed
-// connections open with wire.Preamble, whose leading zero can never begin
-// a gob stream (gob's first byte is a non-zero message byte count), so one
-// port serves both protocol generations.
+// serveConn checks the connection's preamble, then serves its frames. A
+// connection that opens with anything but wire.Preamble speaks another
+// protocol version and is dropped.
 func (e *endpoint) serveConn(conn net.Conn) {
 	if !e.track(conn, 0) {
 		return
@@ -478,53 +352,16 @@ func (e *endpoint) serveConn(conn net.Conn) {
 	defer conn.Close()
 	e.net.mConnsIn.Add(1)
 	defer e.net.mConnsIn.Add(-1)
-	// The idle deadline covers the sniff and, on the legacy path, the whole
-	// request: a client that connects and goes silent, or trickles one byte
-	// at a time, is cut off here instead of pinning this goroutine for the
-	// full call timeout.
+	// The idle deadline covers the preamble: a client that connects and goes
+	// silent, or trickles one byte at a time, is cut off here instead of
+	// pinning this goroutine for the full call timeout.
 	_ = conn.SetReadDeadline(time.Now().Add(e.net.idleTimeout))
 	br := bufio.NewReader(conn)
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] != wire.Preamble[0] {
-		e.serveGobConn(conn, br)
-		return
-	}
 	var pre [len(wire.Preamble)]byte
 	if _, err := io.ReadFull(br, pre[:]); err != nil || pre != wire.Preamble {
 		return
 	}
 	e.serveFramedConn(conn, br)
-}
-
-// serveGobConn serves one legacy call: decode a gob envelope, run the
-// handler, encode a gob reply, close. Exactly the pre-framing protocol.
-func (e *endpoint) serveGobConn(conn net.Conn, br *bufio.Reader) {
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(conn)
-	var env envelope
-	if err := dec.Decode(&env); err != nil {
-		return
-	}
-	if env.TraceID != "" {
-		// The handler serves this request start-to-finish on this
-		// goroutine, so adopting the caller's trace identity here makes
-		// every span the entity opens while handling it a child of the
-		// remote caller's span.
-		release := obs.Adopt(env.TraceID, env.SpanID)
-		defer release()
-	}
-	resp, err := e.handler(env.From, env.Payload)
-	out := reply{Payload: resp}
-	if err != nil {
-		out = reply{Err: err.Error(), Code: bus.ErrorCode(err), IsErr: true}
-	}
-	// The write deadline starts after the handler: a client that stops
-	// draining its receive buffer cannot wedge the reply.
-	_ = conn.SetWriteDeadline(time.Now().Add(e.net.writeTimeout))
-	_ = enc.Encode(&out)
 }
 
 // serveFramedConn serves a multiplexed framed connection: requests are read
@@ -597,38 +434,28 @@ func (e *endpoint) serveFramedConn(conn net.Conn, br *bufio.Reader) {
 }
 
 // decodeFramePayload turns a frame's payload bytes into the call payload:
-// a registered codec by tag, a self-contained gob stream (FlagGob), or nil.
+// nil for tag 0, else the codec registered under the tag.
 func decodeFramePayload(f *wire.Frame) (any, error) {
-	switch {
-	case f.Flags&wire.FlagGob != 0:
-		return wire.DecodeGob(f.Payload)
-	case f.Tag == 0:
+	if f.Tag == 0 {
 		return nil, nil
-	default:
-		return wire.Decode(f.Tag, f.Payload)
 	}
+	return wire.Decode(f.Tag, f.Payload)
 }
 
-// appendPayloadFrame appends the frame for f carrying msg: registered types
-// through their codec, everything else as an embedded gob stream. The
-// returned slice extends dst (a pooled buffer on the hot path).
+// appendPayloadFrame appends the frame for f carrying msg, which must be nil
+// or of a type with a registered codec. The returned slice extends dst (a
+// pooled buffer on the hot path).
 func appendPayloadFrame(dst []byte, f *wire.Frame, msg any) ([]byte, error) {
 	if msg == nil {
 		return wire.AppendFrame(dst, f, nil)
 	}
-	if e, ok := wire.ByValue(msg); ok {
-		f.Tag = e.Tag
-		return wire.AppendFrame(dst, f, func(b []byte) ([]byte, error) {
-			return e.Enc(b, msg)
-		})
+	e, ok := wire.ByValue(msg)
+	if !ok {
+		return dst, fmt.Errorf("no wire codec for %T", msg)
 	}
-	gb, err := wire.EncodeGob(msg)
-	if err != nil {
-		return dst, err
-	}
-	f.Flags |= wire.FlagGob
+	f.Tag = e.Tag
 	return wire.AppendFrame(dst, f, func(b []byte) ([]byte, error) {
-		return append(b, gb...), nil
+		return e.Enc(b, msg)
 	})
 }
 
@@ -801,7 +628,6 @@ type peerConn struct {
 	w    *frameWriter
 
 	nextID   atomic.Uint64
-	gotReply atomic.Bool  // a framed reply arrived on this connection
 	lastUsed atomic.Int64 // UnixNano of the most recent call activity
 
 	mu      sync.Mutex
@@ -896,8 +722,6 @@ func (pc *peerConn) readLoop() {
 		}
 		n.mFramesRx.Inc()
 		n.mBytesRx.Add(int64(len(body)) + 4)
-		pc.gotReply.Store(true)
-		pc.ep.markFramed(pc.addr)
 		var res callResult
 		if f.Flags&wire.FlagError != 0 {
 			res.err = &bus.RemoteError{Msg: f.ErrMsg, Code: f.ErrCode}
@@ -1041,65 +865,11 @@ func (e *endpoint) Call(to bus.Address, msg any) (any, error) {
 		return nil, bus.ErrClosed
 	}
 	e.net.mCalls.Inc()
-	if e.net.gobWire || e.isLegacy(to) {
-		return e.legacyCall(to, msg)
-	}
-	res, err := e.framedCall(to, msg)
-	if err == nil {
-		return res, nil
-	}
-	// A connection that died before this peer ever produced a framed reply
-	// is the signature of an old gob-only server tearing down the framed
-	// opening: fall back to one-shot gob for this destination. Peers that
-	// have answered in frames are never downgraded, and dial failures,
-	// timeouts, and remote errors never trigger fallback.
-	var cf *connFailedError
-	if errors.As(err, &cf) && !e.isFramed(to) && !e.isClosed() {
-		e.markLegacy(to)
-		return e.legacyCall(to, msg)
-	}
-	return nil, err
-}
-
-func (e *endpoint) framedCall(to bus.Address, msg any) (any, error) {
 	pc, err := e.getConn(to)
 	if err != nil {
 		return nil, err
 	}
 	return pc.roundTrip(msg)
-}
-
-// legacyCall speaks the pre-framing protocol: one short-lived connection,
-// one gob envelope out, one gob reply back.
-func (e *endpoint) legacyCall(to bus.Address, msg any) (any, error) {
-	e.net.mDials.Inc()
-	conn, err := net.DialTimeout("tcp", string(to), e.net.dialTimeout)
-	if err != nil {
-		e.net.mDialErrs.Inc()
-		return nil, fmt.Errorf("%w: %s: %v", bus.ErrUnreachable, to, err)
-	}
-	defer conn.Close()
-	env := envelope{From: e.addr, Payload: msg}
-	if e.net.reg != nil {
-		env.TraceID, env.SpanID = obs.Inject()
-	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	_ = conn.SetWriteDeadline(time.Now().Add(e.net.writeTimeout))
-	if err := enc.Encode(&env); err != nil {
-		e.net.countTimeout(err)
-		return nil, fmt.Errorf("tcpbus: encoding request to %s: %w", to, err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(e.net.readTimeout))
-	var rep reply
-	if err := dec.Decode(&rep); err != nil {
-		e.net.countTimeout(err)
-		return nil, fmt.Errorf("tcpbus: reading reply from %s: %w", to, err)
-	}
-	if rep.IsErr {
-		return nil, &bus.RemoteError{Msg: rep.Err, Code: rep.Code}
-	}
-	return rep.Payload, nil
 }
 
 // Close implements bus.Endpoint.

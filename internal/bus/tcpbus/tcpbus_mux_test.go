@@ -1,9 +1,9 @@
 package tcpbus
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -12,11 +12,12 @@ import (
 
 	"whopay/internal/bus"
 	"whopay/internal/obs"
+	"whopay/internal/wire"
 )
 
 // Tests for the multiplexed framed transport: concurrent calls over one
-// connection, pipelining, reconnect, gob interop in both directions, and
-// the transport metrics.
+// connection, pipelining, reconnect, payloads without a codec, and the
+// transport metrics.
 
 // TestMuxHammer drives many concurrent callers through one pooled
 // connection; run under -race this is the mux's data-race net. Every reply
@@ -172,114 +173,6 @@ func TestMuxReconnect(t *testing.T) {
 	}
 }
 
-// TestFramedCallerLegacyServer: a framed caller meeting a pre-framing
-// server (which reads one gob envelope and chokes on the preamble) must
-// fall back to one-shot gob and keep working — the mixed-version interop
-// guarantee.
-func TestFramedCallerLegacyServer(t *testing.T) {
-	// A faithful pre-framing server: accept, decode one gob envelope, run
-	// the handler, encode one gob reply, close.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	var served int64
-	var mu sync.Mutex
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				var env envelope
-				if err := gob.NewDecoder(conn).Decode(&env); err != nil {
-					return // the framed preamble lands here
-				}
-				m := env.Payload.(testMsg)
-				m.N++
-				mu.Lock()
-				served++
-				mu.Unlock()
-				_ = gob.NewEncoder(conn).Encode(&reply{Payload: m})
-			}()
-		}
-	}()
-
-	n := New()
-	cli, err := n.Listen("127.0.0.1:0", func(bus.Address, any) (any, error) { return nil, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	to := bus.Address(ln.Addr().String())
-	for i := 0; i < 3; i++ {
-		resp, err := cli.Call(to, testMsg{Kind: "legacy", N: i})
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		if got := resp.(testMsg).N; got != i+1 {
-			t.Fatalf("call %d: N = %d, want %d", i, got, i+1)
-		}
-	}
-	if !cli.(*endpoint).isLegacy(to) {
-		t.Error("address not marked legacy after gob fallback")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if served != 3 {
-		t.Errorf("legacy server answered %d calls, want 3", served)
-	}
-}
-
-// TestGobWireCallerFramedServer: a caller forced onto the legacy wire
-// (WithGobWire, emulating an old node) must interoperate with a framed
-// listener, which sniffs the gob stream and serves it old-style.
-func TestGobWireCallerFramedServer(t *testing.T) {
-	srvNet := New()
-	srv, err := srvNet.Listen("127.0.0.1:0", func(_ bus.Address, msg any) (any, error) {
-		m := msg.(testMsg)
-		m.N *= 2
-		return m, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	cliNet := New(WithGobWire())
-	cli, err := cliNet.Listen("127.0.0.1:0", func(bus.Address, any) (any, error) { return nil, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	for i := 1; i <= 3; i++ {
-		resp, err := cli.Call(srv.Addr(), testMsg{N: i})
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		if got := resp.(testMsg).N; got != 2*i {
-			t.Fatalf("call %d: N = %d, want %d", i, got, 2*i)
-		}
-	}
-	// Errors cross the legacy wire too.
-	srv2, err := srvNet.Listen("127.0.0.1:0", func(bus.Address, any) (any, error) {
-		return nil, errors.New("nope")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	_, err = cli.Call(srv2.Addr(), testMsg{})
-	var remote *bus.RemoteError
-	if !errors.As(err, &remote) {
-		t.Fatalf("err = %v, want RemoteError", err)
-	}
-}
-
 // TestMuxMetrics: sequential calls to one destination reuse a single
 // pooled connection, and the conn/dial/frame counters say so.
 func TestMuxMetrics(t *testing.T) {
@@ -402,30 +295,114 @@ func TestCallTimeoutIsTimeout(t *testing.T) {
 	}
 }
 
-// registerDupOther registers a *different* local type that derives the same
-// gob wire name as the one in TestRegisterTypeDuplicatePanics (function-
-// local type names carry only the package path).
-func registerDupOther() {
-	type dupWireName struct{ B string }
-	RegisterType(dupWireName{})
-}
-
-// TestRegisterTypeDuplicatePanics: re-registering the same type is a
-// no-op; binding a different type to an already-taken wire name panics
-// with a message naming the conflict.
-func TestRegisterTypeDuplicatePanics(t *testing.T) {
-	type dupWireName struct{ A int }
-	RegisterType(dupWireName{})
-	RegisterType(dupWireName{}) // same type again: fine
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("conflicting RegisterType did not panic")
-		}
-		msg := fmt.Sprint(r)
-		if !strings.Contains(msg, "RegisterType") || !strings.Contains(msg, "dupWireName") {
-			t.Fatalf("panic message unclear: %s", msg)
+// TestRedialAfterServerDiedBeforeReplying: a destination whose first
+// connection dies before any reply arrives (a node crashing mid-call) is,
+// once a server is back on that address, served over one persistent
+// connection — the early death leaves no per-destination mark behind.
+func TestRedialAfterServerDiedBeforeReplying(t *testing.T) {
+	// A server that reads the opening bytes of every connection and hangs
+	// up without replying.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			_, _ = io.ReadFull(conn, make([]byte, len(wire.Preamble)+4))
+			conn.Close()
 		}
 	}()
-	registerDupOther()
+
+	reg := obs.NewRegistry()
+	cli, err := New(WithObs(reg)).Listen("127.0.0.1:0", func(bus.Address, any) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := cli.Call(bus.Address(addr), testMsg{N: 1}); err == nil {
+		t.Fatal("call to a server that hung up succeeded")
+	}
+	ln.Close()
+	<-accepted
+
+	srv, err := New().Listen(bus.Address(addr), func(_ bus.Address, msg any) (any, error) { return msg, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	before, _ := reg.Value("whopay_tcpbus_dials_total", nil)
+	for i := 0; i < 5; i++ {
+		resp, err := cli.Call(srv.Addr(), testMsg{N: i})
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if got := resp.(testMsg).N; got != i {
+			t.Fatalf("call %d: N = %d", i, got)
+		}
+	}
+	if after, _ := reg.Value("whopay_tcpbus_dials_total", nil); after-before != 1 {
+		t.Errorf("dials across 5 calls = %v, want 1 (one persistent connection)", after-before)
+	}
+}
+
+// unregistered is a payload type with no wire codec.
+type unregistered struct{ X int }
+
+// TestUnregisteredRequestPayload: a request whose type has no codec fails
+// with an explicit error before anything is sent, and the connection keeps
+// serving registered calls.
+func TestUnregisteredRequestPayload(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, err := New().Listen("127.0.0.1:0", func(_ bus.Address, msg any) (any, error) { return msg, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := New(WithObs(reg)).Listen("127.0.0.1:0", func(bus.Address, any) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	_, err = cli.Call(srv.Addr(), unregistered{X: 1})
+	if err == nil || !strings.Contains(err.Error(), "no wire codec for tcpbus.unregistered") {
+		t.Fatalf("err = %v, want a no-wire-codec error", err)
+	}
+	resp, err := cli.Call(srv.Addr(), testMsg{N: 7})
+	if err != nil {
+		t.Fatalf("registered call after the rejected one: %v", err)
+	}
+	if got := resp.(testMsg).N; got != 7 {
+		t.Fatalf("N = %d, want 7", got)
+	}
+	if v, _ := reg.Value("whopay_tcpbus_dials_total", nil); v != 1 {
+		t.Errorf("dials_total = %v, want 1 (the connection survived)", v)
+	}
+}
+
+// TestUnregisteredReplyPayload: a handler returning a type with no codec
+// yields an error reply naming the type, not a hung call.
+func TestUnregisteredReplyPayload(t *testing.T) {
+	srv, err := New().Listen("127.0.0.1:0", func(bus.Address, any) (any, error) { return unregistered{X: 1}, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := New(WithCallTimeout(5*time.Second)).Listen("127.0.0.1:0", func(bus.Address, any) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	_, err = cli.Call(srv.Addr(), testMsg{})
+	var remote *bus.RemoteError
+	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "no wire codec for tcpbus.unregistered") {
+		t.Fatalf("err = %v, want a remote no-wire-codec error", err)
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"whopay/internal/bus"
+	"whopay/internal/wire"
 )
 
 type testMsg struct {
@@ -19,9 +20,22 @@ type testMsg struct {
 }
 
 func init() {
-	RegisterType(testMsg{})
-	RegisterType("")
-	RegisterType(0)
+	wire.Register(200, "tcpbus_test.testMsg", testMsg{},
+		func(dst []byte, v any) ([]byte, error) {
+			m := v.(testMsg)
+			dst = wire.AppendString(dst, m.Kind)
+			return wire.AppendInt(dst, int64(m.N)), nil
+		},
+		func(d *wire.Decoder) (any, error) {
+			var m testMsg
+			var err error
+			if m.Kind, err = d.String(); err != nil {
+				return nil, err
+			}
+			n, err := d.Int()
+			m.N = int(n)
+			return m, err
+		})
 }
 
 func TestCallRoundTrip(t *testing.T) {
@@ -58,7 +72,7 @@ func TestFromAddressDelivered(t *testing.T) {
 	var gotFrom bus.Address
 	srv, err := n.Listen("127.0.0.1:0", func(from bus.Address, msg any) (any, error) {
 		gotFrom = from
-		return "ok", nil
+		return testMsg{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +130,7 @@ func TestUnreachable(t *testing.T) {
 
 func TestClosedEndpointRejectsCalls(t *testing.T) {
 	n := New()
-	srv, err := n.Listen("127.0.0.1:0", func(bus.Address, any) (any, error) { return "ok", nil })
+	srv, err := n.Listen("127.0.0.1:0", func(bus.Address, any) (any, error) { return testMsg{}, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +256,8 @@ func TestSlowClientDoesNotWedgeServer(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// A silent client and a trickler that sends garbage prefix bytes then
-	// stalls mid-"request".
+	// A silent client, and a trickler that opens a framed connection, then
+	// stalls two bytes into a frame whose length it has declared.
 	silent, err := net.Dial("tcp", string(srv.Addr()))
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +268,8 @@ func TestSlowClientDoesNotWedgeServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer trickler.Close()
-	if _, err := trickler.Write([]byte{0x13, 0xff}); err != nil {
+	partial := append(wire.Preamble[:], 0, 0, 0, 64, 'W', 'P')
+	if _, err := trickler.Write(partial); err != nil {
 		t.Fatal(err)
 	}
 

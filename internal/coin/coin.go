@@ -8,7 +8,7 @@
 // strictly increasing sequence number.
 //
 // All signed structures use a deterministic length-prefixed binary encoding
-// (never gob/json, whose output is not canonical) so signatures verify
+// (never json, whose output is not canonical) so signatures verify
 // bit-for-bit across transports.
 package coin
 

@@ -86,8 +86,7 @@ func DecodeWireBinding(d *wire.Decoder) (Binding, error) {
 }
 
 // AppendWireBindingPtr appends an optional binding: one presence byte, then the
-// binding when present. Nil round-trips to nil, matching gob's treatment of
-// nil pointer fields.
+// binding when present. Nil round-trips to nil.
 func AppendWireBindingPtr(dst []byte, b *Binding) []byte {
 	if b == nil {
 		return wire.AppendBool(dst, false)

@@ -17,14 +17,12 @@ func filledTransferRequest(tb testing.TB) TransferRequest {
 	registerOnce.Do(RegisterWireTypes)
 	var msg TransferRequest
 	ctr := 0
-	fillGob(reflect.ValueOf(&msg).Elem(), &ctr, 0)
+	fillValue(reflect.ValueOf(&msg).Elem(), &ctr, 0)
 	return msg
 }
 
-// BenchmarkWireCodecTransferRequest compares the hand-rolled codec against
-// gob for the message every transfer hop sends. The gob side pays encoder
-// construction per message because the transport historically opened a
-// fresh stream per call — that is exactly the cost the codec removes.
+// BenchmarkWireCodecTransferRequest measures the codec on the message every
+// transfer hop sends.
 func BenchmarkWireCodecTransferRequest(b *testing.B) {
 	msg := filledTransferRequest(b)
 	e, ok := wire.ByValue(msg)
@@ -43,24 +41,12 @@ func BenchmarkWireCodecTransferRequest(b *testing.B) {
 			wire.PutBuf(buf)
 		}
 	})
-	b.Run("gob-encode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := gobEnc(msg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 
 	enc, err := e.Enc(nil, msg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	gobBytes, err := gobEnc(msg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("encoded size: wire=%dB gob=%dB", len(enc), len(gobBytes))
+	b.Logf("encoded size: %dB", len(enc))
 
 	b.Run("wire-decode", func(b *testing.B) {
 		b.ReportAllocs()
@@ -70,25 +56,15 @@ func BenchmarkWireCodecTransferRequest(b *testing.B) {
 			}
 		}
 	})
-	b.Run("gob-decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var out TransferRequest
-			if err := gobDec(gobBytes, &out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkTransferWhoPayTCP measures the same owner-serviced transfer as
-// BenchmarkTransferWhoPay, but over real TCP sockets — once on the framed
-// binary wire and once forced onto the legacy one-connection-per-call gob
-// wire. The delta is what the codec + multiplexed transport buy per hop.
+// BenchmarkTransferWhoPay, but over real TCP sockets on the framed binary
+// wire.
 func BenchmarkTransferWhoPayTCP(b *testing.B) {
-	run := func(b *testing.B, opts ...tcpbus.Option) {
+	b.Run("framed", func(b *testing.B) {
 		registerOnce.Do(RegisterWireTypes)
-		network := tcpbus.New(opts...)
+		network := tcpbus.New()
 		scheme := sig.ECDSA{}
 		dir := NewDirectory()
 		judge, err := NewJudge(scheme)
@@ -146,8 +122,5 @@ func BenchmarkTransferWhoPayTCP(b *testing.B) {
 			}
 			from, to = to, from
 		}
-	}
-
-	b.Run("framed", func(b *testing.B) { run(b) })
-	b.Run("gob", func(b *testing.B) { run(b, tcpbus.WithGobWire()) })
+	})
 }

@@ -63,11 +63,6 @@ type BrokerConfig struct {
 	// economics that make policy III's "deposit an offline coin, then
 	// purchase" reachable. Zero means unlimited credit.
 	InitialCredit int64
-	// DisableCryptoCache turns off the verification fast path (DESIGN.md
-	// §9): no decoded-key cache, no verify memoization, no parallel batch
-	// fan-out. Default off (cache enabled); a Null scheme bypasses the
-	// cache on its own.
-	DisableCryptoCache bool
 	// Persistence, when non-nil, makes the broker crash-safe: every
 	// protocol-relevant mutation is journaled to a write-ahead log under
 	// Persistence.Dir before the response is sent, and NewBroker recovers
@@ -133,7 +128,7 @@ type FraudCase struct {
 type Broker struct {
 	cfg   BrokerConfig
 	suite sig.Suite
-	cache *sig.Cached        // nil when DisableCryptoCache
+	cache *sig.Cached        // verification fast path (DESIGN.md §9)
 	gsv   *groupsig.Verifier // CRL-aware group-signature verifier
 	keys  sig.KeyPair
 	ep    bus.Endpoint
@@ -243,15 +238,11 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 	b.settled = store.NewDurable(
 		store.NewSharded[coin.ID, *settledRec](brokerShards, coinKey),
 		tblSettled, journal, store.StringCodec[coin.ID](), codecSettled())
-	if !cfg.DisableCryptoCache {
-		b.suite, b.cache = sig.NewCachedSuite(b.suite, sig.CacheOptions{})
-	}
+	b.suite, b.cache = sig.NewCachedSuite(b.suite, sig.CacheOptions{})
 	b.gsv = groupsig.NewVerifier(cfg.GroupPub)
-	if b.cache != nil {
-		// A revoked credential's one-time key must not keep satisfying
-		// verifies out of the memo.
-		b.gsv.OnRevoke = b.cache.InvalidateKey
-	}
+	// A revoked credential's one-time key must not keep satisfying verifies
+	// out of the memo.
+	b.gsv.OnRevoke = b.cache.InvalidateKey
 	if b.persist != nil {
 		recovered, err := b.recoverBrokerState()
 		if err != nil {
@@ -308,12 +299,10 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 		cfg.Obs.Help("whopay_broker_deposited_value", "Total coin value redeemed.")
 		cfg.Obs.GaugeFunc("whopay_broker_issued_value", nil, func() float64 { return float64(b.IssuedValue()) })
 		cfg.Obs.GaugeFunc("whopay_broker_deposited_value", nil, func() float64 { return float64(b.DepositedValue()) })
-		if b.cache != nil {
-			registerCacheMetrics(cfg.Obs, "broker", func() (int64, int64, int64, int64) {
-				s := b.cache.Stats()
-				return s.Hits, s.Misses, s.KeyHits, s.KeyMisses
-			})
-		}
+		registerCacheMetrics(cfg.Obs, "broker", func() (int64, int64, int64, int64) {
+			s := b.cache.Stats()
+			return s.Hits, s.Misses, s.KeyHits, s.KeyMisses
+		})
 		if b.persist != nil {
 			cfg.Obs.RegisterHealth("broker-journal", func() (string, error) {
 				if err := b.PersistenceErr(); err != nil {
@@ -436,12 +425,8 @@ func (b *Broker) RevokeCredentials(serials []uint64, pubs []sig.PublicKey) {
 
 // InvalidateCryptoCache drops all memoized verification state. Call it on
 // group-key rotation or any event that changes what "valid" means outside
-// per-credential revocation. No-op when the cache is disabled.
-func (b *Broker) InvalidateCryptoCache() {
-	if b.cache != nil {
-		b.cache.Invalidate()
-	}
-}
+// per-credential revocation.
+func (b *Broker) InvalidateCryptoCache() { b.cache.Invalidate() }
 
 // Frozen reports whether identity is frozen (read-lock path only).
 func (b *Broker) Frozen(identity string) bool {

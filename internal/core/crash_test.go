@@ -44,6 +44,15 @@ type crashStep struct {
 	run     func() error
 }
 
+// Both crash workloads repeat their script for several rounds, so replay
+// meets records that supersede earlier ones under the same keys (sync
+// queues, relinquishment trails, wallet entries) and the sweep spans a few
+// KiB of crash points.
+const (
+	brokerCrashRounds = 3
+	peerCrashRounds   = 4
+)
+
 // crashWorld is one broker-crash scenario: a persisted broker (journal on
 // the injected filesystem), three plain peers, and a scripted workload
 // touching every journaled table.
@@ -66,7 +75,7 @@ func newBrokerCrashWorld(t *testing.T, dir string, fs wal.FS) *crashWorld {
 	w.alice = f.addPeer("alice", nil)
 	w.bob = f.addPeer("bob", nil)
 	w.carol = f.addPeer("carol", nil)
-	w.steps = []crashStep{
+	round := []crashStep{
 		{"purchase-a", 3, func() error { id, err := w.alice.Purchase(3, false); w.idA = id; return err }},
 		{"purchase-b", 5, func() error { id, err := w.alice.Purchase(5, false); w.idB = id; return err }},
 		{"purchase-c", 7, func() error { id, err := w.bob.Purchase(7, false); w.idC = id; return err }},
@@ -78,6 +87,9 @@ func newBrokerCrashWorld(t *testing.T, dir string, fs wal.FS) *crashWorld {
 		{"online", 0, func() error { err := w.alice.GoOnline(); w.aliceOffline = err != nil; return err }},
 		{"deposit-a", 3, func() error { return w.carol.Deposit(w.idA, w.carol.ID()) }},
 		{"freeze", 0, func() error { w.f.broker.Freeze("mallory"); return nil }},
+	}
+	for r := 0; r < brokerCrashRounds; r++ {
+		w.steps = append(w.steps, round...)
 	}
 	return w
 }
@@ -406,7 +418,7 @@ func TestPeerCrashSweep(t *testing.T) {
 		w.alice = f.addPeerWith(cfg)
 		w.bob = f.addPeer("bob", nil)
 		w.carol = f.addPeer("carol", nil)
-		w.steps = []crashStep{
+		round := []crashStep{
 			{"purchase-a", 3, func() error { id, err := w.alice.Purchase(3, false); w.idA = id; return err }},
 			{"purchase-b", 5, func() error { _, err := w.alice.Purchase(5, false); return err }},
 			{"issue-a", 3, func() error { return w.alice.IssueTo(w.bob.Addr(), w.idA) }},
@@ -414,6 +426,9 @@ func TestPeerCrashSweep(t *testing.T) {
 			{"purchase-c", 0, func() error { id, err := w.bob.Purchase(7, false); w.idC = id; return err }},
 			{"issue-c", 7, func() error { return w.bob.IssueTo(w.alice.Addr(), w.idC) }},
 			{"deposit-c", 7, func() error { return w.alice.Deposit(w.idC, w.alice.ID()) }},
+		}
+		for r := 0; r < peerCrashRounds; r++ {
+			w.steps = append(w.steps, round...)
 		}
 		return w
 	}

@@ -11,6 +11,7 @@ import (
 	"whopay/internal/sig"
 	"whopay/internal/store"
 	"whopay/internal/wal"
+	"whopay/internal/wire"
 )
 
 // Broker federation (DESIGN.md §13). The coin-ID space is partitioned across
@@ -90,11 +91,30 @@ func settleMessage(coinID []byte, payoutRef string, amount int64, fromShard int)
 
 // settleRec is the deposit shard's journaled settlement state for one
 // cross-shard coin: the intent (Done false, written before the first send)
-// and the acknowledgement (Done true). Exported fields for gob.
+// and the acknowledgement (Done true).
 type settleRec struct {
 	Ref    string
 	Amount int64
 	Done   bool
+}
+
+func (r *settleRec) appendWire(dst []byte) []byte {
+	dst = wire.AppendString(dst, r.Ref)
+	dst = wire.AppendInt(dst, r.Amount)
+	return wire.AppendBool(dst, r.Done)
+}
+
+func decodeSettleRec(d *wire.Decoder) (settleRec, error) {
+	var r settleRec
+	var err error
+	if r.Ref, err = d.String(); err != nil {
+		return r, err
+	}
+	if r.Amount, err = d.Int(); err != nil {
+		return r, err
+	}
+	r.Done, err = d.Bool()
+	return r, err
 }
 
 // settledRec is the payout shard's durable dedup record for one applied
@@ -104,12 +124,27 @@ type settledRec struct {
 	Amount int64
 }
 
+func (r *settledRec) appendWire(dst []byte) []byte {
+	dst = wire.AppendString(dst, r.Ref)
+	return wire.AppendInt(dst, r.Amount)
+}
+
+func decodeSettledRec(d *wire.Decoder) (settledRec, error) {
+	var r settledRec
+	var err error
+	if r.Ref, err = d.String(); err != nil {
+		return r, err
+	}
+	r.Amount, err = d.Int()
+	return r, err
+}
+
 func codecSettled() store.Codec[*settledRec] {
 	return store.Codec[*settledRec]{
-		Enc: func(r *settledRec) ([]byte, error) { return gobEnc(*r) },
+		Enc: func(r *settledRec) ([]byte, error) { return r.appendWire(nil), nil },
 		Dec: func(b []byte) (*settledRec, error) {
-			var r settledRec
-			if err := gobDec(b, &r); err != nil {
+			r, err := wire.DecodeExact(b, decodeSettledRec)
+			if err != nil {
 				return nil, err
 			}
 			return &r, nil
@@ -209,12 +244,7 @@ func (b *Broker) journalSettle(id coin.ID, rec settleRec) {
 	if b.persist == nil {
 		return
 	}
-	val, err := gobEnc(rec)
-	if err != nil {
-		b.persist.fail(err)
-		return
-	}
-	b.persist.batch(wal.Set(tblSettle, []byte(id), val))
+	b.persist.batch(wal.Set(tblSettle, []byte(id), rec.appendWire(nil)))
 }
 
 // kickSettle nudges the settlement loop without blocking.

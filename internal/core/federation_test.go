@@ -274,14 +274,16 @@ func TestSettlementSurvivesDepositShardCrash(t *testing.T) {
 		t.Fatalf("pending settlements = %d, want 1", got)
 	}
 
-	// Crash the deposit shard too, then recover both. The intent lives in
-	// shard 0's journal; recovery must re-queue and deliver it.
+	// Crash the deposit shard too and recover it while the payout shard is
+	// still down: the intent lives in shard 0's journal, so recovery must
+	// re-queue it, and nothing can acknowledge it yet.
 	f.crashBroker(0)
-	f.recoverBroker(1)
 	b0 := f.recoverBroker(0)
 	if got := b0.PendingSettlements(); got != 1 {
 		t.Fatalf("recovered pending settlements = %d, want 1", got)
 	}
+	// Bring the payout shard back; the re-queued intent must now deliver.
+	f.recoverBroker(1)
 	waitBalance(t, f.broker(1), ref, 1, 2*time.Second)
 
 	deadline := time.Now().Add(2 * time.Second)

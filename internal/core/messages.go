@@ -9,8 +9,9 @@ import (
 	"whopay/internal/sig"
 )
 
-// Protocol messages. All are exported, gob-friendly value types so the same
-// structs travel over the in-memory bus and the TCP transport.
+// Protocol messages. All are exported value types so the same structs travel
+// over the in-memory bus and, through their wire codecs (wire.go), the TCP
+// transport.
 
 // PurchaseRequest buys a coin from the broker (paper Section 4.2,
 // Purchase). The buyer identifies itself — even for owner-anonymous coins

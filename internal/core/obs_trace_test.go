@@ -14,7 +14,7 @@ import (
 // production stack: one anonymous transfer is a three-hop exchange — payer
 // → payee (offer), payer → owner (transfer), owner → payee (deliver) —
 // each hop crossing a real TCP socket. With a shared registry the trace
-// identity rides the gob envelopes, so all three entities' server spans
+// identity rides the request frames, so all three entities' server spans
 // land in ONE trace rooted at the payer's client span.
 func TestTracePropagationOverTCP(t *testing.T) {
 	registerOnce.Do(RegisterWireTypes)

@@ -131,11 +131,6 @@ type PeerConfig struct {
 	// AuditLogCap bounds per-coin relinquishment logs (0 = unlimited).
 	// The simulator caps them; real deployments keep full trails.
 	AuditLogCap int
-	// DisableCryptoCache turns off the verification fast path (DESIGN.md
-	// §9): no decoded-key cache, no verify memoization, no parallel batch
-	// fan-out. Default off (cache enabled); a Null scheme bypasses the
-	// cache on its own.
-	DisableCryptoCache bool
 	// Persistence, when set, makes the wallet durable: identity keys and
 	// every owned/held coin mutation are journaled to a write-ahead log
 	// under Persistence.Dir before the operation is treated as done, and
@@ -215,7 +210,7 @@ type FraudAlert struct {
 type Peer struct {
 	cfg    PeerConfig
 	suite  sig.Suite
-	cache  *sig.Cached        // nil when DisableCryptoCache
+	cache  *sig.Cached        // verification fast path (DESIGN.md §9)
 	gsv    *groupsig.Verifier // CRL-aware group-signature verifier
 	keys   sig.KeyPair
 	member *groupsig.MemberKey
@@ -293,9 +288,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		vchannels:     store.NewSharded[string, *vendorChannel](peerShards, store.StringHash[string]),
 		settleCredits: store.NewSharded[coin.ID, *settleRecord](peerShards, coinKey),
 	}
-	if !cfg.DisableCryptoCache {
-		p.suite, p.cache = sig.NewCachedSuite(p.suite, sig.CacheOptions{})
-	}
+	p.suite, p.cache = sig.NewCachedSuite(p.suite, sig.CacheOptions{})
 	if cfg.Persistence != nil {
 		pc := *cfg.Persistence // copy: don't mutate the caller's config
 		if cfg.Obs != nil {
@@ -384,9 +377,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 	// GroupPub is final here in all three enrollment branches, so the
 	// CRL-aware verifier can bind to it.
 	p.gsv = groupsig.NewVerifier(p.cfg.GroupPub)
-	if p.cache != nil {
-		p.gsv.OnRevoke = p.cache.InvalidateKey
-	}
+	p.gsv.OnRevoke = p.cache.InvalidateKey
 	if len(cfg.DHTNodes) > 0 {
 		p.dhtc, err = dht.NewClient(ep, cfg.DHTNodes, cfg.DHTMode)
 		if err != nil {
@@ -423,12 +414,10 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 			cfg.Obs.Help("whopay_redirects_total", "Redirect hints followed by the retry layer, by entity.")
 			cfg.Obs.CounterFunc("whopay_redirects_total", obs.Labels{"entity": cfg.ID}, p.Redirects)
 		}
-		if p.cache != nil {
-			registerCacheMetrics(cfg.Obs, cfg.ID, func() (int64, int64, int64, int64) {
-				s := p.cache.Stats()
-				return s.Hits, s.Misses, s.KeyHits, s.KeyMisses
-			})
-		}
+		registerCacheMetrics(cfg.Obs, cfg.ID, func() (int64, int64, int64, int64) {
+			s := p.cache.Stats()
+			return s.Hits, s.Misses, s.KeyHits, s.KeyMisses
+		})
 		if p.dhtc != nil && cfg.DHTReplication != nil {
 			cfg.Obs.Help("whopay_dht_lease_hits_total", "DHT lease cache hits, by entity.")
 			cfg.Obs.CounterFunc("whopay_dht_lease_hits_total", obs.Labels{"entity": cfg.ID},
@@ -489,12 +478,8 @@ func (p *Peer) RevokeCredentials(serials []uint64, pubs []sig.PublicKey) {
 }
 
 // InvalidateCryptoCache drops all memoized verification state (group-key
-// rotation). No-op when the cache is disabled.
-func (p *Peer) InvalidateCryptoCache() {
-	if p.cache != nil {
-		p.cache.Invalidate()
-	}
-}
+// rotation).
+func (p *Peer) InvalidateCryptoCache() { p.cache.Invalidate() }
 
 // Close stops the peer and releases its journal (when persistent).
 func (p *Peer) Close() error {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
@@ -14,6 +12,7 @@ import (
 	"whopay/internal/sig"
 	"whopay/internal/store"
 	"whopay/internal/wal"
+	"whopay/internal/wire"
 )
 
 // Durability layer (DESIGN.md §10). Entities journal every protocol-relevant
@@ -31,24 +30,28 @@ import (
 //     buyer; a downtime re-binding = new binding + relinquishment proof +
 //     sync queue) as ONE record, so a crash between the stores is
 //     impossible by construction — a batch applies whole or not at all.
+//
+// Record values are encoded with the internal/wire helpers: each record
+// type has an appendWire method and a decode function, and every decode
+// goes through wire.DecodeExact, so trailing bytes are rejected.
 
 // Journal table names. Short on purpose: they prefix every record.
 const (
 	tblMeta     = "meta"   // "keys" -> keyPairRec
-	tblCoin     = "coin"   // coin.ID -> coin.Coin (gob)
+	tblCoin     = "coin"   // coin.ID -> coin.Coin
 	tblBuyer    = "buyer"  // coin.ID -> purchaser identity
-	tblDowntime = "down"   // coin.ID -> binding (canonical marshal)
-	tblSync     = "sync"   // owner identity -> []coin.ID (gob)
-	tblClaims   = "claim"  // coin.ID -> claimsRec (sorted, gob)
+	tblDowntime = "down"   // coin.ID -> coin.Binding
+	tblSync     = "sync"   // owner identity -> []coin.ID
+	tblClaims   = "claim"  // coin.ID -> claimsRec (sorted)
 	tblIntent   = "intent" // coin.ID -> intentRec: journaled-only pre-delivery evidence
-	tblDeposit  = "dep"    // coin.ID -> depositRec (gob)
+	tblDeposit  = "dep"    // coin.ID -> depositRec
 	tblFrozen   = "frozen" // identity -> (unit)
-	tblCase     = "case"   // case ID -> caseRec (gob)
-	tblOwned    = "owned"  // coin.ID -> ownedRec (gob), peer logs
-	tblHeld     = "held"   // coin.ID -> heldRec (gob), peer logs
+	tblCase     = "case"   // case ID -> caseRec
+	tblOwned    = "owned"  // coin.ID -> ownedRec, peer logs
+	tblHeld     = "held"   // coin.ID -> heldRec, peer logs
 	tblEpoch    = "epoch"  // DHT node epoch (lives in internal/dht; listed for the format doc)
-	tblSettle   = "settle" // coin.ID -> settleRec (gob): outbound cross-shard settlement state
-	tblSettled  = "stld"   // coin.ID -> settledRec (gob): inbound settlement dedup (payout shard)
+	tblSettle   = "settle" // coin.ID -> settleRec: outbound cross-shard settlement state
+	tblSettled  = "stld"   // coin.ID -> settledRec: inbound settlement dedup (payout shard)
 
 	metaKeysKey = "keys"
 )
@@ -105,32 +108,65 @@ func (p *persistLog) batch(muts ...wal.Mutation) {
 	p.fail(p.log.Append(wal.EncodeBatch(muts)))
 }
 
-// gobEnc/gobDec are the journal's value codec for struct records. A fresh
-// encoder per call keeps every record self-contained, and the journaled
-// types are map-free, so encoding is deterministic (asserted by the gob
-// round-trip suite).
-func gobEnc(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func gobDec(b []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
-}
-
-// keyPairRec journals an entity's long-lived signing keys. Losing the
-// broker's key on crash would orphan every outstanding coin — nothing could
-// verify or sign again — so it is the first record of every fresh log.
+// keyPairRec journals an entity's long-lived signing keys and the scheme
+// they belong to. Losing the broker's key on crash would orphan every
+// outstanding coin — nothing could verify or sign again — so it is the
+// first record of every fresh log, and recovery refuses keys of another
+// scheme rather than signing with bytes it cannot use.
 type keyPairRec struct {
-	Public  sig.PublicKey
-	Private sig.PrivateKey
+	Scheme string
+	Keys   sig.KeyPair
+}
+
+func (r *keyPairRec) appendWire(dst []byte) []byte {
+	dst = wire.AppendString(dst, r.Scheme)
+	return appendKeyPair(dst, r.Keys)
+}
+
+func decodeKeyPairRec(d *wire.Decoder) (keyPairRec, error) {
+	var r keyPairRec
+	var err error
+	if r.Scheme, err = d.String(); err != nil {
+		return r, err
+	}
+	r.Keys, err = decodeKeyPair(d)
+	return r, err
+}
+
+func encKeys(scheme sig.Scheme, kp sig.KeyPair) []byte {
+	rec := keyPairRec{Scheme: scheme.Name(), Keys: kp}
+	return rec.appendWire(nil)
+}
+
+func decKeys(b []byte, scheme sig.Scheme) (sig.KeyPair, error) {
+	rec, err := wire.DecodeExact(b, decodeKeyPairRec)
+	if err != nil {
+		return sig.KeyPair{}, err
+	}
+	if rec.Scheme != scheme.Name() {
+		return sig.KeyPair{}, fmt.Errorf("core: journaled keys are for scheme %q, not %q", rec.Scheme, scheme.Name())
+	}
+	return rec.Keys, nil
+}
+
+func appendKeyPair(dst []byte, kp sig.KeyPair) []byte {
+	dst = wire.AppendBytes(dst, kp.Public)
+	return wire.AppendBytes(dst, kp.Private)
+}
+
+func decodeKeyPair(d *wire.Decoder) (sig.KeyPair, error) {
+	var kp sig.KeyPair
+	var err error
+	if kp.Public, err = decodeKey(d); err != nil {
+		return kp, err
+	}
+	priv, err := d.Bytes()
+	kp.Private = sig.PrivateKey(priv)
+	return kp, err
 }
 
 // depositRec is the journaled form of a depositRecord (whose fields are
-// unexported and gob-invisible on purpose — the wire form is explicit).
+// unexported on purpose — the journaled form is explicit).
 type depositRec struct {
 	Binding   coin.Binding
 	GroupSig  groupsig.Signature
@@ -138,22 +174,46 @@ type depositRec struct {
 	WhenUnix  int64 // UnixNano
 }
 
+func (r *depositRec) appendWire(dst []byte) []byte {
+	dst = r.Binding.AppendWire(dst)
+	dst = r.GroupSig.AppendWire(dst)
+	dst = wire.AppendString(dst, r.PayoutRef)
+	return wire.AppendInt(dst, r.WhenUnix)
+}
+
+func decodeDepositRec(d *wire.Decoder) (depositRec, error) {
+	var r depositRec
+	var err error
+	if r.Binding, err = coin.DecodeWireBinding(d); err != nil {
+		return r, err
+	}
+	if r.GroupSig, err = groupsig.DecodeWireSignature(d); err != nil {
+		return r, err
+	}
+	if r.PayoutRef, err = d.String(); err != nil {
+		return r, err
+	}
+	r.WhenUnix, err = d.Int()
+	return r, err
+}
+
 func encDepositRecord(d *depositRecord) ([]byte, error) {
-	return gobEnc(depositRec{
+	rec := depositRec{
 		Binding:   *d.binding,
 		GroupSig:  d.groupSig,
 		PayoutRef: d.payoutRef,
 		WhenUnix:  d.when.UnixNano(),
-	})
+	}
+	return rec.appendWire(nil), nil
 }
 
 func decDepositRecord(b []byte) (*depositRecord, error) {
-	var r depositRec
-	if err := gobDec(b, &r); err != nil {
+	r, err := wire.DecodeExact(b, decodeDepositRec)
+	if err != nil {
 		return nil, err
 	}
 	return &depositRecord{
-		binding:   r.Binding.Clone(),
+		binding:   &r.Binding,
 		groupSig:  r.GroupSig,
 		payoutRef: r.PayoutRef,
 		when:      time.Unix(0, r.WhenUnix),
@@ -173,7 +233,24 @@ type claimsRec struct {
 	Proofs []RelinquishProof
 }
 
-func encClaims(proofs map[uint64]RelinquishProof) ([]byte, error) {
+func (r *claimsRec) appendWire(dst []byte) []byte {
+	dst = wire.AppendList(dst, r.Seqs, appendSeq)
+	return wire.AppendList(dst, r.Proofs, (*RelinquishProof).appendWire)
+}
+
+func decodeClaimsRec(d *wire.Decoder) (claimsRec, error) {
+	var r claimsRec
+	var err error
+	if r.Seqs, err = wire.DecodeList(d, (*wire.Decoder).U64); err != nil {
+		return r, err
+	}
+	r.Proofs, err = wire.DecodeList(d, decodeRelinquishProof)
+	return r, err
+}
+
+func appendSeq(seq *uint64, dst []byte) []byte { return wire.AppendU64(dst, *seq) }
+
+func encClaims(proofs map[uint64]RelinquishProof) []byte {
 	rec := claimsRec{Seqs: make([]uint64, 0, len(proofs)), Proofs: make([]RelinquishProof, 0, len(proofs))}
 	for seq := range proofs {
 		rec.Seqs = append(rec.Seqs, seq)
@@ -182,12 +259,12 @@ func encClaims(proofs map[uint64]RelinquishProof) ([]byte, error) {
 	for _, seq := range rec.Seqs {
 		rec.Proofs = append(rec.Proofs, proofs[seq])
 	}
-	return gobEnc(rec)
+	return rec.appendWire(nil)
 }
 
 func decClaims(b []byte) (map[uint64]RelinquishProof, error) {
-	var rec claimsRec
-	if err := gobDec(b, &rec); err != nil {
+	rec, err := wire.DecodeExact(b, decodeClaimsRec)
+	if err != nil {
 		return nil, err
 	}
 	if len(rec.Seqs) != len(rec.Proofs) {
@@ -216,9 +293,23 @@ type intentRec struct {
 	Proof RelinquishProof
 }
 
+func (r *intentRec) appendWire(dst []byte) []byte {
+	dst = wire.AppendU64(dst, r.Seq)
+	return r.Proof.appendWire(dst)
+}
+
+func decodeIntentRec(d *wire.Decoder) (intentRec, error) {
+	var r intentRec
+	var err error
+	if r.Seq, err = d.U64(); err != nil {
+		return r, err
+	}
+	r.Proof, err = decodeRelinquishProof(d)
+	return r, err
+}
+
 // caseRec is the journaled form of a FraudCase: the GroupSigs [][2]any
-// evidence pairs become parallel typed slices so gob needs no interface
-// registration and the encoding stays deterministic.
+// evidence pairs become parallel typed slices.
 type caseRec struct {
 	ID       uint64
 	Kind     string
@@ -228,6 +319,47 @@ type caseRec struct {
 	SigMsgs  [][]byte
 	Sigs     []groupsig.Signature
 	Bindings []coin.Binding
+}
+
+func (r *caseRec) appendWire(dst []byte) []byte {
+	dst = wire.AppendU64(dst, r.ID)
+	dst = wire.AppendString(dst, r.Kind)
+	dst = wire.AppendString(dst, string(r.CoinID))
+	dst = wire.AppendString(dst, r.Verdict)
+	dst = wire.AppendString(dst, r.Punished)
+	dst = wire.AppendList(dst, r.SigMsgs, func(msg *[]byte, b []byte) []byte { return wire.AppendBytes(b, *msg) })
+	dst = wire.AppendList(dst, r.Sigs, (*groupsig.Signature).AppendWire)
+	return wire.AppendList(dst, r.Bindings, (*coin.Binding).AppendWire)
+}
+
+func decodeCaseRec(d *wire.Decoder) (caseRec, error) {
+	var r caseRec
+	var err error
+	if r.ID, err = d.U64(); err != nil {
+		return r, err
+	}
+	if r.Kind, err = d.String(); err != nil {
+		return r, err
+	}
+	var id string
+	if id, err = d.String(); err != nil {
+		return r, err
+	}
+	r.CoinID = coin.ID(id)
+	if r.Verdict, err = d.String(); err != nil {
+		return r, err
+	}
+	if r.Punished, err = d.String(); err != nil {
+		return r, err
+	}
+	if r.SigMsgs, err = wire.DecodeList(d, (*wire.Decoder).Bytes); err != nil {
+		return r, err
+	}
+	if r.Sigs, err = wire.DecodeList(d, groupsig.DecodeWireSignature); err != nil {
+		return r, err
+	}
+	r.Bindings, err = wire.DecodeList(d, coin.DecodeWireBinding)
+	return r, err
 }
 
 func encCase(fc FraudCase) ([]byte, error) {
@@ -244,12 +376,12 @@ func encCase(fc FraudCase) ([]byte, error) {
 		rec.SigMsgs = append(rec.SigMsgs, msg)
 		rec.Sigs = append(rec.Sigs, gs)
 	}
-	return gobEnc(rec)
+	return rec.appendWire(nil), nil
 }
 
 func decCase(b []byte) (FraudCase, error) {
-	var rec caseRec
-	if err := gobDec(b, &rec); err != nil {
+	rec, err := wire.DecodeExact(b, decodeCaseRec)
+	if err != nil {
 		return FraudCase{}, err
 	}
 	if len(rec.SigMsgs) != len(rec.Sigs) {
@@ -265,22 +397,26 @@ func decCase(b []byte) (FraudCase, error) {
 	return fc, nil
 }
 
-// codecCoinValue journals coins by gob (all fields exported, map-free).
-func encCoin(c *coin.Coin) ([]byte, error) { return gobEnc(*c) }
+// Coins and bindings journal in their wire encodings.
+func encCoin(c *coin.Coin) []byte { return c.AppendWire(nil) }
 
 func decCoin(b []byte) (*coin.Coin, error) {
-	var c coin.Coin
-	if err := gobDec(b, &c); err != nil {
+	c, err := wire.DecodeExact(b, coin.DecodeWireCoin)
+	if err != nil {
 		return nil, err
 	}
 	return &c, nil
 }
 
-// Bindings journal in their canonical marshaled form (coin.Binding.Marshal),
-// the same bytes the DHT publishes — one codec, already deterministic.
-func encBinding(bnd *coin.Binding) ([]byte, error) { return bnd.Marshal(), nil }
+func encBinding(bnd *coin.Binding) []byte { return bnd.AppendWire(nil) }
 
-func decBinding(b []byte) (*coin.Binding, error) { return coin.UnmarshalBinding(b) }
+func decBinding(b []byte) (*coin.Binding, error) {
+	bnd, err := wire.DecodeExact(b, coin.DecodeWireBinding)
+	if err != nil {
+		return nil, err
+	}
+	return &bnd, nil
+}
 
 // --- broker persistence -------------------------------------------------
 
@@ -292,12 +428,7 @@ type brokerPersist struct {
 // journalKeys writes (and force-syncs) the signing keys: they must survive
 // any later crash or every coin in circulation dies with the broker.
 func (b *Broker) journalKeys() {
-	val, err := gobEnc(keyPairRec{Public: b.keys.Public, Private: b.keys.Private})
-	if err != nil {
-		b.persist.fail(err)
-		return
-	}
-	b.persist.batch(wal.Set(tblMeta, []byte(metaKeysKey), val))
+	b.persist.batch(wal.Set(tblMeta, []byte(metaKeysKey), encKeys(b.cfg.Scheme, b.keys)))
 	b.persist.fail(b.persist.log.Sync())
 }
 
@@ -310,13 +441,8 @@ func (b *Broker) journalMint(coins []*coin.Coin, buyer string) {
 	}
 	muts := make([]wal.Mutation, 0, 2*len(coins))
 	for _, c := range coins {
-		val, err := encCoin(c)
-		if err != nil {
-			b.persist.fail(err)
-			return
-		}
 		muts = append(muts,
-			wal.Set(tblCoin, []byte(c.ID()), val),
+			wal.Set(tblCoin, []byte(c.ID()), encCoin(c)),
 			wal.Set(tblBuyer, []byte(c.ID()), []byte(buyer)),
 		)
 	}
@@ -329,12 +455,8 @@ func (b *Broker) journalIntent(id coin.ID, seq uint64, proof RelinquishProof) {
 	if b.persist == nil {
 		return
 	}
-	val, err := gobEnc(intentRec{Seq: seq, Proof: proof})
-	if err != nil {
-		b.persist.fail(err)
-		return
-	}
-	b.persist.batch(wal.Set(tblIntent, []byte(id), val))
+	rec := intentRec{Seq: seq, Proof: proof}
+	b.persist.batch(wal.Set(tblIntent, []byte(id), rec.appendWire(nil)))
 }
 
 // journalDowntimeCommit journals a committed downtime re-binding or renewal:
@@ -348,41 +470,19 @@ func (b *Broker) journalDowntimeCommit(id coin.ID, owner string) {
 	}
 	muts := make([]wal.Mutation, 0, 3)
 	if binding, ok := b.downtime.Get(id); ok {
-		muts = append(muts, wal.Set(tblDowntime, []byte(id), binding.Marshal()))
+		muts = append(muts, wal.Set(tblDowntime, []byte(id), encBinding(binding)))
 	}
-	var claimsErr error
 	b.relinquish.View(id, func(proofs map[uint64]RelinquishProof, ok bool) {
-		if !ok {
-			return
+		if ok {
+			muts = append(muts, wal.Set(tblClaims, []byte(id), encClaims(proofs)))
 		}
-		val, err := encClaims(proofs)
-		if err != nil {
-			claimsErr = err
-			return
-		}
-		muts = append(muts, wal.Set(tblClaims, []byte(id), val))
 	})
-	if claimsErr != nil {
-		b.persist.fail(claimsErr)
-		return
-	}
 	if owner != "" {
-		var syncErr error
 		b.pendingSync.View(owner, func(ids []coin.ID, ok bool) {
-			if !ok {
-				return
+			if ok {
+				muts = append(muts, wal.Set(tblSync, []byte(owner), wire.AppendStrings(nil, ids)))
 			}
-			val, err := gobEnc(ids)
-			if err != nil {
-				syncErr = err
-				return
-			}
-			muts = append(muts, wal.Set(tblSync, []byte(owner), val))
 		})
-		if syncErr != nil {
-			b.persist.fail(syncErr)
-			return
-		}
 	}
 	b.persist.batch(muts...)
 }
@@ -452,21 +552,12 @@ func (b *Broker) CompactLog() error {
 	}
 	return b.persist.log.Snapshot(func(app func([]byte) error) error {
 		emit := func(muts ...wal.Mutation) error { return app(wal.EncodeBatch(muts)) }
-		keys, err := gobEnc(keyPairRec{Public: b.keys.Public, Private: b.keys.Private})
-		if err != nil {
-			return err
-		}
-		if err := emit(wal.Set(tblMeta, []byte(metaKeysKey), keys)); err != nil {
+		if err := emit(wal.Set(tblMeta, []byte(metaKeysKey), encKeys(b.cfg.Scheme, b.keys))); err != nil {
 			return err
 		}
 		var failed error
 		b.coins.Range(func(id coin.ID, c *coin.Coin) bool {
-			val, err := encCoin(c)
-			if err != nil {
-				failed = err
-				return false
-			}
-			muts := []wal.Mutation{wal.Set(tblCoin, []byte(id), val)}
+			muts := []wal.Mutation{wal.Set(tblCoin, []byte(id), encCoin(c))}
 			if buyer, ok := b.purchasedBy.Get(id); ok {
 				muts = append(muts, wal.Set(tblBuyer, []byte(id), []byte(buyer)))
 			}
@@ -477,19 +568,14 @@ func (b *Broker) CompactLog() error {
 			return failed
 		}
 		b.downtime.Range(func(id coin.ID, binding *coin.Binding) bool {
-			failed = emit(wal.Set(tblDowntime, []byte(id), binding.Marshal()))
+			failed = emit(wal.Set(tblDowntime, []byte(id), encBinding(binding)))
 			return failed == nil
 		})
 		if failed != nil {
 			return failed
 		}
 		b.pendingSync.Range(func(owner string, ids []coin.ID) bool {
-			val, err := gobEnc(ids)
-			if err != nil {
-				failed = err
-				return false
-			}
-			failed = emit(wal.Set(tblSync, []byte(owner), val))
+			failed = emit(wal.Set(tblSync, []byte(owner), wire.AppendStrings(nil, ids)))
 			return failed == nil
 		})
 		if failed != nil {
@@ -499,15 +585,11 @@ func (b *Broker) CompactLog() error {
 		// shard lock held by an enclosing Range while the View re-locks.
 		for _, id := range b.relinquish.Keys() {
 			var val []byte
-			var encErr error
 			b.relinquish.View(id, func(proofs map[uint64]RelinquishProof, ok bool) {
 				if ok {
-					val, encErr = encClaims(proofs)
+					val = encClaims(proofs)
 				}
 			})
-			if encErr != nil {
-				return encErr
-			}
 			if val != nil {
 				if err := emit(wal.Set(tblClaims, []byte(id), val)); err != nil {
 					return err
@@ -536,11 +618,7 @@ func (b *Broker) CompactLog() error {
 		}
 		b.settleMu.Unlock()
 		for id, rec := range settleSnap {
-			val, err := gobEnc(rec)
-			if err != nil {
-				return err
-			}
-			if err := emit(wal.Set(tblSettle, []byte(id), val)); err != nil {
+			if err := emit(wal.Set(tblSettle, []byte(id), rec.appendWire(nil))); err != nil {
 				return err
 			}
 		}
@@ -576,7 +654,7 @@ func (b *Broker) recoverBrokerState() (bool, error) {
 		found = found || len(muts) > 0
 		for _, m := range muts {
 			if err := b.applyRecovered(m, intents, settles); err != nil {
-				return err
+				return fmt.Errorf("core: replaying %s record: %w", m.Table, err)
 			}
 		}
 		return nil
@@ -668,11 +746,11 @@ func (b *Broker) applyRecovered(m wal.Mutation, intents map[coin.ID]intentRec, s
 		if string(m.Key) != metaKeysKey || m.Op != wal.OpSet {
 			return fmt.Errorf("core: unknown meta record %q", m.Key)
 		}
-		var rec keyPairRec
-		if err := gobDec(m.Val, &rec); err != nil {
+		keys, err := decKeys(m.Val, b.cfg.Scheme)
+		if err != nil {
 			return err
 		}
-		b.keys = sig.KeyPair{Public: rec.Public, Private: rec.Private}
+		b.keys = keys
 	case tblCoin:
 		c, err := decCoin(m.Val)
 		if err != nil {
@@ -696,8 +774,8 @@ func (b *Broker) applyRecovered(m wal.Mutation, intents map[coin.ID]intentRec, s
 			b.pendingSync.Delete(string(m.Key))
 			return nil
 		}
-		var ids []coin.ID
-		if err := gobDec(m.Val, &ids); err != nil {
+		ids, err := wire.DecodeExact(m.Val, wire.DecodeStrings[coin.ID])
+		if err != nil {
 			return err
 		}
 		b.pendingSync.Set(string(m.Key), ids)
@@ -708,8 +786,8 @@ func (b *Broker) applyRecovered(m wal.Mutation, intents map[coin.ID]intentRec, s
 		}
 		b.relinquish.Set(id, proofs)
 	case tblIntent:
-		var rec intentRec
-		if err := gobDec(m.Val, &rec); err != nil {
+		rec, err := wire.DecodeExact(m.Val, decodeIntentRec)
+		if err != nil {
 			return err
 		}
 		intents[id] = rec
@@ -724,8 +802,8 @@ func (b *Broker) applyRecovered(m wal.Mutation, intents map[coin.ID]intentRec, s
 		}
 		return b.frozen.ApplySet(m.Key, m.Val)
 	case tblSettle:
-		var rec settleRec
-		if err := gobDec(m.Val, &rec); err != nil {
+		rec, err := wire.DecodeExact(m.Val, decodeSettleRec)
+		if err != nil {
 			return err
 		}
 		settles[id] = rec

@@ -8,6 +8,7 @@ import (
 	"whopay/internal/sig"
 	"whopay/internal/store"
 	"whopay/internal/wal"
+	"whopay/internal/wire"
 )
 
 // Peer-side durability (DESIGN.md §10). A peer's wallet journals whole-entry
@@ -30,59 +31,93 @@ import (
 //   - fraud alerts and trigger versions: operational, reconstructible.
 
 // ownedRec is the journaled form of an ownedCoin. The audit trail is stored
-// as aligned slices in logOrder order (maps are gob-iteration-unstable).
+// as aligned slices in logOrder order (the in-memory map has no order).
 type ownedRec struct {
 	Coin       coin.Coin
 	CoinKeys   sig.KeyPair
 	HandleKeys *sig.KeyPair
-	Binding    []byte // canonical marshal; nil when never issued
+	Binding    *coin.Binding // nil when never issued
 	SelfHeld   bool
 	LogSeqs    []uint64
 	LogProofs  []RelinquishProof
 }
 
+func (r *ownedRec) appendWire(dst []byte) []byte {
+	dst = r.Coin.AppendWire(dst)
+	dst = appendKeyPair(dst, r.CoinKeys)
+	dst = wire.AppendBool(dst, r.HandleKeys != nil)
+	if r.HandleKeys != nil {
+		dst = appendKeyPair(dst, *r.HandleKeys)
+	}
+	dst = coin.AppendWireBindingPtr(dst, r.Binding)
+	dst = wire.AppendBool(dst, r.SelfHeld)
+	dst = wire.AppendList(dst, r.LogSeqs, appendSeq)
+	return wire.AppendList(dst, r.LogProofs, (*RelinquishProof).appendWire)
+}
+
+func decodeOwnedRec(d *wire.Decoder) (ownedRec, error) {
+	var r ownedRec
+	var err error
+	if r.Coin, err = coin.DecodeWireCoin(d); err != nil {
+		return r, err
+	}
+	if r.CoinKeys, err = decodeKeyPair(d); err != nil {
+		return r, err
+	}
+	hasHandle, err := d.Bool()
+	if err != nil {
+		return r, err
+	}
+	if hasHandle {
+		hk, err := decodeKeyPair(d)
+		if err != nil {
+			return r, err
+		}
+		r.HandleKeys = &hk
+	}
+	if r.Binding, err = coin.DecodeWireBindingPtr(d); err != nil {
+		return r, err
+	}
+	if r.SelfHeld, err = d.Bool(); err != nil {
+		return r, err
+	}
+	if r.LogSeqs, err = wire.DecodeList(d, (*wire.Decoder).U64); err != nil {
+		return r, err
+	}
+	r.LogProofs, err = wire.DecodeList(d, decodeRelinquishProof)
+	return r, err
+}
+
 // encOwnedLocked encodes an owned coin; the caller holds oc.mu.
-func encOwnedLocked(oc *ownedCoin) ([]byte, error) {
+func encOwnedLocked(oc *ownedCoin) []byte {
 	rec := ownedRec{
-		Coin:     *oc.c,
-		CoinKeys: oc.coinKeys,
-		SelfHeld: oc.selfHeld,
+		Coin:       *oc.c,
+		CoinKeys:   oc.coinKeys,
+		HandleKeys: oc.handleKeys,
+		Binding:    oc.binding,
+		SelfHeld:   oc.selfHeld,
+		LogSeqs:    oc.logOrder,
 	}
-	if oc.handleKeys != nil {
-		hk := *oc.handleKeys
-		rec.HandleKeys = &hk
-	}
-	if oc.binding != nil {
-		rec.Binding = oc.binding.Marshal()
-	}
-	rec.LogSeqs = append([]uint64(nil), oc.logOrder...)
 	for _, seq := range rec.LogSeqs {
 		rec.LogProofs = append(rec.LogProofs, oc.log[seq])
 	}
-	return gobEnc(rec)
+	return rec.appendWire(nil)
 }
 
 func decOwned(b []byte) (*ownedCoin, error) {
-	var rec ownedRec
-	if err := gobDec(b, &rec); err != nil {
+	rec, err := wire.DecodeExact(b, decodeOwnedRec)
+	if err != nil {
 		return nil, err
 	}
 	if len(rec.LogSeqs) != len(rec.LogProofs) {
 		return nil, errors.New("core: owned record audit-trail length mismatch")
 	}
-	c := rec.Coin
 	oc := &ownedCoin{
-		c:          &c,
+		c:          &rec.Coin,
 		coinKeys:   rec.CoinKeys,
 		handleKeys: rec.HandleKeys,
+		binding:    rec.Binding,
 		selfHeld:   rec.SelfHeld,
-	}
-	if len(rec.Binding) > 0 {
-		binding, err := coin.UnmarshalBinding(rec.Binding)
-		if err != nil {
-			return nil, fmt.Errorf("core: owned record binding: %w", err)
-		}
-		oc.binding = binding
 	}
 	if len(rec.LogSeqs) > 0 {
 		oc.log = make(map[uint64]RelinquishProof, len(rec.LogSeqs))
@@ -99,46 +134,60 @@ type heldRec struct {
 	Coin       coin.Coin
 	HolderKeys sig.KeyPair
 	Order      uint64
-	Binding    []byte
+	Binding    coin.Binding
+}
+
+func (r *heldRec) appendWire(dst []byte) []byte {
+	dst = r.Coin.AppendWire(dst)
+	dst = appendKeyPair(dst, r.HolderKeys)
+	dst = wire.AppendU64(dst, r.Order)
+	return r.Binding.AppendWire(dst)
+}
+
+func decodeHeldRec(d *wire.Decoder) (heldRec, error) {
+	var r heldRec
+	var err error
+	if r.Coin, err = coin.DecodeWireCoin(d); err != nil {
+		return r, err
+	}
+	if r.HolderKeys, err = decodeKeyPair(d); err != nil {
+		return r, err
+	}
+	if r.Order, err = d.U64(); err != nil {
+		return r, err
+	}
+	r.Binding, err = coin.DecodeWireBinding(d)
+	return r, err
 }
 
 // encHeldLocked encodes a held coin; the caller holds hc.mu (or the entry
 // is not yet published).
-func encHeldLocked(hc *heldCoin) ([]byte, error) {
-	return gobEnc(heldRec{
+func encHeldLocked(hc *heldCoin) []byte {
+	rec := heldRec{
 		Coin:       *hc.c,
 		HolderKeys: hc.holderKeys,
 		Order:      hc.order,
-		Binding:    hc.binding.Marshal(),
-	})
+		Binding:    *hc.binding,
+	}
+	return rec.appendWire(nil)
 }
 
 func decHeld(b []byte) (*heldCoin, error) {
-	var rec heldRec
-	if err := gobDec(b, &rec); err != nil {
+	rec, err := wire.DecodeExact(b, decodeHeldRec)
+	if err != nil {
 		return nil, err
 	}
-	binding, err := coin.UnmarshalBinding(rec.Binding)
-	if err != nil {
-		return nil, fmt.Errorf("core: held record binding: %w", err)
-	}
-	c := rec.Coin
 	return &heldCoin{
-		c:          &c,
+		c:          &rec.Coin,
 		holderKeys: rec.HolderKeys,
 		order:      rec.Order,
-		binding:    binding,
+		binding:    &rec.Binding,
 	}, nil
 }
 
 // journalPeerKeys writes (and force-syncs) the peer's identity keys.
 func (p *Peer) journalPeerKeys() {
-	val, err := gobEnc(keyPairRec{Public: p.keys.Public, Private: p.keys.Private})
-	if err != nil {
-		p.persist.fail(err)
-		return
-	}
-	p.persist.batch(wal.Set(tblMeta, []byte(metaKeysKey), val))
+	p.persist.batch(wal.Set(tblMeta, []byte(metaKeysKey), encKeys(p.cfg.Scheme, p.keys)))
 	p.persist.fail(p.persist.log.Sync())
 }
 
@@ -152,13 +201,9 @@ func (p *Peer) saveOwned(id coin.ID) {
 	}
 	p.owned.ComputeIfPresent(id, func(oc *ownedCoin) (*ownedCoin, store.Op) {
 		oc.mu.Lock()
-		val, err := encOwnedLocked(oc)
+		val := encOwnedLocked(oc)
 		oc.mu.Unlock()
-		if err != nil {
-			p.persist.fail(err)
-		} else {
-			p.persist.batch(wal.Set(tblOwned, []byte(id), val))
-		}
+		p.persist.batch(wal.Set(tblOwned, []byte(id), val))
 		return oc, store.OpKeep
 	})
 }
@@ -171,13 +216,9 @@ func (p *Peer) saveHeld(id coin.ID) {
 	}
 	p.held.ComputeIfPresent(id, func(hc *heldCoin) (*heldCoin, store.Op) {
 		hc.mu.Lock()
-		val, err := encHeldLocked(hc)
+		val := encHeldLocked(hc)
 		hc.mu.Unlock()
-		if err != nil {
-			p.persist.fail(err)
-		} else {
-			p.persist.batch(wal.Set(tblHeld, []byte(id), val))
-		}
+		p.persist.batch(wal.Set(tblHeld, []byte(id), val))
 		return hc, store.OpKeep
 	})
 }
@@ -188,12 +229,7 @@ func (p *Peer) journalHeldSetLocked(id coin.ID, hc *heldCoin) {
 	if p.persist == nil {
 		return
 	}
-	val, err := encHeldLocked(hc)
-	if err != nil {
-		p.persist.fail(err)
-		return
-	}
-	p.persist.batch(wal.Set(tblHeld, []byte(id), val))
+	p.persist.batch(wal.Set(tblHeld, []byte(id), encHeldLocked(hc)))
 }
 
 // dropHeld removes a held coin, journaling the delete under the shard lock
@@ -242,22 +278,14 @@ func (p *Peer) CompactLog() error {
 	}
 	return p.persist.log.Snapshot(func(app func([]byte) error) error {
 		emit := func(muts ...wal.Mutation) error { return app(wal.EncodeBatch(muts)) }
-		keys, err := gobEnc(keyPairRec{Public: p.keys.Public, Private: p.keys.Private})
-		if err != nil {
-			return err
-		}
-		if err := emit(wal.Set(tblMeta, []byte(metaKeysKey), keys)); err != nil {
+		if err := emit(wal.Set(tblMeta, []byte(metaKeysKey), encKeys(p.cfg.Scheme, p.keys))); err != nil {
 			return err
 		}
 		var failed error
 		p.owned.Range(func(id coin.ID, oc *ownedCoin) bool {
 			oc.mu.Lock()
-			val, err := encOwnedLocked(oc)
+			val := encOwnedLocked(oc)
 			oc.mu.Unlock()
-			if err != nil {
-				failed = err
-				return false
-			}
 			failed = emit(wal.Set(tblOwned, []byte(id), val))
 			return failed == nil
 		})
@@ -266,12 +294,8 @@ func (p *Peer) CompactLog() error {
 		}
 		p.held.Range(func(id coin.ID, hc *heldCoin) bool {
 			hc.mu.Lock()
-			val, err := encHeldLocked(hc)
+			val := encHeldLocked(hc)
 			hc.mu.Unlock()
-			if err != nil {
-				failed = err
-				return false
-			}
 			failed = emit(wal.Set(tblHeld, []byte(id), val))
 			return failed == nil
 		})
@@ -291,7 +315,7 @@ func (p *Peer) recoverPeerState() (bool, error) {
 		found = found || len(muts) > 0
 		for _, m := range muts {
 			if err := p.applyRecovered(m); err != nil {
-				return err
+				return fmt.Errorf("core: replaying %s record: %w", m.Table, err)
 			}
 		}
 		return nil
@@ -330,11 +354,11 @@ func (p *Peer) applyRecovered(m wal.Mutation) error {
 		if string(m.Key) != metaKeysKey || m.Op != wal.OpSet {
 			return fmt.Errorf("core: unknown peer meta record %q", m.Key)
 		}
-		var rec keyPairRec
-		if err := gobDec(m.Val, &rec); err != nil {
+		keys, err := decKeys(m.Val, p.cfg.Scheme)
+		if err != nil {
 			return err
 		}
-		p.keys = sig.KeyPair{Public: rec.Public, Private: rec.Private}
+		p.keys = keys
 	case tblOwned:
 		if m.Op == wal.OpDelete {
 			p.owned.Delete(id)

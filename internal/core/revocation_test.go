@@ -79,33 +79,3 @@ func TestRevokedCredentialRejectedByBroker(t *testing.T) {
 		t.Fatalf("unrevoked peer's deposit failed: %v", err)
 	}
 }
-
-// TestCryptoCacheKnob: DisableCryptoCache yields identical protocol
-// behaviour — the cache is an execution strategy, not a semantic change.
-func TestCryptoCacheKnob(t *testing.T) {
-	f := newFixture(t, fixtureOpts{scheme: sig.ECDSA{}})
-	u := f.addPeer("u", nil)
-	// A peer with the cache disabled interoperates with cached entities.
-	v, err := NewPeer(PeerConfig{
-		ID: "v-nocache", Network: f.net, Scheme: f.scheme, Clock: f.clock.Now,
-		Directory: f.dir, BrokerAddr: f.broker.Addr(), BrokerPub: f.broker.PublicKey(),
-		Judge: f.judge, DisableCryptoCache: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Close()
-	id, err := u.Purchase(2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := u.IssueTo(v.Addr(), id); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Deposit(id, "v-nocache"); err != nil {
-		t.Fatal(err)
-	}
-	// Invalidation entry points are safe no-ops without a cache.
-	v.InvalidateCryptoCache()
-	f.broker.InvalidateCryptoCache()
-}

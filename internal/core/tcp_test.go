@@ -13,8 +13,8 @@ import (
 var registerOnce sync.Once
 
 // TestLifecycleOverTCP runs the purchase → issue → transfer → deposit flow
-// over real TCP sockets with gob framing and ECDSA signatures — the full
-// production stack, no in-memory shortcuts.
+// over real TCP sockets on the framed binary wire with ECDSA signatures —
+// the full production stack, no in-memory shortcuts.
 func TestLifecycleOverTCP(t *testing.T) {
 	registerOnce.Do(RegisterWireTypes)
 	network := tcpbus.New()
@@ -86,7 +86,7 @@ func brokerBoundAddr(b *Broker) bus.Address { return b.ep.Addr() }
 
 // TestCoinBusySurvivesTCPHop proves the sentinel-code plumbing end to end:
 // a busy rejection raised by an owner is still matchable with errors.Is
-// after crossing a real TCP/gob hop, where only the wire code — not the
+// after crossing a real TCP hop, where only the wire code — not the
 // in-process error chain — can travel. Retry layers above the bus depend on
 // exactly this to tell "try again shortly" from "give up".
 func TestCoinBusySurvivesTCPHop(t *testing.T) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"whopay/internal/coin"
@@ -17,8 +16,7 @@ import (
 
 // Fixed-layout wire codecs (internal/wire) for every protocol message in
 // messages.go, judgeserver.go, and layered.go. Tags are the wire contract:
-// stable across versions, assigned here, never reused. The gob
-// registrations in gob.go remain the negotiated compatibility fallback.
+// stable across versions, assigned here, never reused.
 const (
 	tagPurchaseRequest       = 1
 	tagPurchaseResponse      = 2
@@ -60,9 +58,11 @@ const (
 
 var wireCodecsOnce sync.Once
 
-// registerWireCodecs installs the binary codecs for the core protocol
-// messages plus the DHT and indirection layers.
-func registerWireCodecs() {
+// RegisterWireTypes registers the binary codecs of every protocol message —
+// the core protocol plus the DHT and indirection layers — with the wire
+// registry. Call it before using tcpbus endpoints; the in-memory bus does
+// not need it. Idempotent.
+func RegisterWireTypes() {
 	wireCodecsOnce.Do(func() {
 		registerCoreWireCodecs()
 		dht.RegisterWireCodecs()
@@ -79,49 +79,7 @@ func decodeKey(d *wire.Decoder) (sig.PublicKey, error) {
 	return sig.PublicKey(raw), nil
 }
 
-// appendKeys / decodeKeys handle []sig.PublicKey fields. A corrupt count
-// is rejected before allocation; zero-length decodes as nil (gob parity).
-func appendKeys(dst []byte, keys []sig.PublicKey) []byte {
-	dst = wire.AppendUvarint(dst, uint64(len(keys)))
-	for _, k := range keys {
-		dst = wire.AppendBytes(dst, k)
-	}
-	return dst
-}
-
-func decodeKeys(d *wire.Decoder) ([]sig.PublicKey, error) {
-	n, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > uint64(d.Len()) {
-		return nil, fmt.Errorf("%w: %d keys declared, %d bytes remain", wire.ErrMalformed, n, d.Len())
-	}
-	out := make([]sig.PublicKey, 0, n)
-	for i := uint64(0); i < n; i++ {
-		k, err := decodeKey(d)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-	return out, nil
-}
-
-// sliceCount reads and bounds-checks a collection count.
-func sliceCount(d *wire.Decoder, what string) (uint64, error) {
-	n, err := d.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(d.Len()) {
-		return 0, fmt.Errorf("%w: %d %s declared, %d bytes remain", wire.ErrMalformed, n, what, d.Len())
-	}
-	return n, nil
-}
+func appendKey(k *sig.PublicKey, dst []byte) []byte { return wire.AppendBytes(dst, *k) }
 
 func registerCoreWireCodecs() {
 	wire.Register(tagPurchaseRequest, "core.PurchaseRequest", PurchaseRequest{},
@@ -174,7 +132,7 @@ func registerCoreWireCodecs() {
 		func(dst []byte, v any) ([]byte, error) {
 			m := v.(BatchPurchaseRequest)
 			dst = wire.AppendString(dst, m.Buyer)
-			dst = appendKeys(dst, m.CoinPubs)
+			dst = wire.AppendList(dst, m.CoinPubs, appendKey)
 			dst = wire.AppendInt(dst, m.Value)
 			dst = wire.AppendBytes(dst, m.Sig)
 			return dst, nil
@@ -185,7 +143,7 @@ func registerCoreWireCodecs() {
 			if m.Buyer, err = d.String(); err != nil {
 				return nil, err
 			}
-			if m.CoinPubs, err = decodeKeys(d); err != nil {
+			if m.CoinPubs, err = wire.DecodeList(d, decodeKey); err != nil {
 				return nil, err
 			}
 			if m.Value, err = d.Int(); err != nil {
@@ -198,30 +156,14 @@ func registerCoreWireCodecs() {
 		})
 	wire.Register(tagBatchPurchaseResponse, "core.BatchPurchaseResponse", BatchPurchaseResponse{},
 		func(dst []byte, v any) ([]byte, error) {
-			m := v.(BatchPurchaseResponse)
-			dst = wire.AppendUvarint(dst, uint64(len(m.Coins)))
-			for i := range m.Coins {
-				dst = m.Coins[i].AppendWire(dst)
-			}
-			return dst, nil
+			return wire.AppendList(dst, v.(BatchPurchaseResponse).Coins, (*coin.Coin).AppendWire), nil
 		},
 		func(d *wire.Decoder) (any, error) {
-			var m BatchPurchaseResponse
-			n, err := sliceCount(d, "coins")
+			coins, err := wire.DecodeList(d, coin.DecodeWireCoin)
 			if err != nil {
 				return nil, err
 			}
-			if n > 0 {
-				m.Coins = make([]coin.Coin, 0, n)
-				for i := uint64(0); i < n; i++ {
-					c, err := coin.DecodeWireCoin(d)
-					if err != nil {
-						return nil, err
-					}
-					m.Coins = append(m.Coins, c)
-				}
-			}
-			return m, nil
+			return BatchPurchaseResponse{Coins: coins}, nil
 		})
 	wire.Register(tagEnrollRequest, "core.EnrollRequest", EnrollRequest{},
 		func(dst []byte, v any) ([]byte, error) {
@@ -255,11 +197,7 @@ func registerCoreWireCodecs() {
 		func(dst []byte, v any) ([]byte, error) {
 			m := v.(EnrollResponse)
 			dst = wire.AppendBytes(dst, m.GroupPub)
-			dst = wire.AppendUvarint(dst, uint64(len(m.Credentials)))
-			for i := range m.Credentials {
-				dst = m.Credentials[i].AppendWire(dst)
-			}
-			return dst, nil
+			return wire.AppendList(dst, m.Credentials, (*groupsig.IssuedCredential).AppendWire), nil
 		},
 		func(d *wire.Decoder) (any, error) {
 			var m EnrollResponse
@@ -267,19 +205,8 @@ func registerCoreWireCodecs() {
 			if m.GroupPub, err = decodeKey(d); err != nil {
 				return nil, err
 			}
-			n, err := sliceCount(d, "credentials")
-			if err != nil {
+			if m.Credentials, err = wire.DecodeList(d, groupsig.DecodeWireIssuedCredential); err != nil {
 				return nil, err
-			}
-			if n > 0 {
-				m.Credentials = make([]groupsig.IssuedCredential, 0, n)
-				for i := uint64(0); i < n; i++ {
-					ic, err := groupsig.DecodeWireIssuedCredential(d)
-					if err != nil {
-						return nil, err
-					}
-					m.Credentials = append(m.Credentials, ic)
-				}
 			}
 			return m, nil
 		})
@@ -313,30 +240,14 @@ func registerCoreWireCodecs() {
 		})
 	wire.Register(tagRefillResponse, "core.RefillResponse", RefillResponse{},
 		func(dst []byte, v any) ([]byte, error) {
-			m := v.(RefillResponse)
-			dst = wire.AppendUvarint(dst, uint64(len(m.Credentials)))
-			for i := range m.Credentials {
-				dst = m.Credentials[i].AppendWire(dst)
-			}
-			return dst, nil
+			return wire.AppendList(dst, v.(RefillResponse).Credentials, (*groupsig.IssuedCredential).AppendWire), nil
 		},
 		func(d *wire.Decoder) (any, error) {
-			var m RefillResponse
-			n, err := sliceCount(d, "credentials")
+			creds, err := wire.DecodeList(d, groupsig.DecodeWireIssuedCredential)
 			if err != nil {
 				return nil, err
 			}
-			if n > 0 {
-				m.Credentials = make([]groupsig.IssuedCredential, 0, n)
-				for i := uint64(0); i < n; i++ {
-					ic, err := groupsig.DecodeWireIssuedCredential(d)
-					if err != nil {
-						return nil, err
-					}
-					m.Credentials = append(m.Credentials, ic)
-				}
-			}
-			return m, nil
+			return RefillResponse{Credentials: creds}, nil
 		})
 	wire.Register(tagOfferRequest, "core.OfferRequest", OfferRequest{},
 		func(dst []byte, v any) ([]byte, error) {
@@ -489,7 +400,7 @@ func registerCoreWireCodecs() {
 	wire.Register(tagDepositRequest, "core.DepositRequest", DepositRequest{},
 		func(dst []byte, v any) ([]byte, error) {
 			m := v.(DepositRequest)
-			return appendDepositRequest(dst, &m), nil
+			return m.appendWire(dst), nil
 		},
 		func(d *wire.Decoder) (any, error) {
 			return decodeDepositRequest(d)
@@ -555,30 +466,14 @@ func registerCoreWireCodecs() {
 		})
 	wire.Register(tagSyncResponse, "core.SyncResponse", SyncResponse{},
 		func(dst []byte, v any) ([]byte, error) {
-			m := v.(SyncResponse)
-			dst = wire.AppendUvarint(dst, uint64(len(m.Bindings)))
-			for i := range m.Bindings {
-				dst = m.Bindings[i].AppendWire(dst)
-			}
-			return dst, nil
+			return wire.AppendList(dst, v.(SyncResponse).Bindings, (*coin.Binding).AppendWire), nil
 		},
 		func(d *wire.Decoder) (any, error) {
-			var m SyncResponse
-			n, err := sliceCount(d, "bindings")
+			bindings, err := wire.DecodeList(d, coin.DecodeWireBinding)
 			if err != nil {
 				return nil, err
 			}
-			if n > 0 {
-				m.Bindings = make([]coin.Binding, 0, n)
-				for i := uint64(0); i < n; i++ {
-					b, err := coin.DecodeWireBinding(d)
-					if err != nil {
-						return nil, err
-					}
-					m.Bindings = append(m.Bindings, b)
-				}
-			}
-			return m, nil
+			return SyncResponse{Bindings: bindings}, nil
 		})
 	wire.Register(tagFraudReport, "core.FraudReport", FraudReport{},
 		func(dst []byte, v any) ([]byte, error) {
@@ -652,35 +547,19 @@ func registerCoreWireCodecs() {
 		})
 	wire.Register(tagDisputeResponse, "core.DisputeResponse", DisputeResponse{},
 		func(dst []byte, v any) ([]byte, error) {
-			m := v.(DisputeResponse)
-			dst = wire.AppendUvarint(dst, uint64(len(m.Proofs)))
-			for i := range m.Proofs {
-				dst = appendRelinquishProof(dst, &m.Proofs[i])
-			}
-			return dst, nil
+			return wire.AppendList(dst, v.(DisputeResponse).Proofs, (*RelinquishProof).appendWire), nil
 		},
 		func(d *wire.Decoder) (any, error) {
-			var m DisputeResponse
-			n, err := sliceCount(d, "proofs")
+			proofs, err := wire.DecodeList(d, decodeRelinquishProof)
 			if err != nil {
 				return nil, err
 			}
-			if n > 0 {
-				m.Proofs = make([]RelinquishProof, 0, n)
-				for i := uint64(0); i < n; i++ {
-					p, err := decodeRelinquishProof(d)
-					if err != nil {
-						return nil, err
-					}
-					m.Proofs = append(m.Proofs, p)
-				}
-			}
-			return m, nil
+			return DisputeResponse{Proofs: proofs}, nil
 		})
 	wire.Register(tagRelinquishProof, "core.RelinquishProof", RelinquishProof{},
 		func(dst []byte, v any) ([]byte, error) {
 			m := v.(RelinquishProof)
-			return appendRelinquishProof(dst, &m), nil
+			return m.appendWire(dst), nil
 		},
 		func(d *wire.Decoder) (any, error) {
 			return decodeRelinquishProof(d)
@@ -709,10 +588,10 @@ func registerChannelWireCodecs() {
 			if m.Lottery, err = d.Bool(); err != nil {
 				return nil, err
 			}
-			if m.WinDivisor, err = decodeU32(d, "win divisor"); err != nil {
+			if m.WinDivisor, err = d.Uvarint32(); err != nil {
 				return nil, err
 			}
-			if m.Prize, err = decodeU32(d, "prize"); err != nil {
+			if m.Prize, err = d.Uvarint32(); err != nil {
 				return nil, err
 			}
 			return m, nil
@@ -805,66 +684,25 @@ func registerChannelWireCodecs() {
 		})
 	wire.Register(tagBatchDepositRequest, "core.BatchDepositRequest", BatchDepositRequest{},
 		func(dst []byte, v any) ([]byte, error) {
-			m := v.(BatchDepositRequest)
-			dst = wire.AppendUvarint(dst, uint64(len(m.Deposits)))
-			for i := range m.Deposits {
-				dst = appendDepositRequest(dst, &m.Deposits[i])
-			}
-			return dst, nil
+			return wire.AppendList(dst, v.(BatchDepositRequest).Deposits, (*DepositRequest).appendWire), nil
 		},
 		func(d *wire.Decoder) (any, error) {
-			var m BatchDepositRequest
-			n, err := sliceCount(d, "deposits")
+			deposits, err := wire.DecodeList(d, decodeDepositRequest)
 			if err != nil {
 				return nil, err
 			}
-			if n > 0 {
-				m.Deposits = make([]DepositRequest, 0, n)
-				for i := uint64(0); i < n; i++ {
-					dep, err := decodeDepositRequest(d)
-					if err != nil {
-						return nil, err
-					}
-					m.Deposits = append(m.Deposits, dep)
-				}
-			}
-			return m, nil
+			return BatchDepositRequest{Deposits: deposits}, nil
 		})
 	wire.Register(tagBatchDepositResponse, "core.BatchDepositResponse", BatchDepositResponse{},
 		func(dst []byte, v any) ([]byte, error) {
-			m := v.(BatchDepositResponse)
-			dst = wire.AppendUvarint(dst, uint64(len(m.Results)))
-			for i := range m.Results {
-				r := &m.Results[i]
-				dst = wire.AppendInt(dst, r.Amount)
-				dst = wire.AppendString(dst, r.ErrCode)
-				dst = wire.AppendString(dst, r.ErrMsg)
-			}
-			return dst, nil
+			return wire.AppendList(dst, v.(BatchDepositResponse).Results, appendBatchDepositResult), nil
 		},
 		func(d *wire.Decoder) (any, error) {
-			var m BatchDepositResponse
-			n, err := sliceCount(d, "results")
+			results, err := wire.DecodeList(d, decodeBatchDepositResult)
 			if err != nil {
 				return nil, err
 			}
-			if n > 0 {
-				m.Results = make([]BatchDepositResult, 0, n)
-				for i := uint64(0); i < n; i++ {
-					var r BatchDepositResult
-					if r.Amount, err = d.Int(); err != nil {
-						return nil, err
-					}
-					if r.ErrCode, err = d.String(); err != nil {
-						return nil, err
-					}
-					if r.ErrMsg, err = d.String(); err != nil {
-						return nil, err
-					}
-					m.Results = append(m.Results, r)
-				}
-			}
-			return m, nil
+			return BatchDepositResponse{Results: results}, nil
 		})
 	wire.Register(tagSettleRequest, "core.SettleRequest", SettleRequest{},
 		func(dst []byte, v any) ([]byte, error) {
@@ -921,18 +759,6 @@ func decodeWord(d *wire.Decoder) (payword.Word, error) {
 	return w, nil
 }
 
-// decodeU32 reads a uvarint bounded to uint32 range.
-func decodeU32(d *wire.Decoder, what string) (uint32, error) {
-	n, err := d.Uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > math.MaxUint32 {
-		return 0, fmt.Errorf("%w: %s %d overflows uint32", wire.ErrMalformed, what, n)
-	}
-	return uint32(n), nil
-}
-
 func appendCommitment(dst []byte, c *payword.Commitment) []byte {
 	dst = wire.AppendString(dst, c.Vendor)
 	dst = appendWord(dst, c.Root)
@@ -951,7 +777,7 @@ func decodeCommitment(d *wire.Decoder) (payword.Commitment, error) {
 	if c.Root, err = decodeWord(d); err != nil {
 		return c, err
 	}
-	if c.Length, err = decodeU32(d, "chain length"); err != nil {
+	if c.Length, err = d.Uvarint32(); err != nil {
 		return c, err
 	}
 	if c.Payer, err = decodeKey(d); err != nil {
@@ -976,7 +802,7 @@ func decodePayment(d *wire.Decoder) (payword.Payment, error) {
 	if p.Root, err = decodeWord(d); err != nil {
 		return p, err
 	}
-	if p.Index, err = decodeU32(d, "payment index"); err != nil {
+	if p.Index, err = d.Uvarint32(); err != nil {
 		return p, err
 	}
 	if p.W, err = decodeWord(d); err != nil {
@@ -986,7 +812,7 @@ func decodePayment(d *wire.Decoder) (payword.Payment, error) {
 }
 
 // appendTicketPtr / decodeTicketPtr use the same leading presence flag as
-// coin.AppendWireBindingPtr, so nil survives the round trip (gob parity).
+// coin.AppendWireBindingPtr, so nil survives the round trip.
 func appendTicketPtr(dst []byte, tk *payword.Ticket) []byte {
 	if tk == nil {
 		return wire.AppendBool(dst, false)
@@ -1017,10 +843,10 @@ func decodeTicketPtr(d *wire.Decoder) (*payword.Ticket, error) {
 	if tk.Serial, err = d.U64(); err != nil {
 		return nil, err
 	}
-	if tk.WinDivisor, err = decodeU32(d, "win divisor"); err != nil {
+	if tk.WinDivisor, err = d.Uvarint32(); err != nil {
 		return nil, err
 	}
-	if tk.Prize, err = decodeU32(d, "prize"); err != nil {
+	if tk.Prize, err = d.Uvarint32(); err != nil {
 		return nil, err
 	}
 	var nonce payword.Word
@@ -1037,9 +863,9 @@ func decodeTicketPtr(d *wire.Decoder) (*payword.Ticket, error) {
 	return tk, nil
 }
 
-// appendDepositRequest / decodeDepositRequest mirror the standalone
-// DepositRequest codec so batches nest the identical layout.
-func appendDepositRequest(dst []byte, m *DepositRequest) []byte {
+// appendWire / decodeDepositRequest are the DepositRequest codec, shared
+// with BatchDepositRequest so batches nest the identical layout.
+func (m *DepositRequest) appendWire(dst []byte) []byte {
 	dst = wire.AppendBytes(dst, m.CoinPub)
 	dst = wire.AppendString(dst, m.PayoutRef)
 	dst = wire.AppendBytes(dst, m.HolderSig)
@@ -1069,7 +895,7 @@ func decodeDepositRequest(d *wire.Decoder) (DepositRequest, error) {
 	return m, nil
 }
 
-func appendRelinquishProof(dst []byte, p *RelinquishProof) []byte {
+func (p *RelinquishProof) appendWire(dst []byte) []byte {
 	dst = wire.AppendBool(dst, p.Renewal)
 	dst = p.Body.AppendWire(dst)
 	dst = wire.AppendBytes(dst, p.HolderSig)
@@ -1093,4 +919,23 @@ func decodeRelinquishProof(d *wire.Decoder) (RelinquishProof, error) {
 		return p, err
 	}
 	return p, nil
+}
+
+func appendBatchDepositResult(r *BatchDepositResult, dst []byte) []byte {
+	dst = wire.AppendInt(dst, r.Amount)
+	dst = wire.AppendString(dst, r.ErrCode)
+	return wire.AppendString(dst, r.ErrMsg)
+}
+
+func decodeBatchDepositResult(d *wire.Decoder) (BatchDepositResult, error) {
+	var r BatchDepositResult
+	var err error
+	if r.Amount, err = d.Int(); err != nil {
+		return r, err
+	}
+	if r.ErrCode, err = d.String(); err != nil {
+		return r, err
+	}
+	r.ErrMsg, err = d.String()
+	return r, err
 }

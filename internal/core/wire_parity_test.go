@@ -11,13 +11,12 @@ import (
 )
 
 // The codec-parity suite: every message that crosses the TCP wire must
-// survive wire-encode → decode → re-encode byte-for-byte, and the decoded
-// value must match what a gob round trip of the same original produces
-// field-for-field — the two wire formats are negotiated alternatives, so a
-// semantic divergence between them (a field one format drops, a nil/empty
-// disagreement) would make a node's behavior depend on which peer built it.
+// survive wire-encode → decode → re-encode byte-for-byte and decode to
+// exactly the value that was sent — a field the codec drops, or a nil/empty
+// disagreement, would make a handler see something other than what the
+// caller built.
 
-// wireMessages lists every protocol message (the wire subset of gobTypes).
+// wireMessages lists every protocol message.
 func wireMessages() []any {
 	return []any{
 		PurchaseRequest{}, PurchaseResponse{},
@@ -50,8 +49,7 @@ func wireMessages() []any {
 }
 
 // TestEveryWireMessageHasCodec: the binary codec registry must cover the
-// complete message set — a message falling back to gob silently would erode
-// the transport's hot path one type at a time.
+// complete message set — a message without a codec cannot be sent.
 func TestEveryWireMessageHasCodec(t *testing.T) {
 	RegisterWireTypes()
 	for _, proto := range wireMessages() {
@@ -63,69 +61,26 @@ func TestEveryWireMessageHasCodec(t *testing.T) {
 
 // TestWireCodecParity: for each wire message, both a fully populated value
 // and the zero value must round-trip byte-stably through the binary codec
-// and decode to exactly what gob decodes.
+// and decode to exactly the original.
 func TestWireCodecParity(t *testing.T) {
 	RegisterWireTypes()
 	for _, proto := range wireMessages() {
-		proto := proto
-		rt := reflect.TypeOf(proto)
-		t.Run(rt.String(), func(t *testing.T) {
-			for _, fill := range []bool{true, false} {
-				orig := reflect.New(rt)
-				if fill {
-					ctr := 0
-					fillGob(orig.Elem(), &ctr, 0)
-				}
-				v := orig.Elem().Interface()
-
-				e, ok := wire.ByValue(v)
-				if !ok {
-					t.Fatalf("no codec for %T", v)
-				}
-				first, err := e.Enc(nil, v)
-				if err != nil {
-					t.Fatalf("wire encode (fill=%v): %v", fill, err)
-				}
-				decoded, err := wire.Decode(e.Tag, first)
-				if err != nil {
-					t.Fatalf("wire decode (fill=%v): %v", fill, err)
-				}
-				second, err := e.Enc(nil, decoded)
-				if err != nil {
-					t.Fatalf("wire re-encode (fill=%v): %v", fill, err)
-				}
-				if !bytes.Equal(first, second) {
-					t.Errorf("wire encode→decode→encode not byte-identical (fill=%v): %d vs %d bytes",
-						fill, len(first), len(second))
-				}
-
-				// gob semantics: what gob hands the remote handler for the
-				// same original is the parity reference.
-				gb, err := gobEnc(orig.Interface())
-				if err != nil {
-					t.Fatalf("gob encode (fill=%v): %v", fill, err)
-				}
-				gobbed := reflect.New(rt)
-				if err := gobDec(gb, gobbed.Interface()); err != nil {
-					t.Fatalf("gob decode (fill=%v): %v", fill, err)
-				}
-				if !reflect.DeepEqual(decoded, gobbed.Elem().Interface()) {
-					t.Errorf("wire and gob decode diverge (fill=%v):\n wire %#v\n gob  %#v",
-						fill, decoded, gobbed.Elem().Interface())
-				}
-			}
+		c := messageCodec(proto)
+		t.Run(reflect.TypeOf(proto).String(), func(t *testing.T) {
+			roundTrip(t, c, filled(proto))
+			roundTrip(t, c, proto)
 		})
 	}
 }
 
 // TestForwardMsgInnerParity pins the indirection layer's any-valued inner
-// field, which fillGob leaves nil: a registered inner type must ride its
+// field, which fillValue leaves nil: a registered inner type must ride its
 // own codec and still decode to the identical value.
 func TestForwardMsgInnerParity(t *testing.T) {
 	RegisterWireTypes()
 	var ctr int
 	var inner TransferRequest
-	fillGob(reflect.ValueOf(&inner).Elem(), &ctr, 0)
+	fillValue(reflect.ValueOf(&inner).Elem(), &ctr, 0)
 	msg := indirect.ForwardMsg{Handle: []byte("h1"), Inner: inner}
 
 	e, ok := wire.ByValue(msg)
@@ -159,10 +114,7 @@ func FuzzWireDecodeRegistered(f *testing.F) {
 	entries := wire.Entries()
 	// Seed with each type's canonical encoding of a filled value.
 	for _, e := range entries {
-		var ctr int
-		orig := reflect.New(e.Type)
-		fillGob(orig.Elem(), &ctr, 0)
-		if enc, err := e.Enc(nil, orig.Elem().Interface()); err == nil {
+		if enc, err := e.Enc(nil, filled(reflect.Zero(e.Type).Interface())); err == nil {
 			f.Add(enc)
 		}
 	}

@@ -72,7 +72,7 @@ func BenchmarkQuorumPut(b *testing.B) {
 	}
 }
 
-func BenchmarkLegacyPut(b *testing.B) {
+func BenchmarkSingleCopyPut(b *testing.B) {
 	f, c := newFixture(b, 3, 3, OneHop)
 	kp, rec := f.ownedRecord(b, 1, "binding")
 	if err := c.Put(rec); err != nil {

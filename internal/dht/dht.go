@@ -114,7 +114,7 @@ func SignRecord(suite sig.Suite, kp sig.KeyPair, key Key, version uint64, value 
 	return Record{Key: key, Version: version, Value: value, AuthPub: kp.Public.Clone(), Sig: sigBytes}, nil
 }
 
-// Wire messages. Exported so the TCP transport can gob-register them.
+// Wire messages, exported for their wire codecs (wire.go).
 type (
 	// PutMsg writes a record. NoReplicate marks replica fan-out writes.
 	PutMsg struct {

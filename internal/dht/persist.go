@@ -1,15 +1,13 @@
 package dht
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"time"
 
 	"whopay/internal/bus"
 	"whopay/internal/wal"
+	"whopay/internal/wire"
 )
 
 // Node durability (DESIGN.md §10). A persistent node journals every accepted
@@ -26,25 +24,23 @@ import (
 // write can never clobber the post-recovery binding: equal-version conflicts
 // within one epoch are refused exactly as before.
 
-// Journal tables.
+// Journal tables and their record values, all in internal/wire encodings.
 const (
-	tblEpoch = "epoch"
-	tblRec   = "rec"
-	tblSub   = "sub"
+	tblEpoch = "epoch" // epoch (u64)
+	tblRec   = "rec"   // Key -> Record (Record.AppendWire)
+	tblSub   = "sub"   // Key -> sorted watcher addresses (wire.AppendStrings)
 )
 
 var epochKey = []byte("epoch")
 
-func gobEnc(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
+// sortedWatchers flattens a watcher set into its journaled form.
+func sortedWatchers(ws map[bus.Address]bool) []string {
+	watchers := make([]string, 0, len(ws))
+	for w := range ws {
+		watchers = append(watchers, string(w))
 	}
-	return buf.Bytes(), nil
-}
-
-func gobDec(b []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
+	sort.Strings(watchers)
+	return watchers
 }
 
 // journal appends one record batch, remembering the first failure.
@@ -84,12 +80,7 @@ func (n *Node) journalRecordLocked(rec Record) {
 	if n.walLog == nil {
 		return
 	}
-	val, err := gobEnc(rec)
-	if err != nil {
-		n.walFail(err)
-		return
-	}
-	n.journal(wal.Set(tblRec, rec.Key[:], val))
+	n.journal(wal.Set(tblRec, rec.Key[:], rec.AppendWire(nil)))
 }
 
 // journalSubsLocked journals a key's full watcher set (nil deletes); the
@@ -102,17 +93,7 @@ func (n *Node) journalSubsLocked(key Key, ws map[bus.Address]bool) {
 		n.journal(wal.Delete(tblSub, key[:]))
 		return
 	}
-	watchers := make([]string, 0, len(ws))
-	for w := range ws {
-		watchers = append(watchers, string(w))
-	}
-	sort.Strings(watchers)
-	val, err := gobEnc(watchers)
-	if err != nil {
-		n.walFail(err)
-		return
-	}
-	n.journal(wal.Set(tblSub, key[:], val))
+	n.journal(wal.Set(tblSub, key[:], wire.AppendStrings(nil, sortedWatchers(ws))))
 }
 
 // recoverState replays the node's journal and advances the epoch. Runs
@@ -125,33 +106,8 @@ func (n *Node) recoverState() error {
 			return err
 		}
 		for _, m := range muts {
-			switch m.Table {
-			case tblEpoch:
-				lastEpoch = binary.BigEndian.Uint64(m.Val)
-			case tblRec:
-				var rec Record
-				if err := gobDec(m.Val, &rec); err != nil {
-					return err
-				}
-				n.store.Set(rec.Key, rec)
-			case tblSub:
-				var key Key
-				copy(key[:], m.Key)
-				if m.Op == wal.OpDelete {
-					n.subs.Delete(key)
-					continue
-				}
-				var watchers []string
-				if err := gobDec(m.Val, &watchers); err != nil {
-					return err
-				}
-				ws := make(map[bus.Address]bool, len(watchers))
-				for _, w := range watchers {
-					ws[bus.Address(w)] = true
-				}
-				n.subs.Set(key, ws)
-			default:
-				return fmt.Errorf("dht: journal has unknown table %q", m.Table)
+			if err := n.applyRecovered(m, &lastEpoch); err != nil {
+				return fmt.Errorf("dht: replaying %s record: %w", m.Table, err)
 			}
 		}
 		return nil
@@ -162,14 +118,49 @@ func (n *Node) recoverState() error {
 	// The epoch bump is the restart fence: force-synced so that even under
 	// FsyncNever a recovered node never serves in a stale epoch.
 	n.epoch = lastEpoch + 1
-	var val [8]byte
-	binary.BigEndian.PutUint64(val[:], n.epoch)
-	n.journal(wal.Set(tblEpoch, epochKey, val[:]))
+	n.journal(wal.Set(tblEpoch, epochKey, wire.AppendU64(nil, n.epoch)))
 	if err := n.walLog.Sync(); err != nil {
 		return err
 	}
 	n.lastForceSync.Store(time.Now().UnixNano())
 	return n.PersistenceErr()
+}
+
+// applyRecovered applies one replayed mutation.
+func (n *Node) applyRecovered(m wal.Mutation, lastEpoch *uint64) error {
+	switch m.Table {
+	case tblEpoch:
+		epoch, err := wire.DecodeExact(m.Val, (*wire.Decoder).U64)
+		if err != nil {
+			return err
+		}
+		*lastEpoch = epoch
+	case tblRec:
+		rec, err := wire.DecodeExact(m.Val, DecodeWireRecord)
+		if err != nil {
+			return err
+		}
+		n.store.Set(rec.Key, rec)
+	case tblSub:
+		var key Key
+		copy(key[:], m.Key)
+		if m.Op == wal.OpDelete {
+			n.subs.Delete(key)
+			return nil
+		}
+		watchers, err := wire.DecodeExact(m.Val, wire.DecodeStrings[string])
+		if err != nil {
+			return err
+		}
+		ws := make(map[bus.Address]bool, len(watchers))
+		for _, w := range watchers {
+			ws[bus.Address(w)] = true
+		}
+		n.subs.Set(key, ws)
+	default:
+		return fmt.Errorf("unknown table %q", m.Table)
+	}
+	return nil
 }
 
 // healthCheck reports the node's durability health for /healthz: the
@@ -198,19 +189,12 @@ func (n *Node) maybeSnapshot() {
 func (n *Node) snapshot() error {
 	return n.walLog.Snapshot(func(app func([]byte) error) error {
 		emit := func(muts ...wal.Mutation) error { return app(wal.EncodeBatch(muts)) }
-		var val [8]byte
-		binary.BigEndian.PutUint64(val[:], n.epoch)
-		if err := emit(wal.Set(tblEpoch, epochKey, val[:])); err != nil {
+		if err := emit(wal.Set(tblEpoch, epochKey, wire.AppendU64(nil, n.epoch))); err != nil {
 			return err
 		}
 		var failed error
 		n.store.Range(func(_ Key, rec Record) bool {
-			enc, err := gobEnc(rec)
-			if err != nil {
-				failed = err
-				return false
-			}
-			failed = emit(wal.Set(tblRec, rec.Key[:], enc))
+			failed = emit(wal.Set(tblRec, rec.Key[:], rec.AppendWire(nil)))
 			return failed == nil
 		})
 		if failed != nil {
@@ -219,22 +203,15 @@ func (n *Node) snapshot() error {
 		for _, key := range n.subs.Keys() {
 			var watchers []string
 			n.subs.View(key, func(ws map[bus.Address]bool, _ bool) {
-				for w := range ws {
-					watchers = append(watchers, string(w))
-				}
+				watchers = sortedWatchers(ws)
 			})
 			if len(watchers) == 0 {
 				continue
 			}
-			sort.Strings(watchers)
-			enc, err := gobEnc(watchers)
-			if err != nil {
-				return err
-			}
-			if err := emit(wal.Set(tblSub, key[:], enc)); err != nil {
+			if err := emit(wal.Set(tblSub, key[:], wire.AppendStrings(nil, watchers))); err != nil {
 				return err
 			}
 		}
-		return failed
+		return nil
 	})
 }

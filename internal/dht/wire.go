@@ -76,8 +76,7 @@ func DecodeWireRecord(d *wire.Decoder) (Record, error) {
 }
 
 // RegisterWireCodecs registers every DHT message with the wire codec
-// registry. Idempotent; core.RegisterWireTypes calls it alongside the gob
-// registrations that remain the compatibility fallback.
+// registry. Idempotent; core.RegisterWireTypes calls it.
 func RegisterWireCodecs() {
 	wire.Register(tagPutMsg, "dht.PutMsg", PutMsg{},
 		func(dst []byte, v any) ([]byte, error) {

@@ -9,71 +9,42 @@ import (
 // (tags 48–57, DESIGN.md §14). Same canonical-encoding contract as the
 // rest of the registry: decode→re-encode is byte-identical.
 
-func appendWireKeyVers(dst []byte, kvs []KeyVer) []byte {
-	dst = wire.AppendUvarint(dst, uint64(len(kvs)))
-	for _, kv := range kvs {
-		dst = wire.AppendRaw(dst, kv.Key[:])
-		dst = wire.AppendU64(dst, kv.Version)
-	}
-	return dst
+func appendWireKeyVer(kv *KeyVer, dst []byte) []byte {
+	dst = wire.AppendRaw(dst, kv.Key[:])
+	return wire.AppendU64(dst, kv.Version)
 }
 
-func decodeWireKeyVers(d *wire.Decoder) ([]KeyVer, error) {
-	n, err := d.Uvarint()
-	if err != nil {
-		return nil, err
+func decodeWireKeyVer(d *wire.Decoder) (KeyVer, error) {
+	var kv KeyVer
+	if err := d.Fixed(kv.Key[:]); err != nil {
+		return kv, err
 	}
-	var kvs []KeyVer
-	for i := uint64(0); i < n; i++ {
-		var kv KeyVer
-		if err := d.Fixed(kv.Key[:]); err != nil {
-			return nil, err
-		}
-		if kv.Version, err = d.U64(); err != nil {
-			return nil, err
-		}
-		kvs = append(kvs, kv)
-	}
-	return kvs, nil
+	var err error
+	kv.Version, err = d.U64()
+	return kv, err
 }
 
-func appendWireSubStates(dst []byte, subs []SubState) []byte {
-	dst = wire.AppendUvarint(dst, uint64(len(subs)))
-	for _, s := range subs {
-		dst = wire.AppendRaw(dst, s.Key[:])
-		dst = wire.AppendUvarint(dst, uint64(len(s.Watchers)))
-		for _, w := range s.Watchers {
-			dst = wire.AppendString(dst, string(w))
-		}
-	}
-	return dst
+func appendWireSubState(s *SubState, dst []byte) []byte {
+	dst = wire.AppendRaw(dst, s.Key[:])
+	return wire.AppendStrings(dst, s.Watchers)
 }
 
-func decodeWireSubStates(d *wire.Decoder) ([]SubState, error) {
-	n, err := d.Uvarint()
-	if err != nil {
-		return nil, err
+func decodeWireSubState(d *wire.Decoder) (SubState, error) {
+	var s SubState
+	if err := d.Fixed(s.Key[:]); err != nil {
+		return s, err
 	}
-	var subs []SubState
-	for i := uint64(0); i < n; i++ {
-		var s SubState
-		if err := d.Fixed(s.Key[:]); err != nil {
-			return nil, err
-		}
-		wn, err := d.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		for j := uint64(0); j < wn; j++ {
-			ws, err := d.String()
-			if err != nil {
-				return nil, err
-			}
-			s.Watchers = append(s.Watchers, bus.Address(ws))
-		}
-		subs = append(subs, s)
-	}
-	return subs, nil
+	var err error
+	s.Watchers, err = wire.DecodeStrings[bus.Address](d)
+	return s, err
+}
+
+func appendWireKey(k *Key, dst []byte) []byte { return wire.AppendRaw(dst, k[:]) }
+
+func decodeWireKey(d *wire.Decoder) (Key, error) {
+	var k Key
+	err := d.Fixed(k[:])
+	return k, err
 }
 
 func registerReplicaWireCodecs() {
@@ -98,15 +69,13 @@ func registerReplicaWireCodecs() {
 		},
 		func(d *wire.Decoder) (any, error) {
 			var m QuorumAck
-			c, err := d.Uvarint()
-			if err != nil {
+			var err error
+			if m.Committed, err = d.Uvarint32(); err != nil {
 				return nil, err
 			}
-			r, err := d.Uvarint()
-			if err != nil {
+			if m.Required, err = d.Uvarint32(); err != nil {
 				return nil, err
 			}
-			m.Committed, m.Required = uint32(c), uint32(r)
 			return m, nil
 		})
 	wire.Register(tagDigestMsg, "dht.DigestMsg", DigestMsg{},
@@ -177,9 +146,8 @@ func registerReplicaWireCodecs() {
 		func(dst []byte, v any) ([]byte, error) {
 			m := v.(SweepKeysMsg)
 			dst = wire.AppendString(dst, string(m.From))
-			dst = appendWireKeyVers(dst, m.Recs)
-			dst = appendWireSubStates(dst, m.Subs)
-			return dst, nil
+			dst = wire.AppendList(dst, m.Recs, appendWireKeyVer)
+			return wire.AppendList(dst, m.Subs, appendWireSubState), nil
 		},
 		func(d *wire.Decoder) (any, error) {
 			var m SweepKeysMsg
@@ -188,10 +156,10 @@ func registerReplicaWireCodecs() {
 				return nil, err
 			}
 			m.From = bus.Address(s)
-			if m.Recs, err = decodeWireKeyVers(d); err != nil {
+			if m.Recs, err = wire.DecodeList(d, decodeWireKeyVer); err != nil {
 				return nil, err
 			}
-			if m.Subs, err = decodeWireSubStates(d); err != nil {
+			if m.Subs, err = wire.DecodeList(d, decodeWireSubState); err != nil {
 				return nil, err
 			}
 			return m, nil
@@ -199,41 +167,20 @@ func registerReplicaWireCodecs() {
 	wire.Register(tagSweepKeysResp, "dht.SweepKeysResp", SweepKeysResp{},
 		func(dst []byte, v any) ([]byte, error) {
 			m := v.(SweepKeysResp)
-			dst = wire.AppendUvarint(dst, uint64(len(m.Newer)))
-			for _, rec := range m.Newer {
-				dst = rec.AppendWire(dst)
-			}
-			dst = wire.AppendUvarint(dst, uint64(len(m.Want)))
-			for _, k := range m.Want {
-				dst = wire.AppendRaw(dst, k[:])
-			}
-			dst = appendWireSubStates(dst, m.Subs)
-			return dst, nil
+			dst = wire.AppendList(dst, m.Newer, (*Record).AppendWire)
+			dst = wire.AppendList(dst, m.Want, appendWireKey)
+			return wire.AppendList(dst, m.Subs, appendWireSubState), nil
 		},
 		func(d *wire.Decoder) (any, error) {
 			var m SweepKeysResp
-			n, err := d.Uvarint()
-			if err != nil {
+			var err error
+			if m.Newer, err = wire.DecodeList(d, DecodeWireRecord); err != nil {
 				return nil, err
 			}
-			for i := uint64(0); i < n; i++ {
-				rec, err := DecodeWireRecord(d)
-				if err != nil {
-					return nil, err
-				}
-				m.Newer = append(m.Newer, rec)
-			}
-			if n, err = d.Uvarint(); err != nil {
+			if m.Want, err = wire.DecodeList(d, decodeWireKey); err != nil {
 				return nil, err
 			}
-			for i := uint64(0); i < n; i++ {
-				var k Key
-				if err := d.Fixed(k[:]); err != nil {
-					return nil, err
-				}
-				m.Want = append(m.Want, k)
-			}
-			if m.Subs, err = decodeWireSubStates(d); err != nil {
+			if m.Subs, err = wire.DecodeList(d, decodeWireSubState); err != nil {
 				return nil, err
 			}
 			return m, nil
@@ -267,11 +214,9 @@ func registerReplicaWireCodecs() {
 			if m.Found, err = d.Bool(); err != nil {
 				return nil, err
 			}
-			g, err := d.Uvarint()
-			if err != nil {
+			if m.GrantMs, err = d.Uvarint32(); err != nil {
 				return nil, err
 			}
-			m.GrantMs = uint32(g)
 			return m, nil
 		})
 }

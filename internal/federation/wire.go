@@ -6,10 +6,7 @@
 // key, same coins, zero committed state lost.
 package federation
 
-import (
-	"whopay/internal/bus/tcpbus"
-	"whopay/internal/wire"
-)
+import "whopay/internal/wire"
 
 // Wire type tags for replication messages. Part of the wire contract: stable
 // across versions, never reused. Core protocol uses 1–36, the DHT 40–47;
@@ -57,18 +54,10 @@ type StateFile struct {
 // StateAck acknowledges a full-state resync.
 type StateAck struct{}
 
-// RegisterWireTypes registers the replication messages with the TCP
-// transport: binary codecs for framed connections plus the gob fallback.
-// Call once before running federation nodes over tcpbus; the in-memory bus
-// does not need it.
+// RegisterWireTypes registers the replication messages' binary codecs with
+// the wire registry. Call it before running federation nodes over tcpbus;
+// the in-memory bus does not need it. Idempotent.
 func RegisterWireTypes() {
-	registerWireCodecs()
-	for _, v := range []any{FrameMsg{}, FrameAck{}, StateMsg{}, StateAck{}} {
-		tcpbus.RegisterType(v)
-	}
-}
-
-func registerWireCodecs() {
 	wire.Register(tagFrameMsg, "federation.FrameMsg", FrameMsg{},
 		func(dst []byte, v any) ([]byte, error) {
 			m := v.(FrameMsg)

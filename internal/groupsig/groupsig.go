@@ -18,6 +18,7 @@
 package groupsig
 
 import (
+	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -284,7 +285,6 @@ type Manager struct {
 	serials  map[uint64]issuedCredential // credential serial -> issuance record
 	enrolled map[string]bool
 	revoked  map[string]bool
-	next     uint64
 }
 
 // issuedCredential is the judge's private record of one minted credential:
@@ -342,7 +342,10 @@ func (m *Manager) Enroll(identity string, poolSize int) (*MemberKey, error) {
 	return mk, nil
 }
 
-// issue mints n one-time credentials for identity.
+// issue mints n one-time credentials for identity. Each serial is drawn
+// uniformly at random and reserved in the judge's map under m.mu (a draw
+// that collides with any serial ever issued is redrawn), so a serial tells
+// an observer nothing about its holder or about any other serial.
 func (m *Manager) issue(identity string, n int) ([]secretCredential, error) {
 	m.mu.Lock()
 	if m.revoked[identity] {
@@ -353,13 +356,24 @@ func (m *Manager) issue(identity string, n int) ([]secretCredential, error) {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("groupsig: %q not enrolled", identity)
 	}
-	base := m.next
-	m.next += uint64(n)
+	serials := make([]uint64, 0, n)
+	var draw [8]byte
+	for len(serials) < n {
+		if _, err := rand.Read(draw[:]); err != nil {
+			m.mu.Unlock()
+			return nil, fmt.Errorf("groupsig: drawing a serial: %w", err)
+		}
+		serial := binary.BigEndian.Uint64(draw[:])
+		if _, taken := m.serials[serial]; taken {
+			continue
+		}
+		m.serials[serial] = issuedCredential{identity: identity}
+		serials = append(serials, serial)
+	}
 	m.mu.Unlock()
 
 	out := make([]secretCredential, 0, n)
-	for i := 0; i < n; i++ {
-		serial := base + uint64(i)
+	for _, serial := range serials {
 		kp, err := m.scheme.GenerateKey()
 		if err != nil {
 			return nil, fmt.Errorf("groupsig: credential keygen: %w", err)

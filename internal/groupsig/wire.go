@@ -55,8 +55,7 @@ func DecodeWireSignature(d *wire.Decoder) (Signature, error) {
 }
 
 // AppendWireSignaturePtr appends an optional group signature: a presence
-// byte, then the signature when present (nil round-trips to nil, as gob
-// does for nil pointer fields).
+// byte, then the signature when present (nil round-trips to nil).
 func AppendWireSignaturePtr(dst []byte, s *Signature) []byte {
 	if s == nil {
 		return wire.AppendBool(dst, false)
@@ -83,8 +82,8 @@ func DecodeWireSignaturePtr(d *wire.Decoder) (*Signature, error) {
 }
 
 // AppendWire appends the issued credential's wire encoding to dst. The
-// private key crosses the wire here exactly as it does under gob; transport
-// confidentiality remains the deployment's problem (see judgeserver.go).
+// private key crosses the wire in the clear; transport confidentiality
+// remains the deployment's problem (see judgeserver.go).
 func (ic *IssuedCredential) AppendWire(dst []byte) []byte {
 	dst = ic.Cred.AppendWire(dst)
 	dst = wire.AppendBytes(dst, ic.Priv)

@@ -48,7 +48,7 @@ func triggerMessage(handle []byte, target bus.Address, version uint64) []byte {
 	return out
 }
 
-// Wire messages, exported for gob registration.
+// Wire messages, exported for their wire codecs (wire.go).
 type (
 	// RegisterMsg installs (or moves) the trigger for Handle.
 	RegisterMsg struct {

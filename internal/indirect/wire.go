@@ -13,9 +13,8 @@ const (
 )
 
 // RegisterWireCodecs registers the indirection-layer messages with the
-// wire codec registry. ForwardMsg's inner payload is an any-valued field:
-// registered inner types ride their own codec, everything else falls back
-// to an embedded gob stream.
+// wire codec registry. ForwardMsg's inner payload is an any-valued field
+// (wire.AppendAny): the inner type must have a codec of its own.
 func RegisterWireCodecs() {
 	wire.Register(tagRegisterMsg, "indirect.RegisterMsg", RegisterMsg{},
 		func(dst []byte, v any) ([]byte, error) {

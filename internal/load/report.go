@@ -31,7 +31,6 @@ type ConfigEcho struct {
 	Scheme       string  `json:"scheme"`
 	WAL          bool    `json:"wal"`
 	Fsync        string  `json:"fsync,omitempty"`
-	GobWire      bool    `json:"gob_wire,omitempty"`
 	Channels     int     `json:"channels,omitempty"`
 	DepositBatch int     `json:"deposit_batch,omitempty"`
 	Shards       int     `json:"shards,omitempty"`
@@ -189,7 +188,6 @@ func BuildReport(r *Run, res Result, audit Audit) Report {
 			Scheme:       w.cfg.Scheme.Name(),
 			WAL:          w.cfg.WALDir != "",
 			Fsync:        walPolicyName(w),
-			GobWire:      w.cfg.GobWire,
 			Channels:     w.cfg.Channels,
 			DepositBatch: w.cfg.DepositBatch,
 			Shards:       w.cfg.Shards,

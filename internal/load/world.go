@@ -91,11 +91,6 @@ type WorldConfig struct {
 	// CallTimeout is the per-call deadline on the TCP transport (default
 	// 10s). Ignored when Network is set.
 	CallTimeout time.Duration
-	// GobWire forces the legacy one-connection-per-call gob wire instead
-	// of the framed binary protocol — the A/B knob for measuring what the
-	// codec + multiplexed transport buy under load. Ignored when Network
-	// is set.
-	GobWire bool
 	// Network overrides the transport (tests use the in-memory bus);
 	// nil builds a real tcpbus on Host.
 	Network bus.Network
@@ -269,15 +264,11 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	w := &World{cfg: cfg, Reg: cfg.Reg, tcp: cfg.Network == nil}
 	base := cfg.Network
 	if base == nil {
-		topts := []tcpbus.Option{
+		base = tcpbus.New(
 			tcpbus.WithObs(cfg.Reg),
 			tcpbus.WithCallTimeout(cfg.CallTimeout),
-			tcpbus.WithDialTimeout(5 * time.Second),
-		}
-		if cfg.GobWire {
-			topts = append(topts, tcpbus.WithGobWire())
-		}
-		base = tcpbus.New(topts...)
+			tcpbus.WithDialTimeout(5*time.Second),
+		)
 	}
 	w.Net = base
 	if cfg.Faults {

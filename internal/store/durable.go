@@ -22,7 +22,8 @@ type Journal interface {
 
 // Codec converts keys or values to and from their journaled byte form.
 // Encodings must be deterministic (byte-identical for equal input) so
-// snapshots and the gob round-trip suite can assert stability.
+// snapshots and the journal round-trip suite can assert stability. The
+// entities build theirs from the internal/wire helpers.
 type Codec[T any] struct {
 	Enc func(T) ([]byte, error)
 	Dec func([]byte) (T, error)
@@ -59,7 +60,8 @@ func UnitCodec() Codec[struct{}] {
 
 // GobCodec encodes values with a fresh gob encoder per call, so every
 // encoding is self-contained (replayable in isolation) and deterministic for
-// map-free types.
+// map-free types. No journal uses it: it remains only because the
+// benchmark's store.durable_set_us probe (bench/probes.go) builds one.
 func GobCodec[T any]() Codec[T] {
 	return Codec[T]{
 		Enc: func(v T) ([]byte, error) {

@@ -45,8 +45,8 @@ func Delete(table string, key []byte) Mutation {
 // EncodeBatch serializes mutations into one record payload: a uvarint count
 // followed by, per mutation, uvarint-prefixed table and key, the op byte,
 // and (for sets) a uvarint-prefixed value. The encoding is deterministic —
-// byte-identical for equal input — so the gob round-trip suite can assert
-// stability.
+// byte-identical for equal input — so the journal round-trip suite can
+// assert stability.
 func EncodeBatch(muts []Mutation) []byte {
 	size := binary.MaxVarintLen64
 	for _, m := range muts {

@@ -12,25 +12,23 @@ import (
 //	u16 magic         0x5750 ("WP")
 //	u8  version       1
 //	u8  kind          request / reply
-//	u8  flags         traced / gob payload / error reply
+//	u8  flags         traced / error reply (bit 1 reserved)
 //	u64 reqID         big-endian; pairs replies with requests on a mux
-//	uvarint tag       registered type tag; 0 = nil payload or gob payload
+//	uvarint tag       registered type tag; 0 = nil payload
 //	[kind=request]    from address  (uvarint-prefixed string)
 //	[flags&Traced]    trace ID, span ID  (uvarint-prefixed strings)
 //	[flags&Error]     error message, error code  (uvarint-prefixed strings)
-//	payload           codec bytes for tag, or a self-contained gob stream
+//	payload           codec bytes for tag
 //
-// A connection speaking this protocol opens with the 4-byte Preamble; its
-// leading zero byte can never begin a gob stream (gob messages carry a
-// non-zero uvarint byte count first), which is what lets a listener sniff
-// framed peers apart from legacy gob peers on the first byte.
+// A connection opens with the 4-byte Preamble, the protocol-version check:
+// a listener drops any connection whose first four bytes differ.
 
 // Version is the frame-format version carried in the preamble and every
 // frame header.
 const Version = 1
 
-// Preamble opens every framed connection. The leading 0x00 is the
-// discriminator against gob; "WP" echoes the per-frame magic.
+// Preamble opens every connection: a zero byte, "WP" (the per-frame
+// magic), and the frame-format version.
 var Preamble = [4]byte{0x00, 'W', 'P', Version}
 
 const (
@@ -61,12 +59,12 @@ const (
 const (
 	// FlagTraced marks frames carrying obs trace identity.
 	FlagTraced = 1 << 0
-	// FlagGob marks payloads encoded with gob (no registered codec).
-	FlagGob = 1 << 1
+	// Bit 1 is reserved: ParseFrame rejects it as an unknown flag.
+
 	// FlagError marks replies carrying an error instead of a payload.
 	FlagError = 1 << 2
 
-	knownFlags = FlagTraced | FlagGob | FlagError
+	knownFlags = FlagTraced | FlagError
 )
 
 // Frame is one parsed (or to-be-encoded) frame. Payload aliases the parse
@@ -175,9 +173,9 @@ func ParseFrame(body []byte) (Frame, error) {
 		}
 	}
 	f.Payload = d.buf[d.off:]
-	// A frame that declares no payload must carry none: tag 0 without the
-	// gob flag means nil, and error replies carry the error fields alone.
-	if (f.Flags&FlagError != 0 || (f.Tag == 0 && f.Flags&FlagGob == 0)) && len(f.Payload) > 0 {
+	// A frame that declares no payload must carry none: tag 0 means nil,
+	// and error replies carry the error fields alone.
+	if (f.Flags&FlagError != 0 || f.Tag == 0) && len(f.Payload) > 0 {
 		return f, fmt.Errorf("%w: %d payload bytes on a payload-less frame", ErrMalformed, len(f.Payload))
 	}
 	return f, nil

@@ -25,7 +25,8 @@ func seedFrames(f *testing.F) {
 		From: "a:1", TraceID: "t", SpanID: "s"},
 		func(b []byte) ([]byte, error) { return append(b, 0xff), nil })
 	add(Frame{Kind: KindReply, Flags: FlagError, ReqID: 3, ErrMsg: "m", ErrCode: "c"}, nil)
-	add(Frame{Kind: KindReply, Flags: FlagGob, ReqID: 4},
+	// Reserved flag bit 1 must be rejected.
+	add(Frame{Kind: KindReply, Flags: 1 << 1, ReqID: 4},
 		func(b []byte) ([]byte, error) { return append(b, 0x05, 0x01), nil })
 	f.Add([]byte{})
 	f.Add([]byte{'W', 'P', 1, KindRequest, 0})

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"sync"
@@ -127,51 +125,27 @@ func Decode(tag uint64, payload []byte) (any, error) {
 	return v, nil
 }
 
-// EncodeGob gob-encodes v as a self-contained stream (type descriptors
-// included) — the payload form for types with no registered codec. The
-// concrete type must have been registered with encoding/gob.
-func EncodeGob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeGob decodes a self-contained gob payload produced by EncodeGob.
-func DecodeGob(b []byte) (any, error) {
-	var v any
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 // Nested any-valued fields (e.g. the indirection layer's forwarded inner
-// message) encode as a one-byte shape marker followed by the value.
+// message) encode as a one-byte shape marker followed by the value. Marker
+// 1 is reserved and rejected.
 const (
 	anyNil    = 0 // no value
-	anyGob    = 1 // uvarint-prefixed self-contained gob stream
 	anyTagged = 2 // uvarint tag + codec payload, inline
 )
 
-// AppendAny appends an any-valued field: nil, a registered type via its
-// codec, or a gob fallback for everything else.
+// AppendAny appends an any-valued field: nil, or a registered type via its
+// codec. A type with no codec is an error.
 func AppendAny(dst []byte, v any) ([]byte, error) {
 	if v == nil {
 		return append(dst, anyNil), nil
 	}
-	if e, ok := ByValue(v); ok {
-		dst = append(dst, anyTagged)
-		dst = AppendUvarint(dst, e.Tag)
-		return e.Enc(dst, v)
+	e, ok := ByValue(v)
+	if !ok {
+		return dst, fmt.Errorf("no wire codec for %T", v)
 	}
-	gb, err := EncodeGob(v)
-	if err != nil {
-		return dst, err
-	}
-	dst = append(dst, anyGob)
-	return AppendBytes(dst, gb), nil
+	dst = append(dst, anyTagged)
+	dst = AppendUvarint(dst, e.Tag)
+	return e.Enc(dst, v)
 }
 
 // Any reads a field written by AppendAny.
@@ -183,12 +157,6 @@ func (d *Decoder) Any() (any, error) {
 	switch marker {
 	case anyNil:
 		return nil, nil
-	case anyGob:
-		gb, err := d.Bytes()
-		if err != nil {
-			return nil, err
-		}
-		return DecodeGob(gb)
 	case anyTagged:
 		tag, err := d.Uvarint()
 		if err != nil {

@@ -1,18 +1,13 @@
-// Package wire implements WhoPay's hand-rolled binary wire codec: the
-// length-prefixed frame format the TCP transport speaks (see PROTOCOL.md,
-// "Wire format") and the fixed-layout encoders for the protocol's hot
-// message types.
+// Package wire implements WhoPay's one binary encoding: the length-prefixed
+// frame format the TCP transport speaks (see PROTOCOL.md, "Wire format"),
+// the fixed-layout encoders for every protocol message, and the helpers the
+// journals build their records from (DESIGN.md §10).
 //
-// gob served the first six PRs well, but it pays reflection on both ends of
-// every hop and re-transmits type descriptors on every short-lived
-// connection — exactly the per-message overhead the paper's real-time
-// double-spend checks (§5) and scalability analysis (§6) require to stay
-// cheap. This package replaces it on the hot path with explicit per-type
-// encoders registered under small integer tags: varint ints, length-
-// prefixed byte strings, no reflection, and pooled encode buffers so a
-// steady-state encode allocates nothing. gob remains the negotiated
-// fallback — both for whole connections (a peer running an older build) and
-// for individual payloads whose type has no registered codec.
+// Every type is encoded explicitly under a small integer tag: varint ints,
+// length-prefixed byte strings, no reflection, and pooled encode buffers so
+// a steady-state encode allocates nothing — the per-message cost the
+// paper's real-time double-spend checks (§5) and scalability analysis (§6)
+// require to stay cheap. A type with no registered codec cannot be sent.
 //
 // Decoding is defensive by construction: every length is bounds-checked
 // against the remaining input before any allocation, so truncated, corrupt,
@@ -24,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -84,6 +80,70 @@ func AppendBool(dst []byte, v bool) []byte {
 // length both sides know, e.g. 32-byte ring keys).
 func AppendRaw(dst, b []byte) []byte { return append(dst, b...) }
 
+// AppendList appends a uvarint count followed by each element of xs,
+// encoded by app (an AppendWire-shaped method expression fits). Every
+// element must encode to at least one byte.
+func AppendList[T any](dst []byte, xs []T, app func(*T, []byte) []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(xs)))
+	for i := range xs {
+		dst = app(&xs[i], dst)
+	}
+	return dst
+}
+
+// DecodeList reads a list written by AppendList, decoding each element with
+// dec; an empty list decodes as nil. Every element takes at least one byte,
+// so a count above the remaining input is rejected before allocating, and
+// the up-front allocation is capped so a large element type cannot multiply
+// a hostile count into a huge one.
+func DecodeList[T any](d *Decoder, dec func(*Decoder) (T, error)) ([]T, error) {
+	n, err := d.Uvarint()
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	if n > uint64(d.Len()) {
+		return nil, fmt.Errorf("%w: %d elements declared, %d bytes remain", ErrMalformed, n, d.Len())
+	}
+	out := make([]T, 0, min(n, 64))
+	for i := uint64(0); i < n; i++ {
+		v, err := dec(d)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// AppendStrings appends a list of length-prefixed strings (AppendList).
+func AppendStrings[S ~string](dst []byte, ss []S) []byte {
+	return AppendList(dst, ss, func(s *S, b []byte) []byte { return AppendString(b, string(*s)) })
+}
+
+// DecodeStrings reads a list written by AppendStrings.
+func DecodeStrings[S ~string](d *Decoder) ([]S, error) {
+	return DecodeList(d, func(d *Decoder) (S, error) {
+		s, err := d.String()
+		return S(s), err
+	})
+}
+
+// DecodeExact decodes b with dec and rejects trailing bytes, so a value is
+// read back exactly as it was written; on error the zero value is returned.
+// Journal records decode through it.
+func DecodeExact[T any](b []byte, dec func(*Decoder) (T, error)) (T, error) {
+	d := NewDecoder(b)
+	v, err := dec(&d)
+	if err == nil {
+		err = d.Done()
+	}
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v, nil
+}
+
 // Decoder consumes a fully buffered encoded value. It is a value type;
 // methods take a pointer so position advances. Every read bounds-checks
 // before touching (or allocating for) the input.
@@ -126,6 +186,20 @@ func (d *Decoder) Uvarint() (uint64, error) {
 	}
 	d.off += n
 	return v, nil
+}
+
+// Uvarint32 reads an unsigned varint that must fit in 32 bits: a larger
+// value is malformed rather than truncated, which would let two inputs
+// decode to one value.
+func (d *Decoder) Uvarint32() (uint32, error) {
+	v, err := d.Uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if v > math.MaxUint32 {
+		return 0, fmt.Errorf("%w: %d overflows uint32", ErrMalformed, v)
+	}
+	return uint32(v), nil
 }
 
 // Int reads a zigzag varint (minimal encoding enforced, as Uvarint).
@@ -175,8 +249,8 @@ func (d *Decoder) Bool() (bool, error) {
 }
 
 // Bytes reads a length-prefixed byte string into a fresh slice. A zero
-// length decodes as nil — matching gob, which omits empty slices entirely —
-// so wire and gob round trips agree field-for-field. The declared length is
+// length decodes as nil, so empty and nil share one encoding and
+// decode→re-encode stays byte-identical. The declared length is
 // checked against the remaining input before allocating, so a corrupt
 // prefix cannot trigger a huge allocation.
 func (d *Decoder) Bytes() ([]byte, error) {

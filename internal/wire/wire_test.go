@@ -42,7 +42,7 @@ func TestScalarRoundTrips(t *testing.T) {
 		t.Fatalf("bytes: %q %v", b, err)
 	}
 	if b, err := d.Bytes(); err != nil || b != nil {
-		t.Fatalf("empty bytes must decode nil (gob parity): %#v %v", b, err)
+		t.Fatalf("empty bytes must decode nil: %#v %v", b, err)
 	}
 	if s, err := d.String(); err != nil || s != "hello" {
 		t.Fatalf("string: %q %v", s, err)
@@ -92,6 +92,24 @@ func TestDecoderRejectsCorruption(t *testing.T) {
 	}
 }
 
+func TestStringsAndDecodeExact(t *testing.T) {
+	enc := AppendStrings(nil, []string{"a", "", "bc"})
+	got, err := DecodeExact(enc, DecodeStrings[string])
+	if err != nil || len(got) != 3 || got[0] != "a" || got[1] != "" || got[2] != "bc" {
+		t.Fatalf("strings round trip: %q %v", got, err)
+	}
+	if got, err := DecodeExact(AppendStrings[string](nil, nil), DecodeStrings[string]); err != nil || got != nil {
+		t.Fatalf("empty list must decode nil: %#v %v", got, err)
+	}
+	if _, err := DecodeExact(append(enc, 0), DecodeStrings[string]); err == nil {
+		t.Error("DecodeExact accepted trailing bytes")
+	}
+	// A count larger than the remaining input fails before allocating.
+	if _, err := DecodeExact([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}, DecodeStrings[string]); err == nil {
+		t.Error("oversized string count accepted")
+	}
+}
+
 func TestDoneRejectsTrailing(t *testing.T) {
 	d := NewDecoder([]byte{1, 2})
 	if _, err := d.Byte(); err != nil {
@@ -117,13 +135,13 @@ func TestFrameRoundTrip(t *testing.T) {
 			TraceID: "t-1", SpanID: "s-1"},
 		{Kind: KindReply, ReqID: 3, Tag: 7},
 		{Kind: KindReply, Flags: FlagError, ReqID: 4, ErrMsg: "boom", ErrCode: "x.y"},
-		{Kind: KindRequest, Flags: FlagGob, ReqID: 5, From: "b:2"},
-		{Kind: KindReply, ReqID: 6}, // nil payload
+		{Kind: KindRequest, ReqID: 5, From: "b:2"}, // nil payload
+		{Kind: KindReply, ReqID: 6},                // nil payload
 	}
 	for i := range frames {
 		f := frames[i]
 		var pfn func([]byte) ([]byte, error)
-		if f.Flags&FlagError == 0 && (f.Tag != 0 || f.Flags&FlagGob != 0) {
+		if f.Flags&FlagError == 0 && f.Tag != 0 {
 			f.Payload = payload
 			pfn = func(dst []byte) ([]byte, error) { return append(dst, payload...), nil }
 		}
@@ -165,6 +183,7 @@ func TestParseFrameRejects(t *testing.T) {
 		"bad version":      mutate(func(b []byte) { b[2] = 99 }),
 		"bad kind":         mutate(func(b []byte) { b[3] = 9 }),
 		"unknown flags":    mutate(func(b []byte) { b[4] = 0x80 }),
+		"reserved bit 1":   mutate(func(b []byte) { b[4] = 1 << 1 }),
 		"error on request": mutate(func(b []byte) { b[4] = FlagError }),
 	}
 	for name, in := range bad {
@@ -172,7 +191,7 @@ func TestParseFrameRejects(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	// Payload bytes on a payload-less frame (tag 0, no gob flag).
+	// Payload bytes on a payload-less frame (tag 0).
 	nilFrame, err := AppendFrame(nil, &Frame{Kind: KindReply, ReqID: 1},
 		func(dst []byte) ([]byte, error) { return append(dst, 0xaa), nil })
 	if err != nil {
