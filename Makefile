@@ -10,7 +10,7 @@ CHAOS_SEED ?=
 # seed (only matters once journals outgrow the exhaustive-sweep cap).
 CRASH_SEED ?=
 
-.PHONY: all vet build test race chaos crash-suite dht-suite bench bench-concurrent bench-wal bench-obs bench-wire bench-deposit bench-dht bench-e2e bench-quick fuzz-wire load-smoke load-failover load-dht
+.PHONY: all vet build test race chaos crash-suite dht-suite bench bench-concurrent bench-wal bench-obs bench-wire bench-deposit bench-dht bench-e2e bench-quick bench-compare bench-pair fuzz-wire load-smoke load-failover load-dht
 
 all: vet build test
 
@@ -106,14 +106,32 @@ bench-e2e:
 bench-quick:
 	$(GO) run ./bench -quick
 
+# The full benchmark judged against the committed baseline: bench-out/BENCH.json
+# is -compare'd with BENCH_baseline.json (better/same/worse per workload and
+# end-to-end metric; non-zero exit on any worse). Refresh the baseline by
+# copying a full run's bench-out/BENCH.json over it.
+bench-compare: bench-e2e
+	$(GO) run ./bench -compare BENCH_baseline.json bench-out/BENCH.json
+
+# Paired parent/change runs of one workload (bench/README.md, "Comparing two
+# versions"): make bench-pair PARENT=<rev> [WORKLOAD=steady] [PAIRS=10].
+# Prints per-pair values, wins, both medians and the parent's IQR for the
+# five end-to-end metrics.
+PARENT ?= HEAD
+WORKLOAD ?= steady
+PAIRS ?= 10
+bench-pair:
+	bash scripts/bench-pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
 # WAL overhead on transfer and deposit, per fsync policy. Reference
 # numbers live in results/wal_bench.txt.
 bench-wal:
 	$(GO) test ./internal/core/ -run '^$$' -bench WAL -benchtime 2000x -count 3
 
 # Observability overhead on the transfer hop: registry off vs on, under
-# the production ECDSA scheme and the null-crypto skeleton. Reference
-# numbers live in results/obs_bench.txt.
+# the production scheme (sig.Default, Ed25519) and the null-crypto
+# skeleton. The reference numbers in results/obs_bench.txt were measured
+# under ECDSA P-256, before Ed25519 became the production scheme.
 bench-obs:
 	$(GO) test ./internal/core/ -run '^$$' \
 		-bench 'BenchmarkTransfer(WhoPay|Obs)' -benchtime 1s -count 3

@@ -5,9 +5,9 @@
 // broker after an owner "disconnects", and a final deposit.
 //
 // All traffic — payments AND judge enrollment — crosses real sockets on the
-// framed binary wire (see PROTOCOL.md, "Wire format") under ECDSA P-256
-// signatures. Only the identity directory is shared in-process
-// configuration (the PKI of the paper's model). Note the enrollment
+// framed binary wire (see PROTOCOL.md, "Wire format") under the production
+// scheme, sig.Default() (Ed25519). Only the identity directory is shared
+// in-process configuration (the PKI of the paper's model). Note the enrollment
 // responses carry credential private keys: production transports must add
 // TLS.
 //
@@ -99,7 +99,7 @@ func run() error {
 
 	core.RegisterWireTypes()
 	network := tcpbus.New(tcpbus.WithObs(reg))
-	scheme := sig.ECDSA{}
+	scheme := sig.Default()
 	dir := core.NewDirectory()
 
 	judge, err := core.NewJudge(scheme)

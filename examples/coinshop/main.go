@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	scheme := whopay.ECDSA()
+	scheme := whopay.Ed25519()
 	net := whopay.NewMemoryNetwork()
 	judge, err := whopay.NewJudge(scheme)
 	if err != nil {

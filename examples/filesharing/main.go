@@ -48,7 +48,7 @@ type leecher struct {
 }
 
 func main() {
-	scheme := whopay.ECDSA()
+	scheme := whopay.Ed25519()
 	net := whopay.NewMemoryNetwork()
 	judge, err := whopay.NewJudge(scheme)
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	scheme := whopay.ECDSA()
+	scheme := whopay.Ed25519()
 	net := whopay.NewMemoryNetwork()
 
 	// Trusted infrastructure: the judge (fairness), the directory (PKI),
@@ -101,7 +101,7 @@ func main() {
 
 	// Alice turns rogue: she signs a conflicting binding moving bob's
 	// coin to an accomplice and publishes it to the public binding list.
-	accomplice, err := whopay.ECDSA().GenerateKey()
+	accomplice, err := whopay.Ed25519().GenerateKey()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // opt in) and with a live registry recording latency histograms, op
 // counters, and a span per operation.
 //
-// BenchmarkTransferWhoPay runs the production configuration (ECDSA P-256);
+// BenchmarkTransferWhoPay runs the production configuration (sig.Default);
 // the off/on gap there is the deployment-visible price of leaving
 // observability enabled, with a <2% acceptance bar (results/obs_bench.txt).
 // BenchmarkTransferObs runs the null scheme, which strips away crypto and
@@ -68,11 +68,11 @@ func benchTransferHop(b *testing.B, scheme sig.Scheme, reg *obs.Registry) {
 	}
 }
 
-// BenchmarkTransferWhoPay measures the production stack (ECDSA P-256) with
+// BenchmarkTransferWhoPay measures the production stack (sig.Default) with
 // observability off and on.
 func BenchmarkTransferWhoPay(b *testing.B) {
-	b.Run("obs=off", func(b *testing.B) { benchTransferHop(b, sig.ECDSA{}, nil) })
-	b.Run("obs=on", func(b *testing.B) { benchTransferHop(b, sig.ECDSA{}, obs.NewRegistry()) })
+	b.Run("obs=off", func(b *testing.B) { benchTransferHop(b, sig.Default(), nil) })
+	b.Run("obs=on", func(b *testing.B) { benchTransferHop(b, sig.Default(), obs.NewRegistry()) })
 }
 
 // BenchmarkTransferObs measures the null-crypto protocol skeleton, where

@@ -65,7 +65,7 @@ func BenchmarkTransferWhoPayTCP(b *testing.B) {
 	b.Run("framed", func(b *testing.B) {
 		registerOnce.Do(RegisterWireTypes)
 		network := tcpbus.New()
-		scheme := sig.ECDSA{}
+		scheme := sig.Default()
 		dir := NewDirectory()
 		judge, err := NewJudge(scheme)
 		if err != nil {

@@ -3,111 +3,97 @@ package core
 import (
 	"testing"
 
+	"whopay/internal/coin"
 	"whopay/internal/sig"
 )
 
-// TestTransferMicroOpAccounting validates the claim the paper's cost model
-// rests on (Section 6.2): "for peers, each transfer involves 1 key pair
-// generation, 4 signature generations, 4 signature verifications, 1 group
-// signature generation, and 1 group signature verification". Our protocol
-// implementation must reproduce exactly that mix (the fourth signature
-// generation is the owner's signed publish to the public binding list).
-func TestTransferMicroOpAccounting(t *testing.T) {
-	f := newFixture(t, fixtureOpts{detection: true})
-	var uRec, vRec, wRec sig.Counter
-	u := f.addPeer("u", &uRec)
-	v := f.addPeer("v", &vRec)
-	w := f.addPeer("w", &wRec)
-	// Disable the extra detection work that the paper's accounting does
-	// not include (watch subscriptions, payee DHT cross-checks) while
-	// keeping the owner's publish.
-	for _, p := range []*Peer{u, v, w} {
-		p.cfg.WatchHeldCoins = false
-		p.cfg.CheckPublicBinding = false
-	}
+// TestMicroOpCountsPerVerb pins DESIGN.md §4's per-verb, per-role
+// micro-operation counts on the production stack (tcpbus, a DHT ring the
+// owner publishes to) under each real scheme. Identical tables under
+// Ed25519 and ECDSA are the evidence that the scheme changes what an
+// operation costs, never how many the protocol performs.
+//
+// The transfer row is the paper's own accounting (Section 6.2): "each
+// transfer involves 1 key pair generation, 4 signature generations, 4
+// signature verifications, 1 group signature generation, and 1 group
+// signature verification" across the three peers — the fourth signature is
+// the owner's signed publish to the public binding list. The payee's DHT
+// cross-check and the holders' watch subscriptions are off, as in the
+// paper's count.
+func TestMicroOpCountsPerVerb(t *testing.T) {
+	type counts = sig.Snapshot
+	eachRealScheme(t, func(t *testing.T, scheme sig.Scheme) {
+		var broker, owner, holder, payee sig.Counter
+		w := newTCPWorld(t, scheme, tcpWorldOpts{brokerRec: &broker, detection: true})
+		u := w.peer("u", &owner)
+		v := w.peer("v", &holder)
+		x := w.peer("w", &payee)
+		roles := []struct {
+			name string
+			rec  *sig.Counter
+		}{{"owner", &owner}, {"holder", &holder}, {"payee", &payee}, {"broker", &broker}}
 
-	id, err := u.Purchase(1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := u.IssueTo(v.Addr(), id); err != nil {
-		t.Fatal(err)
-	}
-
-	base := uRec.Snapshot().Add(vRec.Snapshot()).Add(wRec.Snapshot())
-	if err := v.TransferTo(w.Addr(), id); err != nil {
-		t.Fatal(err)
-	}
-	delta := uRec.Snapshot().Add(vRec.Snapshot()).Add(wRec.Snapshot())
-	got := sig.Snapshot{
-		KeyGens:       delta.KeyGens - base.KeyGens,
-		Signs:         delta.Signs - base.Signs,
-		Verifies:      delta.Verifies - base.Verifies,
-		GroupSigns:    delta.GroupSigns - base.GroupSigns,
-		GroupVerifies: delta.GroupVerifies - base.GroupVerifies,
-	}
-	want := sig.Snapshot{KeyGens: 1, Signs: 4, Verifies: 4, GroupSigns: 1, GroupVerifies: 1}
-	if got != want {
-		t.Fatalf("transfer micro-ops = %+v, want %+v (the paper's Table 3 accounting)", got, want)
-	}
-}
-
-// TestPurchaseMicroOpAccounting: purchase is 1 keygen + 1 sign + 1 verify
-// on the peer, 1 verify + 1 sign on the broker.
-func TestPurchaseMicroOpAccounting(t *testing.T) {
-	f := newFixture(t, fixtureOpts{})
-	var uRec sig.Counter
-	u := f.addPeer("u", &uRec)
-	if _, err := u.Purchase(1, false); err != nil {
-		t.Fatal(err)
-	}
-	got := uRec.Snapshot()
-	want := sig.Snapshot{KeyGens: 1, Signs: 1, Verifies: 1}
-	if got != want {
-		t.Fatalf("purchase peer micro-ops = %+v, want %+v", got, want)
-	}
-}
-
-// TestRenewalMicroOpAccounting: a renewal via the owner costs the holder
-// 1 sign + 1 group sign + 1 verify, the owner 1 verify + 1 group verify +
-// 2 signs (binding + publish).
-func TestRenewalMicroOpAccounting(t *testing.T) {
-	f := newFixture(t, fixtureOpts{detection: true})
-	var uRec, vRec sig.Counter
-	u := f.addPeer("u", &uRec)
-	v := f.addPeer("v", &vRec)
-	for _, p := range []*Peer{u, v} {
-		p.cfg.WatchHeldCoins = false
-		p.cfg.CheckPublicBinding = false
-	}
-	id, err := u.Purchase(1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := u.IssueTo(v.Addr(), id); err != nil {
-		t.Fatal(err)
-	}
-	uBase, vBase := uRec.Snapshot(), vRec.Snapshot()
-	if _, err := v.Renew(id); err != nil {
-		t.Fatal(err)
-	}
-	uGot, vGot := uRec.Snapshot(), vRec.Snapshot()
-	uDelta := sig.Snapshot{
-		Signs:         uGot.Signs - uBase.Signs,
-		Verifies:      uGot.Verifies - uBase.Verifies,
-		GroupVerifies: uGot.GroupVerifies - uBase.GroupVerifies,
-	}
-	vDelta := sig.Snapshot{
-		Signs:      vGot.Signs - vBase.Signs,
-		Verifies:   vGot.Verifies - vBase.Verifies,
-		GroupSigns: vGot.GroupSigns - vBase.GroupSigns,
-	}
-	if (uDelta != sig.Snapshot{Signs: 2, Verifies: 1, GroupVerifies: 1}) {
-		t.Fatalf("owner renewal micro-ops = %+v", uDelta)
-	}
-	if (vDelta != sig.Snapshot{Signs: 1, Verifies: 1, GroupSigns: 1}) {
-		t.Fatalf("holder renewal micro-ops = %+v", vDelta)
-	}
+		var id coin.ID
+		steps := []struct {
+			verb string
+			do   func() error
+			want map[string]counts // role → delta; absent roles do nothing
+		}{
+			{"purchase", func() (err error) { id, err = u.Purchase(1, false); return err }, map[string]counts{
+				"owner":  {KeyGens: 1, Signs: 1, Verifies: 1},
+				"broker": {Signs: 1, Verifies: 1},
+			}},
+			{"issue", func() error { return u.IssueTo(v.ep.Addr(), id) }, map[string]counts{
+				"owner":  {Signs: 3},
+				"holder": {KeyGens: 1, Verifies: 3},
+			}},
+			{"renew", func() error { _, err := v.Renew(id); return err }, map[string]counts{
+				"owner":  {Signs: 2, Verifies: 1, GroupVerifies: 1},
+				"holder": {Signs: 1, Verifies: 1, GroupSigns: 1},
+			}},
+			{"transfer", func() error { return v.TransferTo(x.ep.Addr(), id) }, map[string]counts{
+				"owner":  {Signs: 3, Verifies: 1, GroupVerifies: 1},
+				"holder": {Signs: 1, GroupSigns: 1},
+				"payee":  {KeyGens: 1, Verifies: 3},
+			}},
+			{"deposit", func() error { return x.Deposit(id, "w-payout") }, map[string]counts{
+				"payee":  {Signs: 1, GroupSigns: 1},
+				"broker": {Verifies: 2, GroupVerifies: 1},
+			}},
+		}
+		// The steps run in order on one coin whatever -run selects, so every
+		// verb's subtest can be run alone; a subtest only checks its deltas.
+		deltas := make([][]counts, len(steps)) // step → role → delta
+		for s, step := range steps {
+			before := make([]counts, len(roles))
+			for i, r := range roles {
+				before[i] = r.rec.Snapshot()
+			}
+			if err := step.do(); err != nil {
+				t.Fatalf("%s: %v", step.verb, err)
+			}
+			deltas[s] = make([]counts, len(roles))
+			for i, r := range roles {
+				after := r.rec.Snapshot()
+				deltas[s][i] = counts{
+					KeyGens:       after.KeyGens - before[i].KeyGens,
+					Signs:         after.Signs - before[i].Signs,
+					Verifies:      after.Verifies - before[i].Verifies,
+					GroupSigns:    after.GroupSigns - before[i].GroupSigns,
+					GroupVerifies: after.GroupVerifies - before[i].GroupVerifies,
+				}
+			}
+		}
+		for s, step := range steps {
+			t.Run(step.verb, func(t *testing.T) {
+				for i, r := range roles {
+					if got, want := deltas[s][i], step.want[r.name]; got != want {
+						t.Errorf("%s micro-ops = %+v, want %+v", r.name, got, want)
+					}
+				}
+			})
+		}
+	})
 }
 
 // TestBrokerRecorder: a Recorder wired into the broker attributes downtime

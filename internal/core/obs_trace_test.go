@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"whopay/internal/bus/tcpbus"
 	"whopay/internal/obs"
 	"whopay/internal/sig"
 )
@@ -17,65 +16,31 @@ import (
 // identity rides the request frames, so all three entities' server spans
 // land in ONE trace rooted at the payer's client span.
 func TestTracePropagationOverTCP(t *testing.T) {
-	registerOnce.Do(RegisterWireTypes)
-	reg := obs.NewRegistry()
-	network := tcpbus.New(tcpbus.WithObs(reg))
-	scheme := sig.ECDSA{}
-	dir := NewDirectory()
-	judge, err := NewJudge(scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	broker, err := NewBroker(BrokerConfig{
-		Network:   network,
-		Addr:      "127.0.0.1:0",
-		Scheme:    scheme,
-		Directory: dir,
-		GroupPub:  judge.GroupPublicKey(),
-		Obs:       reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer broker.Close()
+	eachRealScheme(t, func(t *testing.T, scheme sig.Scheme) {
+		reg := obs.NewRegistry()
+		w := newTCPWorld(t, scheme, tcpWorldOpts{reg: reg})
+		owner := w.peer("trace-owner", nil)
+		payer := w.peer("trace-payer", nil)
+		payee := w.peer("trace-payee", nil)
 
-	newTCPPeer := func(id string) *Peer {
-		p, err := NewPeer(PeerConfig{
-			ID:         id,
-			Network:    network,
-			Addr:       "127.0.0.1:0",
-			Scheme:     scheme,
-			Directory:  dir,
-			BrokerAddr: brokerBoundAddr(broker),
-			BrokerPub:  broker.PublicKey(),
-			Judge:      judge,
-			CredPool:   4,
-			Obs:        reg,
-		})
+		id, err := owner.Purchase(1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { p.Close() })
-		dir.Register(id, p.PublicKey(), p.ep.Addr())
-		return p
-	}
-	owner := newTCPPeer("trace-owner")
-	payer := newTCPPeer("trace-payer")
-	payee := newTCPPeer("trace-payee")
+		if err := owner.IssueTo(payer.ep.Addr(), id); err != nil {
+			t.Fatal(err)
+		}
+		if err := payer.TransferTo(payee.ep.Addr(), id); err != nil {
+			t.Fatal(err)
+		}
+		checkTransferTrace(t, reg.Tracer())
+	})
+}
 
-	id, err := owner.Purchase(1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := owner.IssueTo(payer.ep.Addr(), id); err != nil {
-		t.Fatal(err)
-	}
-	if err := payer.TransferTo(payee.ep.Addr(), id); err != nil {
-		t.Fatal(err)
-	}
-
-	// Find the payer's root transfer span, then pull its whole trace.
-	tr := reg.Tracer()
+// checkTransferTrace asserts that the payer's transfer span roots one
+// stitched trace holding exactly one span per hop from all three parties.
+func checkTransferTrace(t *testing.T, tr *obs.Tracer) {
+	t.Helper()
 	var traceID, rootSpan string
 	for _, s := range tr.Spans() {
 		if s.Op == "transfer" && s.Entity == "trace-payer" {
@@ -141,44 +106,12 @@ func TestTracePropagationOverTCP(t *testing.T) {
 // without a registry the transport injects nothing, so no span records
 // exist anywhere and messages decode exactly as before.
 func TestUntracedTCPEnvelopeUnchanged(t *testing.T) {
-	registerOnce.Do(RegisterWireTypes)
-	network := tcpbus.New() // no WithObs
-	scheme := sig.ECDSA{}
-	dir := NewDirectory()
-	judge, err := NewJudge(scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	broker, err := NewBroker(BrokerConfig{
-		Network:   network,
-		Addr:      "127.0.0.1:0",
-		Scheme:    scheme,
-		Directory: dir,
-		GroupPub:  judge.GroupPublicKey(),
+	eachRealScheme(t, func(t *testing.T, scheme sig.Scheme) {
+		w := newTCPWorld(t, scheme, tcpWorldOpts{})
+		if _, err := w.peer("untraced", nil).Purchase(1, false); err != nil {
+			t.Fatalf("purchase without obs: %v", err)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer broker.Close()
-	p, err := NewPeer(PeerConfig{
-		ID:         "untraced",
-		Network:    network,
-		Addr:       "127.0.0.1:0",
-		Scheme:     scheme,
-		Directory:  dir,
-		BrokerAddr: brokerBoundAddr(broker),
-		BrokerPub:  broker.PublicKey(),
-		Judge:      judge,
-		CredPool:   4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	dir.Register("untraced", p.PublicKey(), p.ep.Addr())
-	if _, err := p.Purchase(1, false); err != nil {
-		t.Fatalf("purchase without obs: %v", err)
-	}
 }
 
 func keys(m map[string]bool) string {

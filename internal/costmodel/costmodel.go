@@ -12,7 +12,9 @@
 // rather than the number of bits").
 //
 // The package also measures real wall-clock costs of the crypto
-// micro-operations (Table 2's analog for our ECDSA P-256 stand-in).
+// micro-operations (Table 2's analog) for any scheme: the production
+// Ed25519 and the ECDSA P-256 stand-in for the paper's DSA-1024. The units
+// above stay the paper's whichever scheme runs.
 package costmodel
 
 import (

@@ -34,7 +34,8 @@ type WorldConfig struct {
 	// Host is the TCP bind host (default 127.0.0.1). Ignored when
 	// Network overrides the transport.
 	Host string
-	// Scheme defaults to ECDSA P-256 — the paper's cost regime.
+	// Scheme defaults to sig.Default() (Ed25519), the scheme production
+	// runs; ECDSA P-256 is the paper's Table 2 stand-in.
 	Scheme sig.Scheme
 	// CredPool is each actor's initial group-credential pool (default 8;
 	// the pool auto-refills over the bus when it runs dry).
@@ -248,7 +249,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		cfg.Host = "127.0.0.1"
 	}
 	if cfg.Scheme == nil {
-		cfg.Scheme = sig.ECDSA{}
+		cfg.Scheme = sig.Default()
 	}
 	if cfg.CredPool <= 0 {
 		cfg.CredPool = 8

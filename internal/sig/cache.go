@@ -17,7 +17,9 @@ import (
 //
 //  1. Decoded public keys are memoized in a bounded sharded LRU, so a
 //     KeyDecoder scheme (ECDSA) pays the SEC1 parse + on-curve check once
-//     per key instead of once per Verify.
+//     per key instead of once per Verify. Ed25519, the production scheme,
+//     has no decode step; for it this layer is empty and revocation rests
+//     on the generation bump alone.
 //  2. *Positive* verify results are memoized keyed by a SHA-256 over
 //     (epoch ‖ key-generation ‖ pub ‖ msg ‖ sig). Sound because Verify is a
 //     deterministic predicate over immutable bytes: the same triple can

@@ -144,30 +144,44 @@ func TestCachedMalformedKeyNotCached(t *testing.T) {
 
 // TestCachedInvalidateKey: revoking one key forgets its decoded form and
 // makes its memoized results unreachable, without touching other keys.
+// Ed25519 has no decoded form, so for it the generation bump alone must
+// force the re-verify.
 func TestCachedInvalidateKey(t *testing.T) {
-	cs := newCountingScheme(ECDSA{})
-	c := NewCached(cs, CacheOptions{})
-	kp1, msg1, sig1 := signedTriple(t, ECDSA{})
-	kp2, msg2, sig2 := signedTriple(t, ECDSA{})
-	if err := c.Verify(kp1.Public, msg1, sig1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Verify(kp2.Public, msg2, sig2); err != nil {
-		t.Fatal(err)
-	}
-	before := cs.verifies.Load()
+	for _, scheme := range []Scheme{Ed25519{}, ECDSA{}} {
+		t.Run(scheme.Name(), func(t *testing.T) {
+			cs := newCountingScheme(scheme)
+			var inner Scheme = cs
+			_, decodes := scheme.(KeyDecoder)
+			if !decodes {
+				inner = struct{ Scheme }{cs} // hide the decode methods scheme lacks
+			}
+			c := NewCached(inner, CacheOptions{})
+			kp1, msg1, sig1 := signedTriple(t, scheme)
+			kp2, msg2, sig2 := signedTriple(t, scheme)
+			if err := c.Verify(kp1.Public, msg1, sig1); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Verify(kp2.Public, msg2, sig2); err != nil {
+				t.Fatal(err)
+			}
+			before := cs.verifies.Load()
 
-	c.InvalidateKey(kp1.Public)
+			c.InvalidateKey(kp1.Public)
 
-	// kp1 must re-run real crypto; kp2 must still hit the memo.
-	if err := c.Verify(kp1.Public, msg1, sig1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Verify(kp2.Public, msg2, sig2); err != nil {
-		t.Fatal(err)
-	}
-	if got := cs.verifies.Load(); got != before+1 {
-		t.Fatalf("real verifies after InvalidateKey = %d, want %d", got, before+1)
+			// kp1 must re-run real crypto; kp2 must still hit the memo.
+			if err := c.Verify(kp1.Public, msg1, sig1); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Verify(kp2.Public, msg2, sig2); err != nil {
+				t.Fatal(err)
+			}
+			if got := cs.verifies.Load(); got != before+1 {
+				t.Fatalf("real verifies after InvalidateKey = %d, want %d", got, before+1)
+			}
+			if !decodes && c.KeyLen() != 0 {
+				t.Fatalf("KeyLen = %d for a scheme without a key-decode step", c.KeyLen())
+			}
+		})
 	}
 }
 

@@ -9,10 +9,11 @@ import (
 	"math/big"
 )
 
-// ECDSA implements Scheme over the NIST P-256 curve. It is the default
-// production scheme and the modern stand-in for the DSA-1024 the paper
-// measured in Table 2: the operation mix (key generation, signature
-// generation, signature verification) is identical.
+// ECDSA implements Scheme over the NIST P-256 curve. It is the paper's DSA
+// stand-in, kept for Table 2: the paper measured DSA-1024, and the operation
+// mix (key generation, signature generation, signature verification) is
+// identical. Production runs Ed25519 (Default). ECDSA is also the one
+// scheme with a KeyDecoder, so sig.Cached's decoded-key LRU serves it alone.
 //
 // Encodings: public keys are the 65-byte uncompressed SEC1 point
 // (0x04 || X || Y); private keys are the 32-byte big-endian scalar followed

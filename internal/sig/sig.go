@@ -1,8 +1,11 @@
 // Package sig provides the digital-signature substrate used throughout
-// WhoPay. The paper benchmarks DSA-1024 (Table 2); we provide ECDSA P-256 as
-// the modern stand-in, Ed25519 as an alternative, and a deterministic null
-// scheme used by the load simulator where cryptographic strength is
-// irrelevant but operation *counts* matter.
+// WhoPay. Ed25519 is the production scheme (Default); ECDSA P-256 is the
+// paper's DSA stand-in, kept because Table 2 benchmarks DSA-1024 and the
+// operation mix is the same; a deterministic null scheme serves the
+// simulator, where cryptographic strength is irrelevant but operation
+// *counts* matter. All three perform exactly the operations DESIGN.md §4
+// counts, so switching schemes changes what each operation costs, never how
+// many the protocol performs.
 //
 // Keys and signatures are opaque byte slices so they can be embedded in
 // protocol messages, used as map keys (via string conversion), and shipped
