@@ -59,7 +59,7 @@ dht-suite:
 		-run 'TestChaosDHTNodeKill' ./internal/core/
 
 # Open-loop load smoke: a small steady-profile run plus a micropay run
-# (channels + broker deposit batching) against a live tcpbus broker
+# (payword channels and their settlement deposits) against a live tcpbus broker
 # (wal-off), strict-gated — any protocol error outside the scenario's
 # expected set, any unclassified error, or any post-run ledger audit
 # violation (conservation, no-double-spend) fails the target. The
@@ -155,10 +155,10 @@ fuzz-wire:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzJournalRecordDecode -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/payword/ -run '^$$' -fuzz FuzzPaywordSpend -fuzztime $(FUZZ_TIME)
 
-# Deposit-batch amortization: broker deposit throughput under an
-# fsync-per-commit journal with 64 concurrent depositors, sequential
-# (batch=1) vs batched (batch=64) — one signature fan-out and one journal
-# append per group. Reference numbers live in results/deposit_bench.txt.
+# Deposit amortization: broker deposits/sec under an fsync-per-commit
+# journal, 64 concurrent single Deposit callers (one flush and one fsync
+# each) vs DepositMany of 64 (one signature fan-out and one journal append
+# per group). Reference numbers live in results/deposit_bench.txt.
 bench-deposit:
 	$(GO) test ./internal/core/ -run '^$$' \
 		-bench BenchmarkDepositBatch -benchtime 1000x -count 3

@@ -31,8 +31,6 @@ type loadOpts struct {
 	out      string
 	strict   bool
 	dump     bool
-
-	depositBatch int // broker deposit-batch flush size (0: scenario default)
 }
 
 // parseRate accepts "200/s" or a bare number.
@@ -136,18 +134,17 @@ func runLoadScenario(name string, rate float64, fsync wal.Policy, opts loadOpts,
 	}
 
 	wcfg := sc.WorldConfig(load.WorldConfig{
-		Actors:       opts.actors,
-		Scheme:       opts.scheme,
-		Seed:         opts.seed,
-		WALDir:       walDir,
-		Fsync:        fsync,
-		Reg:          reg,
-		DepositBatch: opts.depositBatch,
+		Actors: opts.actors,
+		Scheme: opts.scheme,
+		Seed:   opts.seed,
+		WALDir: walDir,
+		Fsync:  fsync,
+		Reg:    reg,
 	})
 	fmt.Printf("==> scenario %s: %s\n", sc.Name, sc.Summary)
-	fmt.Printf("    actors=%d rate=%.0f/s ops=%d duration=%s wal=%v detection=%v faults=%v channels=%d deposit-batch=%d\n",
+	fmt.Printf("    actors=%d rate=%.0f/s ops=%d duration=%s wal=%v detection=%v faults=%v channels=%d\n",
 		opts.actors, rate, opts.ops, opts.duration, opts.wal, sc.Detection, sc.Faults,
-		wcfg.Channels, wcfg.DepositBatch)
+		wcfg.Channels)
 	if wcfg.Shards > 1 || wcfg.Replicas > 1 {
 		fmt.Printf("    federation: shards=%d replicas=%d lease-ttl=%s\n",
 			wcfg.Shards, wcfg.Replicas, wcfg.LeaseTTL)

@@ -79,7 +79,6 @@ func run() error {
 		walOn    = flag.Bool("wal", false, "load mode: journal the broker (under -persist, or a temp dir)")
 		outDir   = flag.String("out", ".", "load mode: directory for BENCH_load_<scenario>.json artifacts")
 		strict   = flag.Bool("strict", false, "load mode: exit nonzero on unexpected protocol errors or audit violations")
-		depBatch = flag.Int("deposit-batch", 0, "load mode: broker deposit-batch flush size (0: scenario default)")
 	)
 	flag.Parse()
 
@@ -136,8 +135,6 @@ func run() error {
 			out:      *outDir,
 			strict:   *strict,
 			dump:     *dump,
-
-			depositBatch: *depBatch,
 		})
 	}
 

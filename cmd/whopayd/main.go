@@ -61,7 +61,6 @@ func run() error {
 		host     = flag.String("host", "127.0.0.1", "host/interface to bind")
 		admin    = flag.String("admin", "", "serve the admin endpoint (/metrics, /healthz, /traces, pprof) on this address")
 		linger   = flag.Duration("linger", 0, "keep the process alive this long after the demo (for scraping the admin endpoint)")
-		depBatch = flag.Int("deposit-batch", 0, "enable broker deposit batching with this flush size (0: off, the sequential path)")
 		chanPays = flag.Int("channel-pays", 12, "paywords streamed in the micropayment-channel demo (0: skip the demo)")
 		shards   = flag.Int("shards", 1, "federate the trust root over this many broker shards (coin IDs partition by hash)")
 		replicas = flag.Int("replicas", 1, "replicas per broker shard (WAL-streamed mirrors with lease failover)")
@@ -150,11 +149,6 @@ func run() error {
 		}
 	}
 
-	var depositBatch *core.DepositBatchConfig
-	if *depBatch > 0 {
-		depositBatch = &core.DepositBatchConfig{MaxBatch: *depBatch}
-	}
-
 	// The trust root: a single broker, or a federated cluster of
 	// WAL-replicated shards when -shards/-replicas federate it.
 	var (
@@ -180,7 +174,6 @@ func run() error {
 				Scheme:         scheme,
 				Directory:      dir,
 				GroupPub:       judge.GroupPublicKey(),
-				DepositBatch:   depositBatch,
 				DHTNodes:       dhtAddrs,
 				DHTReplication: dhtRep,
 			},
@@ -236,7 +229,6 @@ func run() error {
 			Directory:      dir,
 			GroupPub:       judge.GroupPublicKey(),
 			Obs:            reg,
-			DepositBatch:   depositBatch,
 			DHTNodes:       dhtAddrs,
 			DHTReplication: dhtRep,
 		})

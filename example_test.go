@@ -61,8 +61,7 @@ func Example() {
 // ExamplePeer_OpenChannel shows a micropayment channel (DESIGN.md §12):
 // unit payments stream as PayWord hash-chain preimages — no signatures, no
 // broker — and the accumulated window settles as a single WhoPay payment on
-// close. The broker runs with deposit batching enabled, the other half of
-// the batched-settlement pair.
+// close.
 func ExamplePeer_OpenChannel() {
 	net := whopay.NewMemoryNetwork()
 	scheme := whopay.Ed25519()
@@ -73,7 +72,6 @@ func ExamplePeer_OpenChannel() {
 	dir := whopay.NewDirectory()
 	broker, err := whopay.NewBroker(whopay.BrokerConfig{
 		Network: net, Scheme: scheme, Directory: dir, GroupPub: judge.GroupPublicKey(),
-		DepositBatch: &whopay.DepositBatchConfig{MaxBatch: 16},
 	})
 	if err != nil {
 		log.Fatal(err)

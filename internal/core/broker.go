@@ -83,14 +83,6 @@ type BrokerConfig struct {
 	// settlement path. Requires InitialCredit zero — purchase budgets
 	// would need an account shard of their own.
 	Federation *FederationConfig
-	// DepositBatch, when non-nil, enables the deposit-batching stage
-	// (DESIGN.md §12): a single worker flushes whatever deposits are
-	// queued (up to MaxBatch, never waiting for more) through one
-	// signature-batch fan-out and one atomic WAL record, with per-request
-	// error demux. Nil (the default) serves every deposit individually
-	// with behavior and error shapes identical to before batching
-	// existed.
-	DepositBatch *DepositBatchConfig
 }
 
 // depositRecord remembers a redeemed coin.
@@ -156,9 +148,11 @@ type Broker struct {
 	settleStop   chan struct{}
 	settleDone   chan struct{}
 
-	persist   *persistLog     // nil when Persistence is not configured
-	recovered bool            // durable state was found and replayed
-	batcher   *depositBatcher // nil unless cfg.DepositBatch is set
+	persist   *persistLog // nil when Persistence is not configured
+	recovered bool        // durable state was found and replayed
+
+	depositOccupancy *obs.Histogram // deposits per flush (nil: no Obs)
+	depositFlushes   *obs.Counter
 
 	issuedValue    atomic.Int64
 	depositedValue atomic.Int64
@@ -299,6 +293,11 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 		cfg.Obs.Help("whopay_broker_deposited_value", "Total coin value redeemed.")
 		cfg.Obs.GaugeFunc("whopay_broker_issued_value", nil, func() float64 { return float64(b.IssuedValue()) })
 		cfg.Obs.GaugeFunc("whopay_broker_deposited_value", nil, func() float64 { return float64(b.DepositedValue()) })
+		cfg.Obs.Help("whopay_broker_deposit_batch_occupancy",
+			"Deposits per deposit flush, bucketed by batch size (the sum counts deposits flushed).")
+		b.depositOccupancy = cfg.Obs.Histogram("whopay_broker_deposit_batch_occupancy", nil, depositOccupancyBounds)
+		cfg.Obs.Help("whopay_broker_deposit_batch_flushes", "Deposit flushes performed.")
+		b.depositFlushes = cfg.Obs.Counter("whopay_broker_deposit_batch_flushes", nil)
 		registerCacheMetrics(cfg.Obs, "broker", func() (int64, int64, int64, int64) {
 			s := b.cache.Stats()
 			return s.Hits, s.Misses, s.KeyHits, s.KeyMisses
@@ -311,11 +310,6 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 				return "journaling", nil
 			})
 		}
-	}
-	// Start the batching stage last: its metrics registration needs the
-	// obs block above, and nothing can queue before the endpoint serves.
-	if cfg.DepositBatch != nil {
-		b.batcher = newDepositBatcher(b, *cfg.DepositBatch)
 	}
 	if b.fed != nil {
 		// Settlement delivery retries transient failures and follows
@@ -383,11 +377,6 @@ func (b *Broker) Close() error {
 		<-b.settleDone
 	}
 	err := b.ep.Close()
-	// Stop the batcher after the endpoint (no new deposits arrive) and
-	// before the journal closes (queued deposits may still commit).
-	if b.batcher != nil {
-		b.batcher.stopAndWait()
-	}
 	if b.persist != nil {
 		if lerr := b.persist.log.Close(); err == nil {
 			err = lerr
@@ -487,17 +476,11 @@ func (b *Broker) dispatch(_ bus.Address, msg any) (any, error) {
 		return resp, err
 	case DepositRequest:
 		sp := b.instr.Begin("serve-deposit")
-		var resp any
-		var err error
-		if b.batcher != nil {
-			resp, err = b.batcher.serve(m)
-		} else {
-			resp, err = b.handleDeposit(m)
-		}
-		b.instr.End(sp, err)
-		return resp, err
+		r := b.flushDeposits([]DepositRequest{m})[0]
+		b.instr.End(sp, r.err)
+		return r.resp, r.err
 	case BatchDepositRequest:
-		sp := b.instr.Begin("serve-deposit-batch")
+		sp := b.instr.Begin("serve-batch-deposit")
 		resp, err := b.handleBatchDeposit(m)
 		b.instr.End(sp, err)
 		return resp, err
@@ -905,59 +888,6 @@ func (b *Broker) handleDowntimeRenew(m RenewRequest) (any, error) {
 	b.publishBinding(next)
 	b.ops.Inc(OpDowntimeRenewal)
 	return RenewResponse{Binding: *next}, nil
-}
-
-func (b *Broker) handleDeposit(m DepositRequest) (any, error) {
-	id := coin.ID(m.CoinPub)
-	c, ok := b.coins.Get(id)
-	if !ok {
-		return nil, ErrUnknownCoin
-	}
-	prior, _ := b.deposited.Get(id)
-
-	if prior != nil {
-		// Double deposit: definitive fraud evidence. Both group
-		// signatures are recorded so the judge can open them.
-		b.recordCase(FraudCase{
-			Kind:    "double-deposit",
-			CoinID:  c.ID(),
-			Verdict: "second deposit rejected; group signatures escrowed for the judge",
-			GroupSigs: [][2]any{
-				{depositMessage(m.CoinPub, prior.payoutRef, prior.binding.Seq), prior.groupSig},
-				{depositMessage(m.CoinPub, m.PayoutRef, m.PresentedBinding.Seq), m.GroupSig},
-			},
-			Bindings: []coin.Binding{*prior.binding, *m.PresentedBinding},
-		})
-		return nil, ErrAlreadyDeposited
-	}
-
-	cur, err := b.currentBinding(c, m.PresentedBinding)
-	if err != nil {
-		return nil, err
-	}
-	msg := depositMessage(m.CoinPub, m.PayoutRef, cur.Seq)
-	if err := verifyHolderAndGroup(b.suite, b.gsv, b.cfg.GroupPub, cur.Holder, msg, m.HolderSig, m.GroupSig); err != nil {
-		return nil, err
-	}
-
-	// Commit: the Insert is the single atomic double-deposit gate.
-	rec := &depositRecord{
-		binding:   cur.Clone(),
-		groupSig:  m.GroupSig,
-		payoutRef: m.PayoutRef,
-		when:      b.cfg.Clock(),
-	}
-	if !b.deposited.Insert(id, rec) {
-		return nil, ErrAlreadyDeposited
-	}
-	b.creditPayout(id, m.PayoutRef, c.Value)
-	b.depositedValue.Add(c.Value)
-	b.downtime.Delete(id)
-	// A deposited coin can never be serviced again (lookupActiveCoin
-	// refuses first), so its service lock is garbage: evict it.
-	b.evictServiceLock(id)
-	b.ops.Inc(OpDeposit)
-	return DepositResponse{Amount: c.Value}, nil
 }
 
 func (b *Broker) handleSync(m SyncRequest) (any, error) {

@@ -115,9 +115,9 @@ type chaosChannel struct {
 	dead          bool
 }
 
-func newChaosWorld(t *testing.T, seed int64, retry *bus.RetryPolicy, batch *DepositBatchConfig) *chaosWorld {
+func newChaosWorld(t *testing.T, seed int64, retry *bus.RetryPolicy) *chaosWorld {
 	t.Helper()
-	f := newFixture(t, fixtureOpts{detection: true, retry: retry, depositBatch: batch})
+	f := newFixture(t, fixtureOpts{detection: true, retry: retry})
 	w := &chaosWorld{
 		t:           t,
 		seed:        seed,
@@ -452,7 +452,7 @@ func (w *chaosWorld) chaosChannelPhase() {
 			w.transfer(i, j)
 		case r < 73: // purchase
 			w.purchase(online[w.rng.Intn(len(online))])
-		case r < 81: // deposit mid-chaos (through the batching stage)
+		case r < 81: // deposit mid-chaos
 			i := online[w.rng.Intn(len(online))]
 			if id, ok := w.pickHeld(i); ok {
 				_ = w.peers[i].Deposit(id, w.peers[i].ID())
@@ -580,7 +580,7 @@ func (w *chaosWorld) summary() chaosSummary {
 // runChaos executes one full seeded run and returns its summary.
 func runChaos(t *testing.T, seed int64, retry *bus.RetryPolicy) chaosSummary {
 	t.Helper()
-	w := newChaosWorld(t, seed, retry, nil)
+	w := newChaosWorld(t, seed, retry)
 
 	// Quiescent warm-up: seed the economy so transfers dominate early
 	// rounds. No faults are configured yet, so these cannot ghost.
@@ -707,14 +707,14 @@ func TestChaosLifecyclesWithRetries(t *testing.T) {
 }
 
 // runChaosChannels executes one seeded channel-chaos run: micropayment
-// channels on the peers AND deposit batching on the broker, under the same
+// channels on the peers and their settlement deposits, under the same
 // drop/duplicate/flap schedule as the base suite. The invariants are
 // identical — conservation, no accepted double spend, no honest party
 // punished — because channels must not change what the ledger can do, only
 // how often it is touched.
 func runChaosChannels(t *testing.T, seed int64) chaosSummary {
 	t.Helper()
-	w := newChaosWorld(t, seed, nil, &DepositBatchConfig{MaxBatch: 8})
+	w := newChaosWorld(t, seed, nil)
 
 	// Quiescent warm-up: seed coins and one channel per peer before any
 	// faults are configured, so the early rounds have windows to stream on.
@@ -736,9 +736,9 @@ func runChaosChannels(t *testing.T, seed int64) chaosSummary {
 	return sum
 }
 
-// TestChaosChannelLifecycles is the tentpole's chaos gate: channels and
-// broker-side deposit batching enabled together under message drops and
-// duplicates, full invariant check per seed.
+// TestChaosChannelLifecycles is the channels' chaos gate: channel
+// payments, settlements and deposits under message drops and duplicates,
+// full invariant check per seed.
 func TestChaosChannelLifecycles(t *testing.T) {
 	for _, c := range chaosCases(t, "TestChaosChannelLifecycles", []int64{21, 22, 23, 24}) {
 		c := c

@@ -4,18 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"whopay/internal/bus"
 	"whopay/internal/coin"
 	"whopay/internal/obs"
-	"whopay/internal/sig"
 	"whopay/internal/wal"
 )
 
@@ -33,20 +29,19 @@ func mintHeld(t testing.TB, p *Peer, value int64) coin.ID {
 	return id
 }
 
-// TestDepositBatchingOutcomes: with the batching stage on, deposits must
-// produce the sequential path's outcomes — credit once, reject the replay
-// with ErrAlreadyDeposited, and record the double-deposit fraud case.
+// TestDepositBatchingOutcomes: deposits credit once, the replay is
+// rejected with ErrAlreadyDeposited, and the double-deposit fraud case is
+// recorded — on a journaled broker, where each deposit is its own flush.
 func TestDepositBatchingOutcomes(t *testing.T) {
 	f := newFixture(t, fixtureOpts{
-		persist:      &wal.Config{Dir: t.TempDir(), Policy: wal.FsyncAlways},
-		depositBatch: &DepositBatchConfig{MaxBatch: 8},
+		persist: &wal.Config{Dir: t.TempDir(), Policy: wal.FsyncAlways},
 	})
 	alice := f.addPeer("alice", nil)
 
 	id := mintHeld(t, alice, 5)
 	first, replay := alice.DepositTwice(id, "payout:alice")
 	if first != nil {
-		t.Fatalf("first deposit through the batcher: %v", first)
+		t.Fatalf("first deposit: %v", first)
 	}
 	if !errors.Is(replay, ErrAlreadyDeposited) {
 		t.Fatalf("replay error = %v, want ErrAlreadyDeposited", replay)
@@ -60,14 +55,12 @@ func TestDepositBatchingOutcomes(t *testing.T) {
 	}
 }
 
-// TestDepositBatchingConcurrentDurable: many concurrent deposits flow
-// through the batcher, every one is credited exactly once, and the batched
-// journal records survive a broker crash/recovery — replays against the
-// recovered broker still bounce.
+// TestDepositBatchingConcurrentDurable: many concurrent deposits flush on
+// their handler goroutines side by side, every one is credited exactly
+// once, and the journal records survive a broker crash/recovery.
 func TestDepositBatchingConcurrentDurable(t *testing.T) {
 	f := newFixture(t, fixtureOpts{
-		persist:      &wal.Config{Dir: t.TempDir(), Policy: wal.FsyncNever},
-		depositBatch: &DepositBatchConfig{MaxBatch: 16},
+		persist: &wal.Config{Dir: t.TempDir(), Policy: wal.FsyncNever},
 	})
 	alice := f.addPeer("alice", nil)
 
@@ -101,81 +94,140 @@ func TestDepositBatchingConcurrentDurable(t *testing.T) {
 	}
 }
 
-// gateScheme wraps a scheme so a test can park every Verify — and with it
-// the batch worker, which verifies inside a flush — until released. Nothing
-// on the depositor's side of a deposit verifies, so while the gate holds,
-// new deposits still reach the queue.
-type gateScheme struct {
-	sig.Scheme
-	hold    atomic.Bool
-	entered chan struct{} // one token per Verify that parked (never blocks)
-	release chan struct{}
-}
-
-func newGateScheme() *gateScheme {
-	return &gateScheme{
-		Scheme:  sig.NewNull(1000),
-		entered: make(chan struct{}, 1),
-		release: make(chan struct{}),
-	}
-}
-
-func (g *gateScheme) Verify(pub sig.PublicKey, msg, sigBytes []byte) error {
-	if g.hold.Load() {
-		select {
-		case g.entered <- struct{}{}:
-		default:
-		}
-		<-g.release
-	}
-	return g.Scheme.Verify(pub, msg, sigBytes)
-}
-
-// open releases every parked Verify and lets later ones straight through.
-func (g *gateScheme) open() {
-	g.hold.Store(false)
-	close(g.release)
-}
-
-// gatedBurst holds the batch worker inside the flush of one lone deposit,
-// queues n more deposits behind it, and returns once all n sit in the
-// queue. The caller opens the gate and collects errs via wait.
-func gatedBurst(t *testing.T, f *fixture, g *gateScheme, alice *Peer, n int) (wait func() []error) {
+// sendDeposits delivers reqs to the broker either as one DepositRequest
+// each, in order, or as a single BatchDepositRequest, and returns each
+// entry's outcome as the client sees it.
+func sendDeposits(t *testing.T, f *fixture, p *Peer, reqs []DepositRequest, batch bool) []error {
 	t.Helper()
-	ids := make([]coin.ID, n+1)
-	for i := range ids {
-		ids[i] = mintHeld(t, alice, 1)
-	}
-	errs := make([]error, n+1)
-	var wg sync.WaitGroup
-	deposit := func(i int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = alice.Deposit(ids[i], "payout:burst")
-		}()
-	}
-	g.hold.Store(true)
-	deposit(0)
-	select {
-	case <-g.entered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the lone deposit never reached the flush's verify stage")
-	}
-	for i := 1; i <= n; i++ {
-		deposit(i)
-	}
-	q := f.broker.batcher
-	for deadline := time.Now().Add(10 * time.Second); len(q.jobs) < n; {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d deposits queued behind the held flush", len(q.jobs), n)
+	out := make([]error, len(reqs))
+	if !batch {
+		for i, req := range reqs {
+			_, out[i] = p.call(f.broker.Addr(), req)
 		}
-		time.Sleep(100 * time.Microsecond)
+		return out
 	}
-	return func() []error { wg.Wait(); return errs }
+	raw, err := p.call(f.broker.Addr(), BatchDepositRequest{Deposits: reqs})
+	if err != nil {
+		t.Fatalf("batch deposit: %v", err)
+	}
+	for i, r := range raw.(BatchDepositResponse).Results {
+		if r.ErrCode != "" || r.ErrMsg != "" {
+			out[i] = &bus.RemoteError{Msg: r.ErrMsg, Code: r.ErrCode}
+		}
+	}
+	return out
 }
 
-// occupancyBuckets reads the batcher's occupancy histogram from the
+// signedDeposit is alice's deposit request for a held coin, unsent.
+func signedDeposit(t *testing.T, p *Peer, id coin.ID) DepositRequest {
+	t.Helper()
+	req, err := p.depositRequest(id, "payout:parity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return req
+}
+
+// TestDepositSingleMatchesBatch: a DepositRequest is served as a flush of
+// one, so one-at-a-time requests and the same entries in one
+// BatchDepositRequest must agree on every outcome — the sentinel, the fraud
+// cases recorded and the balance credited.
+func TestDepositSingleMatchesBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		prepare func(t *testing.T, f *fixture, alice *Peer) []DepositRequest
+		want    []error // nil entries credit
+		frauds  int     // double-deposit cases recorded
+		balance int64
+		msg     string // text the first entry's error must carry
+	}{
+		{"clean", func(t *testing.T, f *fixture, alice *Peer) []DepositRequest {
+			return []DepositRequest{signedDeposit(t, alice, mintHeld(t, alice, 5))}
+		}, []error{nil}, 0, 5, ""},
+		{"unknown coin", func(t *testing.T, f *fixture, alice *Peer) []DepositRequest {
+			req := signedDeposit(t, alice, mintHeld(t, alice, 5))
+			req.CoinPub = append(req.CoinPub.Clone(), 0)
+			return []DepositRequest{req}
+		}, []error{ErrUnknownCoin}, 0, 0, ""},
+		{"double deposit", func(t *testing.T, f *fixture, alice *Peer) []DepositRequest {
+			id := mintHeld(t, alice, 5)
+			req := signedDeposit(t, alice, id)
+			if err := alice.Deposit(id, "payout:parity"); err != nil {
+				t.Fatal(err)
+			}
+			return []DepositRequest{req}
+		}, []error{ErrAlreadyDeposited}, 1, 5, ""},
+		{"stale binding", func(t *testing.T, f *fixture, alice *Peer) []DepositRequest {
+			id := mintHeld(t, alice, 5)
+			req := signedDeposit(t, alice, id)
+			if err := alice.RenewViaBroker(id); err != nil {
+				t.Fatal(err)
+			}
+			return []DepositRequest{req}
+		}, []error{ErrStaleBinding}, 0, 0, ""},
+		{"revoked credential", func(t *testing.T, f *fixture, alice *Peer) []DepositRequest {
+			req := signedDeposit(t, alice, mintHeld(t, alice, 5))
+			f.broker.RevokeCredentials(f.judge.Revoke("alice"))
+			return []DepositRequest{req}
+		}, []error{ErrBadRequest}, 0, 0, "credential revoked"},
+		{"no binding on a deposited coin", func(t *testing.T, f *fixture, alice *Peer) []DepositRequest {
+			id := mintHeld(t, alice, 5)
+			req := signedDeposit(t, alice, id)
+			if err := alice.Deposit(id, "payout:parity"); err != nil {
+				t.Fatal(err)
+			}
+			req.PresentedBinding = nil
+			return []DepositRequest{req}
+		}, []error{ErrBadRequest}, 0, 5, "no binding presented"},
+		{"bad holder signature", func(t *testing.T, f *fixture, alice *Peer) []DepositRequest {
+			req := signedDeposit(t, alice, mintHeld(t, alice, 5))
+			req.HolderSig = append([]byte(nil), req.HolderSig...)
+			req.HolderSig[0] ^= 0xff
+			return []DepositRequest{req}
+		}, []error{ErrNotHolder}, 0, 0, ""},
+		// The first entry claims the coin and fails verification; the
+		// other two are deferred to a replay flush, where the second
+		// credits and the third is a double deposit.
+		{"bad first of three for one coin", func(t *testing.T, f *fixture, alice *Peer) []DepositRequest {
+			good := signedDeposit(t, alice, mintHeld(t, alice, 5))
+			bad := good
+			bad.HolderSig = append([]byte(nil), good.HolderSig...)
+			bad.HolderSig[0] ^= 0xff
+			return []DepositRequest{bad, good, good}
+		}, []error{ErrNotHolder, nil, ErrAlreadyDeposited}, 1, 5, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, batch := range []bool{false, true} {
+				f := newFixture(t, fixtureOpts{})
+				alice := f.addPeer("alice", nil)
+				got := sendDeposits(t, f, alice, tc.prepare(t, f, alice), batch)
+				for i, err := range got {
+					if want := tc.want[i]; (want == nil) != (err == nil) || (want != nil && !errors.Is(err, want)) {
+						t.Errorf("batch=%v entry %d: error = %v, want %v", batch, i, err, want)
+					}
+				}
+				if tc.msg != "" && !strings.Contains(got[0].Error(), tc.msg) {
+					t.Errorf("batch=%v: error = %v, want it to mention %q", batch, got[0], tc.msg)
+				}
+				cases := f.broker.FraudCases()
+				frauds := 0
+				for _, c := range cases {
+					if c.Kind == "double-deposit" {
+						frauds++
+					}
+				}
+				if frauds != tc.frauds || len(cases) != tc.frauds {
+					t.Errorf("batch=%v: fraud cases = %+v, want %d double-deposit", batch, cases, tc.frauds)
+				}
+				if got := f.broker.Balance("payout:parity"); got != tc.balance {
+					t.Errorf("batch=%v: balance = %d, want %d", batch, got, tc.balance)
+				}
+			}
+		})
+	}
+}
+
+// occupancyBuckets reads the deposit-flush occupancy histogram from the
 // exposition: cumulative flush counts keyed by the le bound.
 func occupancyBuckets(t *testing.T, reg *obs.Registry) map[string]int {
 	t.Helper()
@@ -194,110 +246,58 @@ func occupancyBuckets(t *testing.T, reg *obs.Registry) map[string]int {
 	return out
 }
 
-// TestDepositBatchLoneDepositNotDelayed: a lone deposit on a batching
-// broker is flushed by itself as soon as the worker sees it. No timer can
-// be what releases it, because the batcher has none to arm: the second half
-// of the test checks that by structure — depositbatch.go calls nothing in
-// package time that waits.
-func TestDepositBatchLoneDepositNotDelayed(t *testing.T) {
+// TestDepositManySplitsLargeBatches: DepositMany keeps every request within
+// the broker's batch bound, so 130 coins leave as flushes of 64, 64 and 2,
+// and a lone Deposit is a flush of one.
+func TestDepositManySplitsLargeBatches(t *testing.T) {
 	reg := obs.NewRegistry()
-	f := newFixture(t, fixtureOpts{obs: reg, depositBatch: &DepositBatchConfig{MaxBatch: 64}})
+	f := newFixture(t, fixtureOpts{obs: reg})
 	alice := f.addPeer("alice", nil)
-	if err := alice.Deposit(mintHeld(t, alice, 3), "payout:lone"); err != nil {
-		t.Fatal(err)
-	}
-	if got := occupancyBuckets(t, reg); got["1"] != 1 || got["+Inf"] != 1 {
-		t.Fatalf("occupancy buckets = %v, want exactly one flush of one deposit", got)
-	}
-
-	file, err := parser.ParseFile(token.NewFileSet(), "depositbatch.go", nil, 0)
+	ids, err := alice.PurchaseBatch(131, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waits := map[string]bool{"NewTimer": true, "After": true, "AfterFunc": true, "Sleep": true, "NewTicker": true, "Tick": true}
-	ast.Inspect(file, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
+	for _, id := range ids {
+		if err := alice.IssueTo(alice.Addr(), id); err != nil {
+			t.Fatal(err)
 		}
-		if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" && waits[sel.Sel.Name] {
-			t.Errorf("depositbatch.go uses time.%s: the batcher must batch on backpressure, not on a timer", sel.Sel.Name)
-		}
-		return true
-	})
-}
-
-// TestDepositBatchBackpressure: with the worker held inside a flush, the
-// deposits that queue up behind it leave as the next flush — all of them in
-// one when they fit MaxBatch, in MaxBatch-sized flushes when they do not.
-func TestDepositBatchBackpressure(t *testing.T) {
-	for _, tc := range []struct {
-		name             string
-		maxBatch, queued int
-		want             map[string]int // cumulative flushes per occupancy bound
-	}{
-		// Flushes of 1 (the held one) and 8.
-		{"one flush takes the backlog", 16, 8, map[string]int{"1": 1, "4": 1, "8": 2, "+Inf": 2}},
-		// Flushes of 1, 4, 4 and 2.
-		{"MaxBatch caps a flush", 4, 10, map[string]int{"1": 1, "2": 2, "4": 4, "+Inf": 4}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			reg, g := obs.NewRegistry(), newGateScheme()
-			f := newFixture(t, fixtureOpts{scheme: g, obs: reg, depositBatch: &DepositBatchConfig{MaxBatch: tc.maxBatch}})
-			alice := f.addPeer("alice", nil)
-			wait := gatedBurst(t, f, g, alice, tc.queued)
-			g.open()
-			for i, err := range wait() {
-				if err != nil {
-					t.Fatalf("deposit %d: %v", i, err)
-				}
-			}
-			got := occupancyBuckets(t, reg)
-			for le, n := range tc.want {
-				if got[le] != n {
-					t.Fatalf("occupancy buckets = %v, want %v", got, tc.want)
-				}
-			}
-			if got, want := f.broker.Balance("payout:burst"), int64(tc.queued+1); got != want {
-				t.Fatalf("payout balance = %d, want %d", got, want)
-			}
-		})
 	}
-}
-
-// TestDepositBatchShutdownDrain: deposits accepted into the queue before
-// the broker closes are all answered and journaled by the shutdown drain.
-func TestDepositBatchShutdownDrain(t *testing.T) {
-	g := newGateScheme()
-	f := newFixture(t, fixtureOpts{
-		scheme:       g,
-		persist:      &wal.Config{Dir: t.TempDir(), Policy: wal.FsyncNever},
-		depositBatch: &DepositBatchConfig{MaxBatch: 4},
-	})
-	alice := f.addPeer("alice", nil)
-	const queued = 10
-	wait := gatedBurst(t, f, g, alice, queued)
-
-	closed := make(chan error, 1)
-	quit := f.broker.batcher.quit
-	go func() { closed <- f.broker.Close() }()
-	<-quit // Close reached the batcher with every job still queued
-	g.open()
-	for i, err := range wait() {
+	outcomes, err := alice.DepositMany(ids[:130], "payout:split")
+	if err != nil {
+		t.Fatalf("DepositMany: %v", err)
+	}
+	for i, err := range outcomes {
 		if err != nil {
-			t.Fatalf("deposit %d accepted before shutdown: %v", i, err)
+			t.Fatalf("entry %d: %v", i, err)
 		}
 	}
-	if err := <-closed; err != nil {
-		t.Fatalf("broker close: %v", err)
+	if err := alice.Deposit(ids[130], "payout:split"); err != nil {
+		t.Fatal(err)
 	}
-	recovered, err := RecoverBroker(f.brokerCfg)
-	if err != nil {
-		t.Fatalf("broker recovery: %v", err)
+	if got := f.broker.Balance("payout:split"); got != 131 {
+		t.Fatalf("payout balance = %d, want 131", got)
 	}
-	f.broker = recovered
-	if got := recovered.DepositedValue(); got != queued+1 {
-		t.Fatalf("recovered deposited value = %d, want %d", got, queued+1)
+	want := map[string]int{"1": 1, "2": 2, "4": 2, "8": 2, "16": 2, "32": 2, "64": 4, "+Inf": 4}
+	if got := occupancyBuckets(t, reg); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("occupancy buckets = %v, want %v", got, want)
+	}
+}
+
+// TestBatchDepositOversizeRejected: a batch longer than maxDepositBatch is
+// a malformed request, rejected whole before any entry is looked at.
+func TestBatchDepositOversizeRejected(t *testing.T) {
+	f := newFixture(t, fixtureOpts{})
+	alice := f.addPeer("alice", nil)
+	req := signedDeposit(t, alice, mintHeld(t, alice, 1))
+	reqs := make([]DepositRequest, maxDepositBatch+1)
+	for i := range reqs {
+		reqs[i] = req
+	}
+	if _, err := alice.call(f.broker.Addr(), BatchDepositRequest{Deposits: reqs}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("oversize batch error = %v, want ErrBadRequest", err)
+	}
+	if got := f.broker.DepositedValue(); got != 0 {
+		t.Fatalf("deposited value = %d after a rejected batch, want 0", got)
 	}
 }
 
@@ -343,57 +343,75 @@ func TestBatchDepositEmptyRejected(t *testing.T) {
 	}
 }
 
+// depositBenchCoins mints n unit coins into a fresh peer on a broker
+// journaled with fsync=always.
+func depositBenchCoins(b *testing.B, n int) (*Peer, []coin.ID) {
+	f := newFixture(b, fixtureOpts{
+		persist: &wal.Config{Dir: b.TempDir(), Policy: wal.FsyncAlways},
+	})
+	alice := f.addPeer("alice", nil)
+	ids, err := alice.PurchaseBatch(n, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, id := range ids {
+		if err := alice.IssueTo(alice.Addr(), id); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return alice, ids
+}
+
 // BenchmarkDepositBatch measures broker deposit throughput under an
-// fsync-per-commit journal with 64 concurrent depositors: batch=1 is
-// today's sequential path (nil batching config — one verify round and one
-// fsync per deposit); batch=64 flushes whole groups through one signature
-// fan-out and one journal append. The ratio is the amortization win.
+// fsync-per-commit journal, one op per deposit. single is 64 concurrent
+// Deposit callers: each deposit is its own flush, one verify round and one
+// fsync. many=64 is DepositMany of 64 coins: one flush, one verify fan-out
+// and one fsync for the group. The broker queues nothing, so only a
+// depositor that batches its own deposits amortizes the fsync.
 func BenchmarkDepositBatch(b *testing.B) {
-	for _, batch := range []int{1, 64} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			var bc *DepositBatchConfig
-			if batch > 1 {
-				// No timer gathers the cohort: a flush takes whatever
-				// queued during the previous flush's fsync.
-				bc = &DepositBatchConfig{MaxBatch: batch}
-			}
-			f := newFixture(b, fixtureOpts{
-				persist:      &wal.Config{Dir: b.TempDir(), Policy: wal.FsyncAlways},
-				depositBatch: bc,
-			})
-			alice := f.addPeer("alice", nil)
-			ids, err := alice.PurchaseBatch(b.N, 1)
+	b.Run("single", func(b *testing.B) {
+		alice, ids := depositBenchCoins(b, b.N)
+		const workers = 64
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		b.ResetTimer()
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(ids) {
+						return
+					}
+					if err := alice.Deposit(ids[i], "payout:bench"); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		b.StopTimer()
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "deposits/s")
+	})
+	b.Run(fmt.Sprintf("many=%d", maxDepositBatch), func(b *testing.B) {
+		alice, ids := depositBenchCoins(b, b.N)
+		b.ResetTimer()
+		for len(ids) > 0 {
+			n := min(len(ids), maxDepositBatch)
+			outcomes, err := alice.DepositMany(ids[:n], "payout:bench")
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, id := range ids {
-				if err := alice.IssueTo(alice.Addr(), id); err != nil {
+			for _, err := range outcomes {
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
-
-			const workers = 64
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(ids) {
-							return
-						}
-						if err := alice.Deposit(ids[i], "payout:bench"); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-		})
-	}
+			ids = ids[n:]
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "deposits/s")
+	})
 }

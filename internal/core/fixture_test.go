@@ -54,8 +54,6 @@ type fixtureOpts struct {
 	// client lease cache for the cluster, the broker, and every peer
 	// (DESIGN.md §14). Nil keeps the legacy single-copy DHT.
 	dhtReplication *replica.Config
-
-	depositBatch *DepositBatchConfig // broker deposit batching (nil: off)
 }
 
 type fixture struct {
@@ -131,16 +129,15 @@ func newFixture(t testing.TB, opts fixtureOpts) *fixture {
 	}
 
 	f.brokerCfg = BrokerConfig{
-		Network:      f.net,
-		Addr:         "broker",
-		Scheme:       f.scheme,
-		Clock:        f.clock.Now,
-		Directory:    f.dir,
-		GroupPub:     judge.GroupPublicKey(),
-		DHTNodes:     dhtAddrs,
-		Persistence:  opts.persist,
-		Obs:          opts.obs,
-		DepositBatch: opts.depositBatch,
+		Network:     f.net,
+		Addr:        "broker",
+		Scheme:      f.scheme,
+		Clock:       f.clock.Now,
+		Directory:   f.dir,
+		GroupPub:    judge.GroupPublicKey(),
+		DHTNodes:    dhtAddrs,
+		Persistence: opts.persist,
+		Obs:         opts.obs,
 
 		DHTReplication: opts.dhtReplication,
 	}

@@ -411,30 +411,11 @@ func (p *Peer) Deposit(id coin.ID, payoutRef string) error {
 }
 
 func (p *Peer) deposit(id coin.ID, payoutRef string) error {
-	hc, ok := p.held.Get(id)
-	if !ok {
-		return ErrUnknownCoin
-	}
-	hc.mu.Lock()
-	binding := hc.binding.Clone()
-	hc.mu.Unlock()
-
-	msg := depositMessage(hc.c.Pub, payoutRef, binding.Seq)
-	holderSig, err := p.suite.Sign(hc.holderKeys.Private, msg)
+	req, err := p.depositRequest(id, payoutRef)
 	if err != nil {
-		return fmt.Errorf("core: signing deposit: %w", err)
+		return err
 	}
-	gs, err := p.member.Sign(p.suite, msg)
-	if err != nil {
-		return fmt.Errorf("core: group-signing deposit: %w", err)
-	}
-	raw, err := p.callBroker(string(hc.c.Pub), DepositRequest{
-		CoinPub:          hc.c.Pub.Clone(),
-		PayoutRef:        payoutRef,
-		HolderSig:        holderSig,
-		GroupSig:         gs,
-		PresentedBinding: binding,
-	})
+	raw, err := p.callBroker(string(req.CoinPub), req)
 	if err != nil {
 		return fmt.Errorf("core: deposit: %w", err)
 	}
@@ -448,14 +429,43 @@ func (p *Peer) deposit(id coin.ID, payoutRef string) error {
 	return nil
 }
 
-// DepositMany redeems several held coins in one broker round trip
-// (BatchDepositRequest): the broker verifies the whole group with one
-// signature-batch fan-out and commits it under one atomic journal append.
-// Outcomes come back positionally — outcomes[i] is nil when ids[i] was
+// depositRequest signs a deposit of held coin id to payoutRef with the
+// coin's holder key and the peer's group credential.
+func (p *Peer) depositRequest(id coin.ID, payoutRef string) (DepositRequest, error) {
+	hc, ok := p.held.Get(id)
+	if !ok {
+		return DepositRequest{}, ErrUnknownCoin
+	}
+	hc.mu.Lock()
+	binding := hc.binding.Clone()
+	hc.mu.Unlock()
+
+	msg := depositMessage(hc.c.Pub, payoutRef, binding.Seq)
+	holderSig, err := p.suite.Sign(hc.holderKeys.Private, msg)
+	if err != nil {
+		return DepositRequest{}, fmt.Errorf("core: signing deposit: %w", err)
+	}
+	gs, err := p.member.Sign(p.suite, msg)
+	if err != nil {
+		return DepositRequest{}, fmt.Errorf("core: group-signing deposit: %w", err)
+	}
+	return DepositRequest{
+		CoinPub:          hc.c.Pub.Clone(),
+		PayoutRef:        payoutRef,
+		HolderSig:        holderSig,
+		GroupSig:         gs,
+		PresentedBinding: binding,
+	}, nil
+}
+
+// DepositMany redeems several held coins, one BatchDepositRequest per 64
+// coins (and, under federation, per shard): the broker verifies each
+// request's group with one signature-batch fan-out and commits it under one
+// atomic journal append. Outcomes come back positionally — outcomes[i] is nil when ids[i] was
 // credited, and unwraps to the broker's protocol sentinel otherwise. The
 // call-level error covers transport failure or a malformed response only.
 func (p *Peer) DepositMany(ids []coin.ID, payoutRef string) ([]error, error) {
-	sp := p.instr.Begin("deposit-batch")
+	sp := p.instr.Begin("deposit-many")
 	outcomes, err := p.depositMany(ids, payoutRef)
 	p.instr.End(sp, err)
 	return outcomes, err
@@ -467,40 +477,31 @@ func (p *Peer) depositMany(ids []coin.ID, payoutRef string) ([]error, error) {
 	}
 	reqs := make([]DepositRequest, len(ids))
 	for i, id := range ids {
-		hc, ok := p.held.Get(id)
-		if !ok {
-			return nil, fmt.Errorf("%w: batch entry %d", ErrUnknownCoin, i)
-		}
-		hc.mu.Lock()
-		binding := hc.binding.Clone()
-		hc.mu.Unlock()
-		msg := depositMessage(hc.c.Pub, payoutRef, binding.Seq)
-		holderSig, err := p.suite.Sign(hc.holderKeys.Private, msg)
+		req, err := p.depositRequest(id, payoutRef)
 		if err != nil {
-			return nil, fmt.Errorf("core: signing batch deposit: %w", err)
+			return nil, fmt.Errorf("batch entry %d: %w", i, err)
 		}
-		gs, err := p.member.Sign(p.suite, msg)
-		if err != nil {
-			return nil, fmt.Errorf("core: group-signing batch deposit: %w", err)
-		}
-		reqs[i] = DepositRequest{
-			CoinPub:          hc.c.Pub.Clone(),
-			PayoutRef:        payoutRef,
-			HolderSig:        holderSig,
-			GroupSig:         gs,
-			PresentedBinding: binding,
-		}
+		reqs[i] = req
 	}
 	// Under federation the coins home on different shards: group the batch
-	// by shard, one request per shard leader, and stitch the outcomes back
-	// positionally. Unfederated, everything lands in one group (shard 0).
+	// by shard, one request per shard leader and at most maxDepositBatch
+	// entries, and stitch the outcomes back positionally. Unfederated,
+	// everything lands in shard 0.
 	groups := map[int][]int{}
 	for i := range reqs {
 		shard := p.shardOf(string(reqs[i].CoinPub))
 		groups[shard] = append(groups[shard], i)
 	}
-	outcomes := make([]error, len(ids))
+	var chunks [][]int
 	for _, idxs := range groups {
+		for len(idxs) > maxDepositBatch {
+			chunks = append(chunks, idxs[:maxDepositBatch])
+			idxs = idxs[maxDepositBatch:]
+		}
+		chunks = append(chunks, idxs)
+	}
+	outcomes := make([]error, len(ids))
+	for _, idxs := range chunks {
 		greqs := make([]DepositRequest, len(idxs))
 		for j, i := range idxs {
 			greqs[j] = reqs[i]
@@ -540,36 +541,14 @@ func (p *Peer) depositMany(ids []coin.ID, payoutRef string) ([]error, error) {
 // The first deposit's error (if any) is returned as first with no replay
 // attempted; otherwise replay carries the broker's verdict on the copy.
 func (p *Peer) DepositTwice(id coin.ID, payoutRef string) (first, replay error) {
-	hc, ok := p.held.Get(id)
-	if !ok {
-		return ErrUnknownCoin, nil
+	req, err := p.depositRequest(id, payoutRef)
+	if err != nil {
+		return err, nil
 	}
-	hc.mu.Lock()
-	binding := hc.binding.Clone()
-	hc.mu.Unlock()
-	coinPub := hc.c.Pub.Clone()
-	holderKeys := hc.holderKeys
-
 	if first = p.Deposit(id, payoutRef); first != nil {
 		return first, nil
 	}
-
-	msg := depositMessage(coinPub, payoutRef, binding.Seq)
-	holderSig, err := p.suite.Sign(holderKeys.Private, msg)
-	if err != nil {
-		return nil, fmt.Errorf("core: signing deposit replay: %w", err)
-	}
-	gs, err := p.member.Sign(p.suite, msg)
-	if err != nil {
-		return nil, fmt.Errorf("core: group-signing deposit replay: %w", err)
-	}
-	_, replay = p.callBroker(string(coinPub), DepositRequest{
-		CoinPub:          coinPub,
-		PayoutRef:        payoutRef,
-		HolderSig:        holderSig,
-		GroupSig:         gs,
-		PresentedBinding: binding,
-	})
+	_, replay = p.callBroker(string(req.CoinPub), req)
 	return nil, replay
 }
 

@@ -23,6 +23,16 @@ import (
 // serial fails closed before any group crypto runs (and before any memoized
 // result could be consulted).
 func verifyHolderAndGroup(suite sig.Suite, gsv *groupsig.Verifier, groupPub, holder sig.PublicKey, msg, holderSig []byte, gs groupsig.Signature) error {
+	if err := precheckHolderAndGroup(suite, gsv, holder, msg, holderSig, gs); err != nil {
+		return err
+	}
+	jobs := appendHolderAndGroupJobs(make([]sig.VerifyJob, 0, 3), groupPub, holder, msg, holderSig, gs)
+	return holderAndGroupErr(sig.VerifyBatch(suite.Scheme, jobs))
+}
+
+// precheckHolderAndGroup is verifyHolderAndGroup's part before the batch:
+// it records the pair's micro-ops and fails a revoked credential closed.
+func precheckHolderAndGroup(suite sig.Suite, gsv *groupsig.Verifier, holder sig.PublicKey, msg, holderSig []byte, gs groupsig.Signature) error {
 	if suite.Rec != nil {
 		suite.Rec.RecordVerify()
 		suite.Rec.RecordGroupVerify()
@@ -35,11 +45,22 @@ func verifyHolderAndGroup(suite sig.Suite, gsv *groupsig.Verifier, groupPub, hol
 		return fmt.Errorf("%w: group signature: %v", ErrBadRequest,
 			fmt.Errorf("%w: serial %d", groupsig.ErrCredentialRevoked, gs.Cred.Serial))
 	}
-	errs := sig.VerifyBatch(suite.Scheme, []sig.VerifyJob{
-		{Pub: holder, Msg: msg, Sig: holderSig},
-		{Pub: groupPub, Msg: groupsig.CredentialMessage(gs.Cred.Serial, gs.Cred.Pub), Sig: gs.Cred.Cert},
-		{Pub: gs.Cred.Pub, Msg: msg, Sig: gs.Sig},
-	})
+	return nil
+}
+
+// appendHolderAndGroupJobs appends the pair's three checks to dst: holder
+// signature, judge certificate on the credential, credential signature.
+func appendHolderAndGroupJobs(dst []sig.VerifyJob, groupPub, holder sig.PublicKey, msg, holderSig []byte, gs groupsig.Signature) []sig.VerifyJob {
+	return append(dst,
+		sig.VerifyJob{Pub: holder, Msg: msg, Sig: holderSig},
+		sig.VerifyJob{Pub: groupPub, Msg: groupsig.CredentialMessage(gs.Cred.Serial, gs.Cred.Pub), Sig: gs.Cred.Cert},
+		sig.VerifyJob{Pub: gs.Cred.Pub, Msg: msg, Sig: gs.Sig},
+	)
+}
+
+// holderAndGroupErr maps the three checks' errors, in
+// appendHolderAndGroupJobs order, to the first failure by precedence.
+func holderAndGroupErr(errs []error) error {
 	if errs[0] != nil {
 		return fmt.Errorf("%w: %v", ErrNotHolder, errs[0])
 	}

@@ -18,24 +18,23 @@ const ReportSchema = "whopay/bench-load/v1"
 // revision and no timestamps — artifacts must be byte-comparable across
 // reruns of the same tree.
 type ConfigEcho struct {
-	Actors       int     `json:"actors"`
-	WarmCoins    int     `json:"warm_coins"`
-	HotCoins     int     `json:"hot_coins,omitempty"`
-	Detection    bool    `json:"detection"`
-	DHTNodes     int     `json:"dht_nodes,omitempty"`
-	Faults       bool    `json:"faults"`
-	Seed         int64   `json:"seed"`
-	Rate         float64 `json:"rate_ops_per_sec"`
-	Ops          int     `json:"ops,omitempty"`
-	DurationSec  float64 `json:"duration_sec,omitempty"`
-	Scheme       string  `json:"scheme"`
-	WAL          bool    `json:"wal"`
-	Fsync        string  `json:"fsync,omitempty"`
-	Channels     int     `json:"channels,omitempty"`
-	DepositBatch int     `json:"deposit_batch,omitempty"`
-	Shards       int     `json:"shards,omitempty"`
-	Replicas     int     `json:"replicas,omitempty"`
-	LeaseTTLMs   float64 `json:"lease_ttl_ms,omitempty"`
+	Actors      int     `json:"actors"`
+	WarmCoins   int     `json:"warm_coins"`
+	HotCoins    int     `json:"hot_coins,omitempty"`
+	Detection   bool    `json:"detection"`
+	DHTNodes    int     `json:"dht_nodes,omitempty"`
+	Faults      bool    `json:"faults"`
+	Seed        int64   `json:"seed"`
+	Rate        float64 `json:"rate_ops_per_sec"`
+	Ops         int     `json:"ops,omitempty"`
+	DurationSec float64 `json:"duration_sec,omitempty"`
+	Scheme      string  `json:"scheme"`
+	WAL         bool    `json:"wal"`
+	Fsync       string  `json:"fsync,omitempty"`
+	Channels    int     `json:"channels,omitempty"`
+	Shards      int     `json:"shards,omitempty"`
+	Replicas    int     `json:"replicas,omitempty"`
+	LeaseTTLMs  float64 `json:"lease_ttl_ms,omitempty"`
 	// DHTNWR echoes the DHT replication quorum as "N/W/R"; empty when the
 	// run used the legacy single-copy cluster.
 	DHTNWR     string `json:"dht_nwr,omitempty"`
@@ -175,26 +174,25 @@ func BuildReport(r *Run, res Result, audit Audit) Report {
 		Scenario: sc.Name,
 		Summary:  sc.Summary,
 		Config: ConfigEcho{
-			Actors:       w.cfg.Actors,
-			WarmCoins:    w.cfg.WarmCoins,
-			HotCoins:     w.cfg.HotCoins,
-			Detection:    w.cfg.Detection,
-			DHTNodes:     w.cfg.DHTNodes,
-			Faults:       w.cfg.Faults,
-			Seed:         rc.Seed,
-			Rate:         rc.Rate,
-			Ops:          rc.Ops,
-			DurationSec:  rc.Duration.Seconds(),
-			Scheme:       w.cfg.Scheme.Name(),
-			WAL:          w.cfg.WALDir != "",
-			Fsync:        walPolicyName(w),
-			Channels:     w.cfg.Channels,
-			DepositBatch: w.cfg.DepositBatch,
-			Shards:       w.cfg.Shards,
-			Replicas:     w.cfg.Replicas,
-			LeaseTTLMs:   ms(w.cfg.LeaseTTL),
-			DHTNWR:       dhtNWR(w),
-			DHTPersist:   w.cfg.DHTPersist,
+			Actors:      w.cfg.Actors,
+			WarmCoins:   w.cfg.WarmCoins,
+			HotCoins:    w.cfg.HotCoins,
+			Detection:   w.cfg.Detection,
+			DHTNodes:    w.cfg.DHTNodes,
+			Faults:      w.cfg.Faults,
+			Seed:        rc.Seed,
+			Rate:        rc.Rate,
+			Ops:         rc.Ops,
+			DurationSec: rc.Duration.Seconds(),
+			Scheme:      w.cfg.Scheme.Name(),
+			WAL:         w.cfg.WALDir != "",
+			Fsync:       walPolicyName(w),
+			Channels:    w.cfg.Channels,
+			Shards:      w.cfg.Shards,
+			Replicas:    w.cfg.Replicas,
+			LeaseTTLMs:  ms(w.cfg.LeaseTTL),
+			DHTNWR:      dhtNWR(w),
+			DHTPersist:  w.cfg.DHTPersist,
 		},
 		Interrupted: res.Stopped,
 		Scheduled:   res.Scheduled,

@@ -33,16 +33,15 @@ type Scenario struct {
 	Name    string
 	Summary string
 
-	Detection    bool
-	DHTNodes     int
-	WarmCoins    int
-	HotCoins     int
-	Channels     int
-	DepositBatch int
-	Faults       bool
-	Shards       int
-	Replicas     int
-	LeaseTTL     time.Duration
+	Detection bool
+	DHTNodes  int
+	WarmCoins int
+	HotCoins  int
+	Channels  int
+	Faults    bool
+	Shards    int
+	Replicas  int
+	LeaseTTL  time.Duration
 
 	// DHTReplication turns on the DHT quorum/anti-entropy subsystem and
 	// DHTPersist journals the nodes (node-kill events need restartable
@@ -90,9 +89,6 @@ func (s *Scenario) WorldConfig(base WorldConfig) WorldConfig {
 	base.WarmCoins = s.WarmCoins
 	base.HotCoins = s.HotCoins
 	base.Channels = s.Channels
-	if base.DepositBatch == 0 {
-		base.DepositBatch = s.DepositBatch // a CLI override wins
-	}
 	base.Faults = s.Faults
 	base.Shards = s.Shards
 	base.Replicas = s.Replicas
@@ -191,10 +187,9 @@ func Scenarios() []*Scenario {
 		{
 			Name: "micropay",
 			Summary: "micropayment channels — paywords on the hot path, windows settled in " +
-				"single WhoPay payments, broker deposits batched",
-			WarmCoins:    2,
-			Channels:     8,
-			DepositBatch: 16,
+				"single WhoPay payments, each broker deposit its own flush",
+			WarmCoins: 2,
+			Channels:  8,
 			Mix: []WeightedOp{
 				{Name: "channel-pay", Weight: 70, Do: (*World).OpChannelPay},
 				{Name: "channel-settle", Weight: 8, Do: (*World).OpChannelSettle},

@@ -66,9 +66,6 @@ type WorldConfig struct {
 	// many payer→vendor channels and the channel verbs keep the pool
 	// stocked as windows exhaust and recycle (0: no channels).
 	Channels int
-	// DepositBatch enables the broker's deposit-batching stage with this
-	// flush size (0: off — every deposit takes the sequential path).
-	DepositBatch int
 	// Shards and Replicas, when either exceeds 1, replace the single
 	// broker with a federated cluster: Shards trust-root partitions, each
 	// Replicas-wide with WAL-streamed mirrors and lease failover. Actors
@@ -327,10 +324,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		dhtAddrs = w.Cluster.Addrs()
 	}
 
-	var depositBatch *core.DepositBatchConfig
-	if cfg.DepositBatch > 0 {
-		depositBatch = &core.DepositBatchConfig{MaxBatch: cfg.DepositBatch}
-	}
 	if cfg.Shards > 1 || cfg.Replicas > 1 {
 		// Federated trust root. Mirror replication is the log, so the
 		// cluster always journals: under WALDir when the run persists,
@@ -357,7 +350,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 				GroupPub:       judge.GroupPublicKey(),
 				DHTNodes:       dhtAddrs,
 				DHTReplication: cfg.DHTReplication,
-				DepositBatch:   depositBatch,
 			},
 			Wal:      wal.Config{Dir: fedRoot, Policy: cfg.Fsync},
 			LeaseTTL: cfg.LeaseTTL,
@@ -395,7 +387,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 			DHTReplication: cfg.DHTReplication,
 			Persistence:    brokerWAL,
 			Obs:            cfg.Reg,
-			DepositBatch:   depositBatch,
 		})
 		if err != nil {
 			w.Close()

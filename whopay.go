@@ -93,10 +93,6 @@ type (
 	// Peer.ChannelPay: the vendor-reported unsettled balance and, on
 	// lottery channels, whether this payment's ticket won.
 	ChannelReceipt = core.ChannelReceipt
-	// DepositBatchConfig enables the broker's deposit-batching stage;
-	// set it as BrokerConfig.DepositBatch (nil keeps the exact
-	// sequential deposit path). See DESIGN.md §12.
-	DepositBatchConfig = core.DepositBatchConfig
 )
 
 // DefaultChannelCapacity is the chain length used when
