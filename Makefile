@@ -87,10 +87,16 @@ load-failover:
 # ring with one node crash-stopped mid-run and recovered by anti-entropy.
 # The strict gate plus the audit require zero double-spends, zero stale
 # quorum reads, and digest parity across the replica set before the run
-# ends; BENCH_load_dht_node_kill.json lands under bench-out/.
+# ends; BENCH_load_dht_node_kill.json lands under bench-out/. Then the
+# churn and replay profiles, whose detection DHT runs the same 3/2/2
+# quorums, under the same gate and convergence audit.
 load-dht:
 	$(GO) run ./cmd/whopay-bench -load -scenario dht-node-kill \
 		-actors 24 -rate 120/s -load-duration 15s -strict -out bench-out
+	$(GO) run ./cmd/whopay-bench -load -scenario mass-downtime \
+		-actors 24 -rate 120/s -load-duration 10s -strict -out bench-out
+	$(GO) run ./cmd/whopay-bench -load -scenario double-spend-flood \
+		-actors 24 -rate 120/s -load-duration 10s -strict -out bench-out
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -163,12 +169,12 @@ bench-deposit:
 	$(GO) test ./internal/core/ -run '^$$' \
 		-bench BenchmarkDepositBatch -benchtime 1000x -count 3
 
-# Hot-coin read path, three ways: lease-cached quorum reads, uncached
-# quorum reads, and the legacy single-copy read — plus quorum vs legacy
-# put. Reference numbers live in results/dht_replica_bench.txt.
+# Hot-coin read path, two ways: lease-cached and uncached quorum reads —
+# plus the quorum put. Reference numbers live in
+# results/dht_replica_bench.txt.
 bench-dht:
 	$(GO) test ./internal/dht/ -run '^$$' \
-		-bench 'BenchmarkGetHot|BenchmarkQuorumPut|BenchmarkSingleCopyPut' \
+		-bench 'BenchmarkGetHot|BenchmarkQuorumPut' \
 		-benchtime 1s -count 3
 
 # Goroutine-sweep benchmarks for the sharded state store: broker purchase

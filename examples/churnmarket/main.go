@@ -36,7 +36,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer broker.Close()
-	cluster, err := whopay.NewDHTCluster(net, scheme, 4, 2, broker.PublicKey())
+	// Each binding lives on 3 of the 4 DHT nodes (2-of-3 write and read
+	// quorums), so the watchers keep working whichever node is asked.
+	cluster, err := whopay.NewDHTCluster(net, scheme, 4, broker.PublicKey())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,8 @@ func main() {
 	net := whopay.NewMemoryNetwork()
 
 	// Trusted infrastructure: the judge (fairness), the directory (PKI),
-	// the broker (mint), and the DHT (public binding list).
+	// the broker (mint), and the DHT (public binding list, each binding
+	// on 3 of the 4 nodes with 2-of-3 write and read quorums).
 	judge, err := whopay.NewJudge(scheme)
 	if err != nil {
 		log.Fatal(err)
@@ -35,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer broker.Close()
-	cluster, err := whopay.NewDHTCluster(net, scheme, 4, 2, broker.PublicKey())
+	cluster, err := whopay.NewDHTCluster(net, scheme, 4, broker.PublicKey())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -207,6 +207,15 @@ func TestMuxMetrics(t *testing.T) {
 	check(cliReg, "whopay_tcpbus_dials_total", 1)
 	check(cliReg, "whopay_tcpbus_reconnects_total", 0)
 	check(cliReg, "whopay_tcpbus_outbound_conns", 1)
+	// The writer goroutine counts a batch after its flush returns, which
+	// can be after the reply already reached the caller; wait for it.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		if v, _ := cliReg.Value("whopay_tcpbus_frames_tx_total", nil); v >= calls || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 	check(cliReg, "whopay_tcpbus_frames_tx_total", calls)
 	check(cliReg, "whopay_tcpbus_frames_rx_total", calls)
 	check(srvReg, "whopay_tcpbus_open_conns", 1)

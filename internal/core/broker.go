@@ -54,8 +54,8 @@ type BrokerConfig struct {
 	DHTNodes []bus.Address
 	// DHTMode selects client routing (default OneHop).
 	DHTMode dht.Mode
-	// DHTReplication turns on quorum reads/writes on the broker's DHT
-	// client (DESIGN.md §14). Nil keeps the legacy single-copy paths.
+	// DHTReplication sets the quorums of the broker's DHT client
+	// (DESIGN.md §14). Nil means the replica.Config defaults.
 	DHTReplication *replica.Config
 	// InitialCredit, when positive, funds every identity's account with
 	// this amount and makes purchases debit it. Deposits credit the

@@ -50,9 +50,9 @@ type fixtureOpts struct {
 	persist    *wal.Config      // broker durability (nil: in-memory broker)
 	dhtPersist *wal.Config      // DHT node durability (nil: in-memory nodes)
 
-	// dhtReplication turns on quorum reads/writes, anti-entropy, and the
-	// client lease cache for the cluster, the broker, and every peer
-	// (DESIGN.md §14). Nil keeps the legacy single-copy DHT.
+	// dhtReplication sets the DHT quorums, sweep, and lease TTL for the
+	// cluster, the broker, and every peer (DESIGN.md §14). Nil means the
+	// replica.Config defaults.
 	dhtReplication *replica.Config
 }
 
@@ -153,7 +153,6 @@ func newFixture(t testing.TB, opts fixtureOpts) *fixture {
 			Network:     f.net,
 			Scheme:      f.scheme,
 			Nodes:       opts.dhtNodes,
-			Replicas:    2,
 			Trusted:     []sig.PublicKey{broker.PublicKey()},
 			Persistence: opts.dhtPersist,
 			Replication: opts.dhtReplication,

@@ -91,9 +91,9 @@ type PeerConfig struct {
 	// DHTNodes enables the public binding list; empty disables.
 	DHTNodes []bus.Address
 	DHTMode  dht.Mode
-	// DHTReplication turns on quorum reads/writes and the hot-coin lease
-	// cache on the peer's DHT client (DESIGN.md §14). Nil keeps the legacy
-	// single-copy paths.
+	// DHTReplication sets the quorums and the hot-coin lease TTL of the
+	// peer's DHT client (DESIGN.md §14). Nil means the replica.Config
+	// defaults.
 	DHTReplication *replica.Config
 	// PublishBindings controls whether this peer, as an owner, publishes
 	// binding updates to the DHT.
@@ -418,7 +418,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 			s := p.cache.Stats()
 			return s.Hits, s.Misses, s.KeyHits, s.KeyMisses
 		})
-		if p.dhtc != nil && cfg.DHTReplication != nil {
+		if p.dhtc != nil {
 			cfg.Obs.Help("whopay_dht_lease_hits_total", "DHT lease cache hits, by entity.")
 			cfg.Obs.CounterFunc("whopay_dht_lease_hits_total", obs.Labels{"entity": cfg.ID},
 				func() int64 { h, _, _, _ := p.dhtc.LeaseStats(); return int64(h) })

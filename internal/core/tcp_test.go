@@ -64,11 +64,10 @@ func newTCPWorld(t *testing.T, scheme sig.Scheme, opts tcpWorldOpts) *tcpWorld {
 	var cluster *dht.Cluster
 	if opts.detection {
 		cluster, err = dht.NewClusterWithConfig(dht.ClusterConfig{
-			Network:  w.network,
-			Scheme:   scheme,
-			Nodes:    3,
-			Replicas: 2,
-			AddrFor:  func(int) bus.Address { return "127.0.0.1:0" },
+			Network: w.network,
+			Scheme:  scheme,
+			Nodes:   3,
+			AddrFor: func(int) bus.Address { return "127.0.0.1:0" },
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -36,7 +36,7 @@ func wireMessages() []any {
 		FraudReport{}, FraudResponse{},
 		DisputeRequest{}, DisputeResponse{},
 		RelinquishProof{},
-		dht.PutMsg{}, dht.GetMsg{}, dht.GetResp{},
+		dht.PutMsg{},
 		dht.FindMsg{}, dht.FindResp{},
 		dht.SubMsg{}, dht.Notify{}, dht.Ack{},
 		dht.QuorumPutMsg{}, dht.QuorumAck{},
@@ -113,13 +113,21 @@ func FuzzWireDecodeRegistered(f *testing.F) {
 	RegisterWireTypes()
 	entries := wire.Entries()
 	// Seed with each type's canonical encoding of a filled value.
+	var first []byte
 	for _, e := range entries {
 		if enc, err := e.Enc(nil, filled(reflect.Zero(e.Type).Interface())); err == nil {
 			f.Add(enc)
+			if first == nil {
+				first = enc
+			}
 		}
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	// A canonical encoding cut short by one byte, and one with a stray
+	// trailing byte, to reach the decoders' length and trailing-byte checks.
+	f.Add(first[:len(first)-1])
+	f.Add(append(append([]byte(nil), first...), 0x00))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, e := range entries {
 			v, err := wire.Decode(e.Tag, data)

@@ -36,15 +36,16 @@ type Client struct {
 	ring   []nodeRef
 	mode   Mode
 
-	// Replication (DESIGN.md §14): nil rep keeps the legacy single-read
-	// single-write paths and error shapes exact.
-	rep      *replica.Config
+	// Replication (DESIGN.md §14): the normalized quorums and the
+	// hot-coin lease cache.
+	rep      replica.Config
 	leases   *replica.LeaseCache
 	repaired atomic.Uint64 // stale replicas back-filled by read-repair
 }
 
-// NewClient builds a client over the given node membership. Node IDs are
-// derived from addresses, so no network round-trip is needed.
+// NewClient builds a client over the given node membership at the default
+// quorums (see WithReplication). Node IDs are derived from addresses, so no
+// network round-trip is needed.
 func NewClient(ep bus.Endpoint, nodes []bus.Address, mode Mode) (*Client, error) {
 	if len(nodes) == 0 {
 		return nil, ErrNoNodes
@@ -54,7 +55,8 @@ func NewClient(ep bus.Endpoint, nodes []bus.Address, mode Mode) (*Client, error)
 		ring = append(ring, nodeRef{id: keyForAddr(addr), addr: addr})
 	}
 	sort.Slice(ring, func(i, j int) bool { return ring[i].id.Less(ring[j].id) })
-	return &Client{ep: ep, caller: ep, ring: ring, mode: mode}, nil
+	c := &Client{ep: ep, caller: ep, ring: ring, mode: mode}
+	return c.WithReplication(replica.Config{}), nil
 }
 
 // WithRetry wraps the client's per-node calls in the given retry policy
@@ -143,14 +145,10 @@ func (c *Client) callWithFallback(key Key, msg any) (any, error) {
 	return nil, fmt.Errorf("%w: all replicas failed: %v", ErrLookupFailed, lastErr)
 }
 
-// Put writes a signed record. With replication configured, the write goes
-// through the quorum path: the coordinator acks only after W replicas
-// committed, and this client's lease cache adopts the written record.
+// Put writes a signed record through the quorum path: the coordinator acks
+// only after W replicas committed, and this client's lease cache adopts the
+// written record.
 func (c *Client) Put(rec Record) error {
-	if c.rep == nil {
-		_, err := c.callWithFallback(rec.Key, PutMsg{Rec: rec})
-		return err
-	}
 	_, err := c.callWithFallback(rec.Key, QuorumPutMsg{Rec: rec})
 	if err != nil {
 		c.leases.Invalidate([32]byte(rec.Key))
@@ -160,22 +158,11 @@ func (c *Client) Put(rec Record) error {
 	return nil
 }
 
-// Get reads the record at key. With replication configured this is a
-// quorum read — R replicas consulted in parallel, highest version wins,
-// stale replicas back-filled asynchronously — fronted by the TTL lease
-// cache that serves repeated reads of a hot binding locally.
+// Get reads the record at key: a quorum read — the replica set consulted
+// in parallel, highest version wins, stale replicas back-filled
+// asynchronously — fronted by the TTL lease cache that serves repeated
+// reads of a hot binding locally.
 func (c *Client) Get(key Key) (Record, bool, error) {
-	if c.rep == nil {
-		resp, err := c.callWithFallback(key, GetMsg{Key: key})
-		if err != nil {
-			return Record{}, false, err
-		}
-		gr, ok := resp.(GetResp)
-		if !ok {
-			return Record{}, false, fmt.Errorf("dht: unexpected response %T", resp)
-		}
-		return gr.Rec, gr.Found, nil
-	}
 	if v, ok := c.leases.Get([32]byte(key)); ok {
 		return v.(Record), true, nil
 	}

@@ -11,14 +11,13 @@ import (
 
 // Client-side quorum reads and the hot-coin lease cache (DESIGN.md §14).
 
-// WithReplication turns on the client's quorum read/write paths and lease
-// cache. The config is normalized against the known membership, so W+R > N
-// holds even if the caller hand-tuned the numbers. Call before concurrent
-// use; returns the client for chaining.
+// WithReplication replaces the client's quorums and lease cache (NewClient
+// installs the defaults). The config is normalized against the known
+// membership, so W+R > N holds even if the caller hand-tuned the numbers.
+// Call before concurrent use; returns the client for chaining.
 func (c *Client) WithReplication(cfg replica.Config) *Client {
-	norm := cfg.WithDefaults(len(c.ring))
-	c.rep = &norm
-	c.leases = replica.NewLeaseCache(norm.LeaseTTL, norm.LeaseCap)
+	c.rep = cfg.WithDefaults(len(c.ring))
+	c.leases = replica.NewLeaseCache(c.rep.LeaseTTL, c.rep.LeaseCap)
 	return c
 }
 
@@ -32,11 +31,12 @@ type probe struct {
 	err     error
 }
 
-// quorumGet reads key from R replicas in parallel: the first replica is
-// asked for the full record (with a lease grant), the rest for version
-// digests. The highest version wins; replicas that answered stale or empty
-// are back-filled asynchronously with the winner (read-repair). Fails with
-// ErrQuorumFailed when fewer than R replicas answer.
+// quorumGet probes all N replicas of key in parallel and waits for every
+// answer: the first replica is asked for the full record (with a lease
+// grant), the rest for version digests. The highest version wins; replicas
+// that answered stale or empty are back-filled asynchronously with the
+// winner (read-repair). Fails with ErrQuorumFailed when fewer than R
+// replicas answer.
 func (c *Client) quorumGet(key Key) (Record, bool, error) {
 	members := c.responsible(key)
 	if len(members) > c.rep.N {
@@ -90,8 +90,9 @@ func (c *Client) quorumGet(key Key) (Record, bool, error) {
 	}
 	rec := *win.rec
 	c.repairStale(key, rec, probes)
-	grant := time.Duration(win.grantMs) * time.Millisecond
-	c.leases.Put([32]byte(key), rec, rec.Version, grant)
+	if win.grantMs > 0 { // 0: the node granted no lease
+		c.leases.Put([32]byte(key), rec, rec.Version, time.Duration(win.grantMs)*time.Millisecond)
+	}
 	return rec, true, nil
 }
 
@@ -143,7 +144,7 @@ func (c *Client) repairStale(key Key, winner Record, probes []probe) {
 		addr := p.addr
 		c.repaired.Add(1)
 		go func() {
-			_, _ = c.caller.Call(addr, PutMsg{Rec: winner, NoReplicate: true})
+			_, _ = c.caller.Call(addr, PutMsg{Rec: winner})
 		}()
 	}
 }
@@ -151,30 +152,22 @@ func (c *Client) repairStale(key Key, winner Record, probes []probe) {
 // ObserveNotify feeds a watch notification into the lease cache: the
 // freshest possible view of the binding, delivered by the node itself, so
 // the cache entry is refreshed (or created) rather than waiting out its
-// TTL with stale data. No-op without replication.
+// TTL with stale data.
 func (c *Client) ObserveNotify(rec Record) {
-	if c.leases == nil {
-		return
-	}
 	c.leases.Put([32]byte(rec.Key), rec, rec.Version, 0)
 }
 
 // InvalidateLease drops key's cached record (e.g. after a failed write
-// left its state uncertain). No-op without replication.
+// left its state uncertain).
 func (c *Client) InvalidateLease(key Key) {
-	if c.leases != nil {
-		c.leases.Invalidate([32]byte(key))
-	}
+	c.leases.Invalidate([32]byte(key))
 }
 
 // LeaseStats reports the lease cache's cumulative hits and misses, the
 // number of backwards-in-time records it refused (stale quorum reads
 // observed — must stay zero while a read quorum survives), and the stale
-// replicas read-repair back-filled. Zeros without replication.
+// replicas read-repair back-filled.
 func (c *Client) LeaseStats() (hits, misses, stale, repaired uint64) {
-	if c.leases == nil {
-		return 0, 0, 0, 0
-	}
 	hits, misses, stale = c.leases.Stats()
 	return hits, misses, stale, c.repaired.Load()
 }

@@ -116,18 +116,10 @@ func SignRecord(suite sig.Suite, kp sig.KeyPair, key Key, version uint64, value 
 
 // Wire messages, exported for their wire codecs (wire.go).
 type (
-	// PutMsg writes a record. NoReplicate marks replica fan-out writes.
-	PutMsg struct {
-		Rec         Record
-		NoReplicate bool
-	}
-	// GetMsg reads the record at Key.
-	GetMsg struct{ Key Key }
-	// GetResp answers GetMsg.
-	GetResp struct {
-		Rec   Record
-		Found bool
-	}
+	// PutMsg pushes a record to one replica: a quorum write's fan-out, a
+	// read-repair back-fill, or an anti-entropy push. The receiver
+	// validates and stores it; it neither fans out nor notifies.
+	PutMsg struct{ Rec Record }
 	// FindMsg asks a node for one Chord routing step toward Key.
 	FindMsg struct{ Key Key }
 	// FindResp answers FindMsg: the responsible node if Found, else the
@@ -190,9 +182,8 @@ type Node struct {
 	// Static routing state, wired by the cluster: the full sorted ring
 	// (successor/replica computation) and a log-sized finger table used
 	// to answer iterative lookups.
-	ring     []nodeRef
-	fingers  []nodeRef
-	replicas int
+	ring    []nodeRef
+	fingers []nodeRef
 
 	// Durability (nil/zero for in-memory nodes): the journal, the node
 	// epoch (immutable once serving), and the first journal failure.
@@ -205,9 +196,8 @@ type Node struct {
 	instr         *obs.Instr
 	lastForceSync atomic.Int64 // unix nanos of the epoch-fence force-sync at recovery
 
-	// Replication (DESIGN.md §14). rep is nil on legacy single-copy nodes,
-	// which keeps every behavior and error shape exactly as before.
-	rep       *replica.Config
+	// Replication (DESIGN.md §14): the cluster's normalized quorums.
+	rep       replica.Config
 	stopSweep chan struct{}
 	sweepWG   sync.WaitGroup
 
@@ -246,16 +236,11 @@ func (n *Node) dispatch(_ bus.Address, msg any) (any, error) {
 		resp, err := n.handleQuorumPut(m)
 		n.instr.End(sp, err)
 		return resp, err
-	case GetMsg:
-		sp := n.instr.Begin("serve-get")
-		rec, ok := n.store.Get(m.Key)
-		n.instr.End(sp, nil)
-		return GetResp{Rec: rec, Found: ok}, nil
 	case LeaseGetMsg:
 		sp := n.instr.Begin("serve-lease-get")
 		rec, ok := n.store.Get(m.Key)
 		n.instr.End(sp, nil)
-		return LeaseResp{Rec: rec, Found: ok, GrantMs: n.leaseGrantMs()}, nil
+		return LeaseResp{Rec: rec, Found: ok, GrantMs: uint32(n.rep.LeaseTTL / time.Millisecond)}, nil
 	case DigestMsg:
 		rec, ok := n.store.Get(m.Key)
 		return DigestResp{Found: ok, Version: rec.Version}, nil
@@ -307,19 +292,11 @@ func (n *Node) dispatch(_ bus.Address, msg any) (any, error) {
 	}
 }
 
+// handlePut stores a replica push. Client writes arrive as QuorumPutMsg;
+// the coordinator fans out and notifies, so a push does neither.
 func (n *Node) handlePut(m PutMsg) (any, error) {
-	accepted, rec, err := n.acceptRecord(m.Rec)
-	if err != nil {
+	if _, _, err := n.acceptRecord(m.Rec); err != nil {
 		return nil, err
-	}
-	if !accepted {
-		return Ack{}, nil // idempotent re-put
-	}
-	if !m.NoReplicate {
-		// Best-effort: a momentarily unreachable replica will be
-		// repaired by the next write (or by anti-entropy).
-		n.fanOut(n.otherReplicas(rec.Key), PutMsg{Rec: rec, NoReplicate: true})
-		n.notifyWatchers(rec)
 	}
 	return Ack{}, nil
 }
@@ -440,11 +417,11 @@ func (n *Node) successorOf(id Key) nodeRef {
 }
 
 // replicaSet returns the nodes responsible for key: its successor and the
-// following replicas-1 nodes.
+// following N-1 nodes.
 func (n *Node) replicaSet(key Key) []nodeRef {
-	out := make([]nodeRef, 0, n.replicas)
+	out := make([]nodeRef, 0, n.rep.N)
 	i := sort.Search(len(n.ring), func(i int) bool { return !n.ring[i].id.Less(key) })
-	for r := 0; r < n.replicas && r < len(n.ring); r++ {
+	for r := 0; r < n.rep.N && r < len(n.ring); r++ {
 		out = append(out, n.ring[(i+r)%len(n.ring)])
 	}
 	return out
@@ -469,10 +446,9 @@ type Cluster struct {
 
 // ClusterConfig configures a DHT cluster.
 type ClusterConfig struct {
-	Network  bus.Network
-	Scheme   sig.Scheme
-	Nodes    int
-	Replicas int
+	Network bus.Network
+	Scheme  sig.Scheme
+	Nodes   int
 	// Trusted writers may publish under any key (the broker, so downtime
 	// operations keep the public list current).
 	Trusted []sig.PublicKey
@@ -492,21 +468,18 @@ type ClusterConfig struct {
 	// check reporting each node's journal error and epoch-fence age. Nil
 	// (the default) keeps nodes byte-identical to uninstrumented ones.
 	Obs *obs.Registry
-	// Replication, when non-nil, turns on the quorum/anti-entropy
-	// subsystem (DESIGN.md §14): quorum writes commit on W of N replicas,
-	// every node runs a background digest sweep against its successor
-	// neighbors, and lease reads carry a grant. Overrides Replicas with
-	// its (defaulted) N. Nil keeps the legacy single-copy behavior and
-	// error shapes exact.
+	// Replication sets the quorum/anti-entropy parameters (DESIGN.md
+	// §14): quorum writes commit on W of N replicas, every node runs a
+	// background digest sweep against its successor neighbors, and lease
+	// reads carry a grant. Nil means the replica.Config defaults (3/2/2,
+	// clamped to the ring).
 	Replication *replica.Config
 }
 
-// NewCluster creates n nodes on net with the given replication factor and
+// NewCluster creates n nodes on net at the default quorums with the given
 // trusted writers, and wires their static routing tables.
-func NewCluster(net bus.Network, scheme sig.Scheme, n, replicas int, trusted ...sig.PublicKey) (*Cluster, error) {
-	return NewClusterWithConfig(ClusterConfig{
-		Network: net, Scheme: scheme, Nodes: n, Replicas: replicas, Trusted: trusted,
-	})
+func NewCluster(net bus.Network, scheme sig.Scheme, n int, trusted ...sig.PublicKey) (*Cluster, error) {
+	return NewClusterWithConfig(ClusterConfig{Network: net, Scheme: scheme, Nodes: n, Trusted: trusted})
 }
 
 // NewClusterWithConfig creates a cluster, optionally persistent.
@@ -514,17 +487,12 @@ func NewClusterWithConfig(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Nodes < 1 {
 		return nil, errors.New("dht: need at least one node")
 	}
-	if cfg.Replicas < 1 {
-		cfg.Replicas = 1
-	}
-	if cfg.Replicas > cfg.Nodes {
-		cfg.Replicas = cfg.Nodes
-	}
+	var rep replica.Config
 	if cfg.Replication != nil {
-		norm := cfg.Replication.WithDefaults(cfg.Nodes)
-		cfg.Replication = &norm
-		cfg.Replicas = norm.N
+		rep = *cfg.Replication
 	}
+	rep = rep.WithDefaults(cfg.Nodes)
+	cfg.Replication = &rep
 	c := &Cluster{cfg: cfg}
 	ring := make([]nodeRef, 0, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
@@ -579,15 +547,14 @@ func (c *Cluster) startNode(i int, override bus.Address) (*Node, error) {
 		entity = fmt.Sprintf("dht-%d", i)
 	}
 	node := &Node{
-		id:       keyForAddr(addr),
-		addr:     addr,
-		started:  make(chan struct{}),
-		scheme:   c.cfg.Scheme,
-		trusted:  trustSet,
-		store:    store.NewSharded[Key, Record](dhtShards, keyHash),
-		subs:     store.NewSharded[Key, map[bus.Address]bool](dhtShards, keyHash),
-		replicas: c.cfg.Replicas,
-		rep:      c.cfg.Replication,
+		id:      keyForAddr(addr),
+		addr:    addr,
+		started: make(chan struct{}),
+		scheme:  c.cfg.Scheme,
+		trusted: trustSet,
+		store:   store.NewSharded[Key, Record](dhtShards, keyHash),
+		subs:    store.NewSharded[Key, map[bus.Address]bool](dhtShards, keyHash),
+		rep:     *c.cfg.Replication,
 	}
 	node.instr = obs.NewInstr(c.cfg.Obs, entity)
 	if sub := c.cfg.Persistence.Sub(fmt.Sprintf("node-%d", i)); sub != nil {
@@ -607,7 +574,7 @@ func (c *Cluster) startNode(i int, override bus.Address) (*Node, error) {
 	// Health checks and function metrics read through the slot pointer so
 	// a restarted node's replacement is what they report on; both are
 	// registered once per slot.
-	if c.cfg.Obs != nil && (node.walLog != nil || node.rep != nil) {
+	if c.cfg.Obs != nil {
 		if c.health == nil {
 			c.health = make([]atomic.Pointer[Node], c.cfg.Nodes)
 		}
@@ -620,12 +587,10 @@ func (c *Cluster) startNode(i int, override bus.Address) (*Node, error) {
 					return slot.Load().healthCheck()
 				})
 			}
-			if node.rep != nil {
-				c.cfg.Obs.RegisterHealth(entity+"-replication", func() (string, error) {
-					return slot.Load().replicationHealth()
-				})
-				c.registerReplicaMetrics(entity, slot)
-			}
+			c.cfg.Obs.RegisterHealth(entity+"-replication", func() (string, error) {
+				return slot.Load().replicationHealth()
+			})
+			c.registerReplicaMetrics(entity, slot)
 		}
 	}
 	ep, err := c.cfg.Network.Listen(addr, node.handle)

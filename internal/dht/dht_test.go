@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"whopay/internal/bus"
+	"whopay/internal/dht/replica"
 	"whopay/internal/sig"
 )
 
@@ -19,6 +20,8 @@ type fixture struct {
 	broker  sig.KeyPair
 }
 
+// newFixture builds an in-memory cluster and a client that both run N =
+// replicas (W and R defaulted, clamped so W+R > N).
 func newFixture(t testing.TB, nodes, replicas int, mode Mode) (*fixture, *Client) {
 	t.Helper()
 	net := bus.NewMemory()
@@ -28,7 +31,11 @@ func newFixture(t testing.TB, nodes, replicas int, mode Mode) (*fixture, *Client
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewCluster(net, scheme, nodes, replicas, broker.Public)
+	rep := replica.Config{N: replicas}
+	cluster, err := NewClusterWithConfig(ClusterConfig{
+		Network: net, Scheme: scheme, Nodes: nodes,
+		Trusted: []sig.PublicKey{broker.Public}, Replication: &rep,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +48,7 @@ func newFixture(t testing.TB, nodes, replicas int, mode Mode) (*fixture, *Client
 	if err != nil {
 		t.Fatal(err)
 	}
+	client.WithReplication(rep)
 	return &fixture{net: net, cluster: cluster, suite: suite, broker: broker}, client
 }
 
@@ -217,6 +225,7 @@ func TestFailoverToReplica(t *testing.T) {
 	// Kill the primary; reads must fall back to a replica.
 	primary := c.responsible(rec.Key)[0].addr
 	f.net.SetOnline(primary, false)
+	c.InvalidateLease(rec.Key) // force the read to the replicas
 	got, found, err := c.Get(rec.Key)
 	if err != nil {
 		t.Fatalf("Get after primary failure: %v", err)
@@ -235,8 +244,9 @@ func TestAllReplicasDown(t *testing.T) {
 	for _, addr := range f.cluster.Addrs() {
 		f.net.SetOnline(addr, false)
 	}
-	if _, _, err := c.Get(rec.Key); !errors.Is(err, ErrLookupFailed) {
-		t.Fatalf("got %v, want ErrLookupFailed", err)
+	c.InvalidateLease(rec.Key) // force the read to the replicas
+	if _, _, err := c.Get(rec.Key); !errors.Is(err, ErrQuorumFailed) {
+		t.Fatalf("got %v, want ErrQuorumFailed", err)
 	}
 }
 
@@ -359,17 +369,19 @@ func TestEmptyMembership(t *testing.T) {
 
 func TestClusterValidation(t *testing.T) {
 	net := bus.NewMemory()
-	if _, err := NewCluster(net, sig.NewNull(1), 0, 1); err == nil {
+	if _, err := NewCluster(net, sig.NewNull(1), 0); err == nil {
 		t.Fatal("NewCluster accepted 0 nodes")
 	}
-	// Replicas clamp to node count.
-	c, err := NewCluster(net, sig.NewNull(1), 2, 10)
+	// N clamps to node count.
+	c, err := NewClusterWithConfig(ClusterConfig{
+		Network: net, Scheme: sig.NewNull(1), Nodes: 2, Replication: &replica.Config{N: 10},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.nodes[0].replicas != 2 {
-		t.Fatalf("replicas = %d, want clamped 2", c.nodes[0].replicas)
+	if n := c.nodes[0].rep.N; n != 2 {
+		t.Fatalf("N = %d, want clamped 2", n)
 	}
 }
 
@@ -461,7 +473,7 @@ func BenchmarkPutOneHop(b *testing.B) {
 	net := bus.NewMemory()
 	scheme := sig.NewNull(401)
 	suite := sig.Suite{Scheme: scheme}
-	cluster, err := NewCluster(net, scheme, 8, 2)
+	cluster, err := NewCluster(net, scheme, 8)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"whopay/internal/bus"
+	"whopay/internal/dht/replica"
 	"whopay/internal/sig"
 	"whopay/internal/wal"
 )
 
 // persistedFixture builds a durable cluster with the broker as trusted
-// writer.
+// writer, cluster and client both at N = replicas.
 func persistedFixture(t *testing.T, nodes, replicas int) (*fixture, *Client) {
 	t.Helper()
 	net := bus.NewMemory()
@@ -23,11 +24,12 @@ func persistedFixture(t *testing.T, nodes, replicas int) (*fixture, *Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := replica.Config{N: replicas}
 	cluster, err := NewClusterWithConfig(ClusterConfig{
 		Network:     net,
 		Scheme:      scheme,
 		Nodes:       nodes,
-		Replicas:    replicas,
+		Replication: &rep,
 		Trusted:     []sig.PublicKey{broker.Public},
 		Persistence: &wal.Config{Dir: t.TempDir(), Policy: wal.FsyncAlways},
 	})
@@ -43,6 +45,7 @@ func persistedFixture(t *testing.T, nodes, replicas int) (*fixture, *Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	client.WithReplication(rep)
 	return &fixture{net: net, cluster: cluster, suite: suite, broker: broker}, client
 }
 

@@ -37,8 +37,9 @@ const (
 const SweepDisabled = time.Duration(-1)
 
 // Config configures the replication subsystem. The zero value of every
-// field means "use the default"; a nil *Config anywhere in the stack keeps
-// the legacy single-copy behavior and error shapes exact.
+// field means "use the default", and a nil *Config anywhere in the stack
+// means the zero Config: 3/2/2 clamped to the ring. N = W = R = 1 keeps one
+// copy per key on the same quorum path.
 type Config struct {
 	// N is the replica-set size, W the write quorum, R the read quorum.
 	N, W, R int

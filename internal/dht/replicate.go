@@ -13,8 +13,7 @@ import (
 
 // Node-side replication (DESIGN.md §14): quorum writes, version digests for
 // quorum reads, and the background anti-entropy sweep that converges
-// replicas missed during downtime. All of it is dormant — byte-identical
-// behavior and error shapes — until ClusterConfig.Replication is set.
+// replicas missed during downtime.
 
 // ErrQuorumFailed is returned when a quorum write (or read) cannot gather
 // the configured number of replica acknowledgements.
@@ -95,15 +94,10 @@ type SubState struct {
 }
 
 // handleQuorumPut coordinates a quorum write. The local accept runs first —
-// a rejection (ACL, bad signature, stale version) errors exactly like the
-// single-copy path — then the record fans to the rest of the replica set
+// a rejection (ACL, bad signature, stale version) fails the write before
+// any replica sees it — then the record fans to the rest of the replica set
 // concurrently and the write acks only with W commits in hand.
 func (n *Node) handleQuorumPut(m QuorumPutMsg) (any, error) {
-	if n.rep == nil {
-		// Replication not configured on this node: serve it as a plain
-		// put so mixed deployments degrade instead of erroring.
-		return n.handlePut(PutMsg{Rec: m.Rec})
-	}
 	accepted, rec, err := n.acceptRecord(m.Rec)
 	if err != nil {
 		return nil, err
@@ -117,7 +111,7 @@ func (n *Node) handleQuorumPut(m QuorumPutMsg) (any, error) {
 			others = append(others, r.addr)
 		}
 	}
-	acks += n.fanOut(others, PutMsg{Rec: rec, NoReplicate: true})
+	acks += n.fanOut(others, PutMsg{Rec: rec})
 	if acks < n.rep.W {
 		n.quorumFails.Add(1)
 		return nil, fmt.Errorf("%w: %d of %d replicas committed (need %d)",
@@ -142,20 +136,12 @@ func (n *Node) otherReplicas(key Key) []bus.Address {
 	return out
 }
 
-// leaseGrantMs is the lease a node attaches to LeaseGetMsg reads.
-func (n *Node) leaseGrantMs() uint32 {
-	if n.rep == nil {
-		return 0
-	}
-	return uint32(n.rep.LeaseTTL / time.Millisecond)
-}
-
 // --- Anti-entropy sweep ---------------------------------------------------
 
 // startSweeper launches the background anti-entropy loop. No-op unless the
-// node has a replication config with a positive sweep interval.
+// sweep interval is positive.
 func (n *Node) startSweeper() {
-	if n.rep == nil || n.rep.SweepInterval <= 0 {
+	if n.rep.SweepInterval <= 0 {
 		return
 	}
 	n.stopSweep = make(chan struct{})
@@ -190,9 +176,6 @@ func (n *Node) stopSweeper() {
 // the repair backlog. Exported so tests and convergence waits can sweep
 // deterministically.
 func (n *Node) SweepOnce() int {
-	if n.rep == nil {
-		return 0
-	}
 	div := 0
 	for _, nb := range n.sweepNeighbors() {
 		div += n.sweepNeighbor(nb)
@@ -223,7 +206,7 @@ func (n *Node) sweepNeighbors() []nodeRef {
 		}
 	}
 	var out []nodeRef
-	for s := 1; s < n.replicas && len(out) < len(n.ring)-1; s++ {
+	for s := 1; s < n.rep.N && len(out) < len(n.ring)-1; s++ {
 		nb := n.ring[(self+s)%len(n.ring)]
 		if nb.addr != n.addr {
 			out = append(out, nb)
@@ -266,7 +249,7 @@ func (n *Node) sweepNeighbor(nb nodeRef) int {
 	}
 	for _, key := range kr.Want {
 		if rec, ok := n.store.Get(key); ok {
-			if _, err := n.ep.Call(nb.addr, PutMsg{Rec: rec, NoReplicate: true}); err == nil {
+			if _, err := n.ep.Call(nb.addr, PutMsg{Rec: rec}); err == nil {
 				n.sweepRepairs.Add(1)
 			}
 			div++

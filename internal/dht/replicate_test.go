@@ -145,7 +145,7 @@ func TestQuorumReadRepairBackfills(t *testing.T) {
 	// excluded the primary).
 	members := c.responsible(rec1.Key)[:3]
 	for _, m := range members[1:] {
-		if _, err := c.caller.Call(m.addr, PutMsg{Rec: rec2, NoReplicate: true}); err != nil {
+		if _, err := c.caller.Call(m.addr, PutMsg{Rec: rec2}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -473,23 +473,74 @@ func runChaosNodeKill(t *testing.T, seed int64) {
 	}
 }
 
-// TestUnreplicatedPathUnchanged pins the compatibility contract: a nil
-// replication config keeps the legacy single-copy client behavior, error
-// shapes included.
-func TestUnreplicatedPathUnchanged(t *testing.T) {
-	f, c := newFixture(t, 3, 2, OneHop)
-	if c.rep != nil || c.leases != nil {
-		t.Fatal("legacy client grew replication state")
+// TestSingleReplicaIsOneMessage pins the message accounting of a 1/1/1
+// ring, the configuration the paper-figure simulator runs: a put is one
+// QuorumPutMsg exchange with no replica fan-out, and a read — hit or miss —
+// is one LeaseGetMsg exchange with no digest probes.
+func TestSingleReplicaIsOneMessage(t *testing.T) {
+	f, c := replicatedFixture(t, 8, replica.Config{N: 1, W: 1, R: 1, LeaseTTL: time.Nanosecond}, false, 0)
+	_, rec := f.ownedRecord(t, 1, "binding")
+	var missing Key
+	missing[0] = 0xaa
+	for _, op := range []struct {
+		name string
+		do   func() error
+	}{
+		{"put", func() error { return c.Put(rec) }},
+		{"get-hit", func() error {
+			if _, found, err := c.Get(rec.Key); err != nil || !found {
+				return fmt.Errorf("found=%v err=%v", found, err)
+			}
+			return nil
+		}},
+		{"get-miss", func() error {
+			if _, found, err := c.Get(missing); err != nil || found {
+				return fmt.Errorf("found=%v err=%v", found, err)
+			}
+			return nil
+		}},
+	} {
+		sent, total := f.net.Stats("client").Sent, f.net.TotalMessages()
+		if err := op.do(); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		// One call is one request and one response.
+		if d := f.net.Stats("client").Sent - sent; d != 1 {
+			t.Errorf("%s: client sent %d requests, want 1", op.name, d)
+		}
+		if d := f.net.TotalMessages() - total; d != 2 {
+			t.Errorf("%s: %d messages on the bus, want 2", op.name, d)
+		}
 	}
-	_, rec := f.ownedRecord(t, 1, "legacy")
-	if err := c.Put(rec); err != nil {
+}
+
+// TestZeroLeaseGrantIsNotCached: a node whose lease TTL truncates to a 0 ms
+// grant grants no lease, so a reader on the default client TTL must not
+// serve the record from its cache.
+func TestZeroLeaseGrantIsNotCached(t *testing.T) {
+	f, writer := replicatedFixture(t, 3, replica.Config{N: 3, W: 2, R: 2, LeaseTTL: 500 * time.Microsecond}, false, 0)
+	_, rec := f.ownedRecord(t, 1, "binding")
+	if err := writer.Put(rec); err != nil {
 		t.Fatal(err)
 	}
-	got, found, err := c.Get(rec.Key)
-	if err != nil || !found || got.Version != 1 {
-		t.Fatalf("legacy get = %v %v %v", got.Version, found, err)
+	ep, err := f.net.Listen("reader", func(bus.Address, any) (any, error) { return Ack{}, nil })
+	if err != nil {
+		t.Fatal(err)
 	}
-	if h, m, s, r := c.LeaseStats(); h+m+s+r != 0 {
-		t.Fatal("legacy client reported lease stats")
+	reader, err := NewClient(ep, f.cluster.Addrs(), OneHop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		before := f.net.TotalMessages()
+		if _, found, err := reader.Get(rec.Key); err != nil || !found {
+			t.Fatalf("get %d = %v, %v", i, found, err)
+		}
+		if f.net.TotalMessages() == before {
+			t.Fatalf("get %d never reached the wire", i)
+		}
+	}
+	if hits, _, _, _ := reader.LeaseStats(); hits != 0 {
+		t.Fatalf("lease hits = %d, want 0 under a zero grant", hits)
 	}
 }

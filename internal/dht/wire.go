@@ -13,9 +13,9 @@ import (
 // Wire type tags for DHT messages. Part of the wire contract: stable across
 // versions, never reused.
 const (
-	tagPutMsg   = 40
-	tagGetMsg   = 41
-	tagGetResp  = 42
+	tagPutMsg = 40
+	// 41 and 42 are retired — the unreplicated read and its response,
+	// replaced by LeaseGetMsg/LeaseResp — and must never be reused.
 	tagFindMsg  = 43
 	tagFindResp = 44
 	tagSubMsg   = 45
@@ -81,50 +81,14 @@ func RegisterWireCodecs() {
 	wire.Register(tagPutMsg, "dht.PutMsg", PutMsg{},
 		func(dst []byte, v any) ([]byte, error) {
 			m := v.(PutMsg)
-			dst = m.Rec.AppendWire(dst)
-			dst = wire.AppendBool(dst, m.NoReplicate)
-			return dst, nil
+			return m.Rec.AppendWire(dst), nil
 		},
 		func(d *wire.Decoder) (any, error) {
-			var m PutMsg
-			var err error
-			if m.Rec, err = DecodeWireRecord(d); err != nil {
+			rec, err := DecodeWireRecord(d)
+			if err != nil {
 				return nil, err
 			}
-			if m.NoReplicate, err = d.Bool(); err != nil {
-				return nil, err
-			}
-			return m, nil
-		})
-	wire.Register(tagGetMsg, "dht.GetMsg", GetMsg{},
-		func(dst []byte, v any) ([]byte, error) {
-			m := v.(GetMsg)
-			return wire.AppendRaw(dst, m.Key[:]), nil
-		},
-		func(d *wire.Decoder) (any, error) {
-			var m GetMsg
-			if err := d.Fixed(m.Key[:]); err != nil {
-				return nil, err
-			}
-			return m, nil
-		})
-	wire.Register(tagGetResp, "dht.GetResp", GetResp{},
-		func(dst []byte, v any) ([]byte, error) {
-			m := v.(GetResp)
-			dst = m.Rec.AppendWire(dst)
-			dst = wire.AppendBool(dst, m.Found)
-			return dst, nil
-		},
-		func(d *wire.Decoder) (any, error) {
-			var m GetResp
-			var err error
-			if m.Rec, err = DecodeWireRecord(d); err != nil {
-				return nil, err
-			}
-			if m.Found, err = d.Bool(); err != nil {
-				return nil, err
-			}
-			return m, nil
+			return PutMsg{Rec: rec}, nil
 		})
 	wire.Register(tagFindMsg, "dht.FindMsg", FindMsg{},
 		func(dst []byte, v any) ([]byte, error) {

@@ -144,7 +144,7 @@ func (w *World) audit(skipped bool) Audit {
 	if w.Fed != nil {
 		a.SettlementsPending = w.Fed.PendingSettlements()
 	}
-	if w.cfg.DHTReplication != nil && w.Cluster != nil {
+	if w.Cluster != nil {
 		a.DHTReplicated = true
 		_, _, a.DHTStaleReads, a.DHTRepaired = w.DHTLeaseStats()
 		if !skipped {

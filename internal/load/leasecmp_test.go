@@ -10,12 +10,11 @@ import (
 	"whopay/internal/dht/replica"
 )
 
-// TestHotCoinLeaseComparison runs the hot-coin scenario three ways — as
-// defined (quorum replication with the client lease cache), with the lease
-// cache effectively off (a 1ns TTL — every read pays the full quorum), and
-// with replication stripped back to the legacy single-copy DHT — and logs
-// the latency profiles side by side. It regenerates the evidence behind
-// results/dht_replica_bench.txt, so it only runs when asked:
+// TestHotCoinLeaseComparison runs the hot-coin scenario two ways — as
+// defined (3/2/2 quorums with the client lease cache) and with the lease
+// cache effectively off (a 1ns TTL — every read pays the full quorum) —
+// and logs the latency profiles side by side. It regenerates the evidence
+// behind results/dht_replica_bench.txt, so it only runs when asked:
 //
 //	WHOPAY_LEASE_CMP=1 go test -run TestHotCoinLeaseComparison -v ./internal/load/
 func TestHotCoinLeaseComparison(t *testing.T) {
@@ -24,18 +23,14 @@ func TestHotCoinLeaseComparison(t *testing.T) {
 	}
 	sc, _ := FindScenario("hot-coin")
 	variant := func(name string, rep *replica.Config) string {
-		v := *sc
-		v.DHTReplication = rep
-		if rep == nil {
-			v.DHTPersist = false
-		}
-		base := WorldConfig{Actors: 16, Seed: 42, Network: bus.NewMemory()}
-		w, err := NewWorld(v.WorldConfig(base))
+		wcfg := sc.WorldConfig(WorldConfig{Actors: 16, Seed: 42, Network: bus.NewMemory()})
+		wcfg.DHTReplication = rep
+		w, err := NewWorld(wcfg)
 		if err != nil {
 			t.Fatalf("%s world: %v", name, err)
 		}
 		defer w.Close()
-		run := NewRun(w, &v, RunConfig{
+		run := NewRun(w, sc, RunConfig{
 			Rate:       400,
 			Ops:        4000,
 			Seed:       42,
@@ -57,7 +52,6 @@ func TestHotCoinLeaseComparison(t *testing.T) {
 		t.Log(line)
 		return line
 	}
-	variant("hot-coin legacy single-copy", nil)
-	variant("hot-coin 3/2/2 lease off", &replica.Config{N: 3, W: 2, R: 2, LeaseTTL: time.Nanosecond})
-	variant("hot-coin 3/2/2 + lease", sc.DHTReplication)
+	variant("hot-coin 3/2/2 lease off", &replica.Config{LeaseTTL: time.Nanosecond})
+	variant("hot-coin 3/2/2 + lease", nil)
 }

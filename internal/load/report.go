@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"whopay/internal/dht/replica"
 )
 
 // ReportSchema versions the BENCH_load_*.json layout. Bump on breaking
@@ -36,7 +38,7 @@ type ConfigEcho struct {
 	Replicas    int     `json:"replicas,omitempty"`
 	LeaseTTLMs  float64 `json:"lease_ttl_ms,omitempty"`
 	// DHTNWR echoes the DHT replication quorum as "N/W/R"; empty when the
-	// run used the legacy single-copy cluster.
+	// run had no DHT.
 	DHTNWR     string `json:"dht_nwr,omitempty"`
 	DHTPersist bool   `json:"dht_persist,omitempty"`
 }
@@ -286,7 +288,7 @@ func BuildReport(r *Run, res Result, audit Audit) Report {
 		}
 		rep.Failover = fo
 	}
-	if w.cfg.DHTReplication != nil && w.Cluster != nil {
+	if w.Cluster != nil {
 		kills, recoveries := w.DHTKillStats()
 		ds := &DHTStats{NodesKilled: kills}
 		for _, d := range recoveries {
@@ -319,17 +321,16 @@ func BuildReport(r *Run, res Result, audit Audit) Report {
 	return rep
 }
 
-// dhtNWR renders the replication quorum ("3/2/2"), empty when off.
+// dhtNWR renders the replication quorum ("3/2/2"), empty without a DHT.
 func dhtNWR(w *World) string {
-	r := w.cfg.DHTReplication
-	if r == nil {
+	if w.Cluster == nil {
 		return ""
 	}
-	nodes := w.cfg.DHTNodes
-	if nodes <= 0 {
-		nodes = 3 // the world's default cluster size
+	var r replica.Config
+	if w.cfg.DHTReplication != nil {
+		r = *w.cfg.DHTReplication
 	}
-	n := r.WithDefaults(nodes)
+	n := r.WithDefaults(len(w.Cluster.Nodes()))
 	return fmt.Sprintf("%d/%d/%d", n.N, n.W, n.R)
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"whopay/internal/bus"
-	"whopay/internal/dht/replica"
 )
 
 // WeightedOp is one verb in a scenario's traffic mix.
@@ -43,11 +42,9 @@ type Scenario struct {
 	Replicas  int
 	LeaseTTL  time.Duration
 
-	// DHTReplication turns on the DHT quorum/anti-entropy subsystem and
-	// DHTPersist journals the nodes (node-kill events need restartable
-	// nodes). See WorldConfig.
-	DHTReplication *replica.Config
-	DHTPersist     bool
+	// DHTPersist journals the DHT nodes (node-kill events need
+	// restartable nodes). See WorldConfig.
+	DHTPersist bool
 
 	Mix                []WeightedOp
 	Events             []Event
@@ -93,7 +90,6 @@ func (s *Scenario) WorldConfig(base WorldConfig) WorldConfig {
 	base.Shards = s.Shards
 	base.Replicas = s.Replicas
 	base.LeaseTTL = s.LeaseTTL
-	base.DHTReplication = s.DHTReplication
 	base.DHTPersist = s.DHTPersist
 	return base
 }
@@ -139,13 +135,12 @@ func Scenarios() []*Scenario {
 			Name:      "hot-coin",
 			Summary:   "contention on a few shared coins — service locks and the DHT witness path under fire",
 			Detection: true,
+			// The default 3/2/2 quorums with the hot-coin lease cache:
+			// the same few bindings are read over and over, so leases
+			// carry the read load (DESIGN.md §14).
 			DHTNodes:  3,
-			// Quorum replication with the hot-coin lease cache: the same
-			// few bindings are read over and over, so leases carry the
-			// read load (DESIGN.md §14).
-			DHTReplication: &replica.Config{N: 3, W: 2, R: 2},
-			WarmCoins:      2,
-			HotCoins:       8,
+			WarmCoins: 2,
+			HotCoins:  8,
 			Mix: []WeightedOp{
 				{Name: "hot-transfer", Weight: 45, Do: (*World).OpHotTransfer},
 				{Name: "hot-verify", Weight: 25, Do: (*World).OpHotVerify},
@@ -230,12 +225,11 @@ func Scenarios() []*Scenario {
 			Name: "dht-node-kill",
 			Summary: "DHT replica killed mid-transfer-storm — quorum writes ride the surviving " +
 				"majority, the restarted node catches up by anti-entropy, leases absorb hot reads",
-			Detection:      true,
-			DHTNodes:       3,
-			DHTReplication: &replica.Config{N: 3, W: 2, R: 2},
-			DHTPersist:     true,
-			WarmCoins:      3,
-			HotCoins:       6,
+			Detection:  true,
+			DHTNodes:   3,
+			DHTPersist: true,
+			WarmCoins:  3,
+			HotCoins:   6,
 			Mix: []WeightedOp{
 				{Name: "hot-transfer", Weight: 35, Do: (*World).OpHotTransfer},
 				{Name: "transfer", Weight: 25, Do: (*World).OpTransfer},

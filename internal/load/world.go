@@ -54,10 +54,10 @@ type WorldConfig struct {
 	Detection bool
 	// DHTNodes sizes the cluster when Detection is on (default 3).
 	DHTNodes int
-	// DHTReplication turns on the DHT quorum/anti-entropy subsystem
-	// (DESIGN.md §14) on the cluster and every client: quorum writes,
-	// quorum reads with read-repair, background digest sweeps, and the
-	// hot-coin lease cache. Nil keeps the legacy single-copy cluster.
+	// DHTReplication sets the DHT quorums, sweep interval, and lease TTL
+	// (DESIGN.md §14) on the cluster and every client. Nil means the
+	// replica.Config defaults: 3/2/2 (clamped to the ring), background
+	// digest sweeps, and the hot-coin lease cache.
 	DHTReplication *replica.Config
 	// DHTPersist journals every DHT node (under a temp root unless WALDir
 	// is set), so node-kill events can restart nodes from their journals.
@@ -311,7 +311,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 			Network:     w.Net,
 			Scheme:      cfg.Scheme,
 			Nodes:       n,
-			Replicas:    2,
 			AddrFor:     func(i int) bus.Address { return w.addr(fmt.Sprintf("dht:%d", i)) },
 			Persistence: dhtWAL,
 			Obs:         cfg.Reg,

@@ -22,6 +22,7 @@ import (
 	"whopay/internal/core"
 	"whopay/internal/costmodel"
 	"whopay/internal/dht"
+	"whopay/internal/dht/replica"
 	"whopay/internal/sig"
 )
 
@@ -292,17 +293,24 @@ func Run(cfg Config) (*Result, error) {
 	for i := 0; i < cfg.DHTNodes; i++ {
 		dhtAddrs = append(dhtAddrs, bus.Address(fmt.Sprintf("dht:%d", i)))
 	}
+	// The paper's accounting keeps one copy per binding: at 1/1/1 a
+	// publish is one QuorumPutMsg and a lookup one LeaseGetMsg. Sweeps
+	// are off and the 1ns lease TTL turns the read cache off — it runs on
+	// wall-clock time, the simulation on a virtual clock — so every read
+	// is exact and the message counts deterministic.
+	dhtRep := &replica.Config{N: 1, W: 1, R: 1, SweepInterval: replica.SweepDisabled, LeaseTTL: time.Nanosecond}
 	broker, err := core.NewBroker(core.BrokerConfig{
-		Network:       w.net,
-		Addr:          "broker",
-		Scheme:        scheme,
-		Recorder:      &w.bRec,
-		Clock:         w.clock,
-		RenewalPeriod: cfg.RenewalPeriod,
-		Directory:     dir,
-		GroupPub:      judge.GroupPublicKey(),
-		DHTNodes:      dhtAddrs,
-		InitialCredit: cfg.InitialCash,
+		Network:        w.net,
+		Addr:           "broker",
+		Scheme:         scheme,
+		Recorder:       &w.bRec,
+		Clock:          w.clock,
+		RenewalPeriod:  cfg.RenewalPeriod,
+		Directory:      dir,
+		GroupPub:       judge.GroupPublicKey(),
+		DHTNodes:       dhtAddrs,
+		DHTReplication: dhtRep,
+		InitialCredit:  cfg.InitialCash,
 	})
 	if err != nil {
 		return nil, err
@@ -312,7 +320,13 @@ func Run(cfg Config) (*Result, error) {
 
 	var cluster *dht.Cluster
 	if cfg.DHTNodes > 0 {
-		cluster, err = dht.NewCluster(w.net, scheme, cfg.DHTNodes, 1, broker.PublicKey())
+		cluster, err = dht.NewClusterWithConfig(dht.ClusterConfig{
+			Network:     w.net,
+			Scheme:      scheme,
+			Nodes:       cfg.DHTNodes,
+			Trusted:     []sig.PublicKey{broker.PublicKey()},
+			Replication: dhtRep,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -339,6 +353,7 @@ func Run(cfg Config) (*Result, error) {
 			Judge:           judge,
 			CredPool:        cfg.CredPool,
 			DHTNodes:        dhtAddrs,
+			DHTReplication:  dhtRep,
 			PublishBindings: cfg.DHTNodes > 0,
 			// Watch/cross-check are the detection extension; the
 			// paper's load study counts the publish and the lazy

@@ -26,10 +26,10 @@ type (
 	DHTClient = dht.Client
 )
 
-// NewDHTCluster starts n DHT nodes with the given replication factor;
-// trusted keys (the broker's) may write to any slot.
-func NewDHTCluster(network Network, scheme Scheme, n, replicas int, trusted ...sig.PublicKey) (*DHTCluster, error) {
-	return dht.NewCluster(network, scheme, n, replicas, trusted...)
+// NewDHTCluster starts n DHT nodes at the default N/W/R = 3/2/2 quorums
+// (clamped to n); trusted keys (the broker's) may write to any slot.
+func NewDHTCluster(network Network, scheme Scheme, n int, trusted ...sig.PublicKey) (*DHTCluster, error) {
+	return dht.NewCluster(network, scheme, n, trusted...)
 }
 
 // Indirection substrate (paper Section 5.2, owner-anonymous coins).
