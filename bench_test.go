@@ -326,20 +326,6 @@ func BenchmarkFigure11CommShareScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCentralBaseline contrasts WhoPay with the centralized
-// anonymous-transfer baseline: the broker's share of transfer servicing is
-// ~100% there versus a few percent in WhoPay — the scalability claim in one
-// number.
-func BenchmarkAblationCentralBaseline(b *testing.B) {
-	var whopayShare float64
-	for i := 0; i < b.N; i++ {
-		res := runPoint(b, 2*time.Hour, core.PolicyI, core.SyncProactive)
-		whopayShare = res.BrokerCPUShare()
-	}
-	b.ReportMetric(whopayShare, "whopay-broker-share")
-	b.ReportMetric(1.0, "central-broker-transfer-share")
-}
-
 // BenchmarkTransferWhoPay measures one owner-serviced WhoPay transfer under
 // real ECDSA crypto, end to end (offer, holder+group signatures, owner
 // verification, re-binding, delivery, payee verification).

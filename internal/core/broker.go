@@ -52,10 +52,9 @@ type BrokerConfig struct {
 	// DHTNodes enables publishing downtime bindings to the public
 	// binding list; empty disables.
 	DHTNodes []bus.Address
-	// DHTMode selects client routing (default OneHop).
-	DHTMode dht.Mode
 	// DHTReplication sets the quorums of the broker's DHT client
-	// (DESIGN.md §14). Nil means the replica.Config defaults.
+	// (DESIGN.md §14); the client routes one-hop to each key's replica
+	// set. Nil means the replica.Config defaults.
 	DHTReplication *replica.Config
 	// InitialCredit, when positive, funds every identity's account with
 	// this amount and makes purchases debit it. Deposits credit the
@@ -274,7 +273,7 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 	// Adopt the actually-bound address (TCP ":0" binds pick a port).
 	b.cfg.Addr = ep.Addr()
 	if len(cfg.DHTNodes) > 0 {
-		b.dhtc, err = dht.NewClient(ep, cfg.DHTNodes, cfg.DHTMode)
+		b.dhtc, err = dht.NewClient(ep, cfg.DHTNodes, dht.OneHop)
 		if err != nil {
 			_ = ep.Close()
 			if b.persist != nil {

@@ -449,6 +449,54 @@ func TestOfferExpiry(t *testing.T) {
 	}
 }
 
+// TestOfferExpires pins the offer lifetime: an offer survives exactly ten
+// minutes, the first offer after that prunes it, and a delivery against it
+// then fails ErrNoOffer.
+func TestOfferExpires(t *testing.T) {
+	f := newFixture(t, fixtureOpts{})
+	v := f.addPeer("v", nil)
+	offer := func() OfferResponse {
+		t.Helper()
+		resp, err := v.handleOffer(OfferRequest{Value: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.(OfferResponse)
+	}
+	first := offer()
+	f.clock.Advance(10 * time.Minute)
+	second := offer()
+	if n := v.offers.Len(); n != 2 {
+		t.Fatalf("offers at exactly ten minutes = %d, want 2 (none expired)", n)
+	}
+	f.clock.Advance(time.Second)
+	offer()
+	if n := v.offers.Len(); n != 2 {
+		t.Fatalf("offers after ten minutes = %d, want 2 (the first pruned)", n)
+	}
+	_, err := v.handleDeliver(DeliverRequest{Binding: coin.Binding{Holder: first.HolderPub}})
+	if !errors.Is(err, ErrNoOffer) {
+		t.Fatalf("deliver against the expired offer = %v, want ErrNoOffer", err)
+	}
+	_, err = v.handleDeliver(DeliverRequest{Binding: coin.Binding{Holder: second.HolderPub}})
+	if err == nil || errors.Is(err, ErrNoOffer) {
+		t.Fatalf("deliver against the live offer = %v, want it found (and the empty coin rejected)", err)
+	}
+}
+
+// TestNewPeerNeedsEnrollment: a peer enrolls through Judge or JudgeAddr;
+// with neither, NewPeer refuses to build it.
+func TestNewPeerNeedsEnrollment(t *testing.T) {
+	f := newFixture(t, fixtureOpts{})
+	cfg := f.peerConfig("loner", nil)
+	cfg.Judge = nil
+	p, err := NewPeer(cfg)
+	if err == nil {
+		p.Close()
+		t.Fatal("NewPeer with neither Judge nor JudgeAddr succeeded")
+	}
+}
+
 // TestDeliverToOfflinePayeeFailsCleanly: the holder keeps its coin when the
 // payee disappears between offer and delivery.
 func TestDeliverToOfflinePayeeFailsCleanly(t *testing.T) {

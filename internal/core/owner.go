@@ -128,7 +128,7 @@ func (p *Peer) handleTransferRequest(m TransferRequest) (any, error) {
 	if m.Body.PrevSeq != cur.Seq {
 		return nil, fmt.Errorf("%w: request cites seq %d, current is %d", ErrStaleBinding, m.Body.PrevSeq, cur.Seq)
 	}
-	if err := verifyHolderAndGroup(p.suite, p.gsv, p.cfg.GroupPub, cur.Holder, bodyMsg, m.HolderSig, m.GroupSig); err != nil {
+	if err := verifyHolderAndGroup(p.suite, p.gsv, p.groupPub, cur.Holder, bodyMsg, m.HolderSig, m.GroupSig); err != nil {
 		return nil, err
 	}
 
@@ -203,7 +203,7 @@ func (p *Peer) handleRenewRequest(m RenewRequest) (any, error) {
 	if m.Seq != cur.Seq {
 		return nil, fmt.Errorf("%w: request cites seq %d, current is %d", ErrStaleBinding, m.Seq, cur.Seq)
 	}
-	if err := verifyHolderAndGroup(p.suite, p.gsv, p.cfg.GroupPub, cur.Holder, msg, m.HolderSig, m.GroupSig); err != nil {
+	if err := verifyHolderAndGroup(p.suite, p.gsv, p.groupPub, cur.Holder, msg, m.HolderSig, m.GroupSig); err != nil {
 		return nil, err
 	}
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"time"
 
 	"whopay/internal/coin"
 	"whopay/internal/dht"
@@ -12,6 +13,10 @@ import (
 
 // Payee-side protocol: answering payment offers, accepting deliveries, and
 // watching the public binding list for double spends.
+
+// offerTTL bounds how long a payment offer stays open: the next offer
+// after it lapses prunes it, and a delivery against it fails ErrNoOffer.
+const offerTTL = 10 * time.Minute
 
 // handleOffer answers a payer's payment offer with a fresh holder key pair
 // and a challenge nonce (paper: "W generates a random public/private key
@@ -30,7 +35,7 @@ func (p *Peer) handleOffer(m OfferRequest) (any, error) {
 	// Prune expired offers so abandoned payments do not accumulate.
 	var expired []string
 	p.offers.Range(func(k string, po *pendingOffer) bool {
-		if now.Sub(po.created) > p.cfg.OfferTTL {
+		if now.Sub(po.created) > offerTTL {
 			expired = append(expired, k)
 		}
 		return true
@@ -276,9 +281,7 @@ func (p *Peer) handleNotify(m dht.Notify) (any, error) {
 	myBinding := hc.binding.Clone()
 	hc.mu.Unlock()
 
-	if p.cfg.AutoReportFraud {
-		alert.Verdict = p.reportFraud(sig.PublicKey(id), myBinding, observed)
-	}
+	alert.Verdict = p.reportFraud(sig.PublicKey(id), myBinding, observed)
 	p.stateMu.Lock()
 	p.alerts = append(p.alerts, alert)
 	p.stateMu.Unlock()

@@ -52,7 +52,11 @@ type Presence interface {
 	SetOnline(addr bus.Address, online bool)
 }
 
-// PeerConfig configures a Peer.
+// PeerConfig configures a Peer. Every field is one some caller sets
+// (TestConfigFieldsAreSet holds the tree to that). What no caller varies is
+// fixed behaviour, not a knob: a payment offer lives offerTTL, a watch alarm
+// is always reported to the broker, and the DHT client always routes
+// one-hop.
 type PeerConfig struct {
 	// ID is the peer's identity (registered with the directory and the
 	// judge).
@@ -79,35 +83,30 @@ type PeerConfig struct {
 	// shard's broker key, and ErrWrongShard/ErrNotLeader redirects are
 	// followed (DESIGN.md §13). Nil keeps BrokerAddr/BrokerPub authoritative.
 	Router ShardRouter
-	// Judge enrolls the peer at construction; alternatively supply a
-	// pre-enrolled Member plus GroupPub, or a JudgeAddr to enroll over
-	// the bus (multi-process deployments; see JudgeServer).
+	// Judge enrolls the peer at construction; JudgeAddr instead enrolls
+	// it over the bus (multi-process deployments; see JudgeServer). One
+	// of the two is required.
 	Judge     *Judge
-	Member    *groupsig.MemberKey
-	GroupPub  sig.PublicKey
 	JudgeAddr bus.Address
 	// CredPool is the initial group-credential pool size (default 32).
 	CredPool int
 	// DHTNodes enables the public binding list; empty disables.
 	DHTNodes []bus.Address
-	DHTMode  dht.Mode
 	// DHTReplication sets the quorums and the hot-coin lease TTL of the
-	// peer's DHT client (DESIGN.md §14). Nil means the replica.Config
-	// defaults.
+	// peer's DHT client (DESIGN.md §14); the client routes one-hop to
+	// each key's replica set. Nil means the replica.Config defaults.
 	DHTReplication *replica.Config
 	// PublishBindings controls whether this peer, as an owner, publishes
 	// binding updates to the DHT.
 	PublishBindings bool
 	// WatchHeldCoins subscribes to held coins' public bindings and
-	// raises (and reports) fraud alerts on unexpected re-bindings —
-	// the real-time double-spending detection of Section 5.1.
+	// raises fraud alerts on unexpected re-bindings, each filed with the
+	// broker as a FraudReport — the real-time double-spending detection
+	// of Section 5.1.
 	WatchHeldCoins bool
 	// CheckPublicBinding makes the payee cross-check the public binding
 	// list before finalizing acceptance.
 	CheckPublicBinding bool
-	// AutoReportFraud files a FraudReport with the broker when a watch
-	// alarm fires (default true when WatchHeldCoins).
-	AutoReportFraud bool
 	// IndirectServers enable owner-anonymous coins (Section 5.2).
 	IndirectServers []bus.Address
 	// SyncMode selects proactive or lazy owner synchronization.
@@ -120,8 +119,6 @@ type PeerConfig struct {
 	// sequence numbers) deterministic — the simulator injects a seeded
 	// source. Defaults to crypto/rand.
 	Rand *mrand.Rand
-	// OfferTTL bounds how long a payment offer stays open (default 10m).
-	OfferTTL time.Duration
 	// Retry, when set, wraps every outbound protocol call (to the broker,
 	// owners, payees and the DHT) in capped exponential backoff with
 	// jitter, retrying only transient transport failures — never protocol
@@ -208,18 +205,19 @@ type FraudAlert struct {
 // holding an entry lock, never an entry lock outlives the closure it was
 // taken in during a Range.
 type Peer struct {
-	cfg    PeerConfig
-	suite  sig.Suite
-	cache  *sig.Cached        // verification fast path (DESIGN.md §9)
-	gsv    *groupsig.Verifier // CRL-aware group-signature verifier
-	keys   sig.KeyPair
-	member *groupsig.MemberKey
-	ep     bus.Endpoint
-	caller bus.Caller // ep, or a RetryCaller around it when cfg.Retry is set
-	dhtc   *dht.Client
-	indir  *indirect.Client
-	ops    OpCounter
-	instr  *instr // nil unless cfg.Obs is set
+	cfg      PeerConfig
+	suite    sig.Suite
+	cache    *sig.Cached        // verification fast path (DESIGN.md §9)
+	gsv      *groupsig.Verifier // CRL-aware group-signature verifier
+	keys     sig.KeyPair
+	member   *groupsig.MemberKey
+	groupPub sig.PublicKey // the judge's group key, learned at enrollment
+	ep       bus.Endpoint
+	caller   bus.Caller // ep, or a RetryCaller around it when cfg.Retry is set
+	dhtc     *dht.Client
+	indir    *indirect.Client
+	ops      OpCounter
+	instr    *instr // nil unless cfg.Obs is set
 
 	randMu sync.Mutex
 	rand   *mrand.Rand
@@ -248,7 +246,7 @@ type Peer struct {
 }
 
 // NewPeer creates a peer, registers its identity with the directory,
-// enrolls it with the judge (unless a member key is supplied), and starts
+// enrolls it with the judge (in process or over the bus), and starts
 // listening. The peer starts online.
 func NewPeer(cfg PeerConfig) (*Peer, error) {
 	if cfg.Network == nil || cfg.Scheme == nil || cfg.Directory == nil {
@@ -268,12 +266,6 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 	}
 	if cfg.CredPool <= 0 {
 		cfg.CredPool = 32
-	}
-	if cfg.OfferTTL <= 0 {
-		cfg.OfferTTL = 10 * time.Minute
-	}
-	if cfg.WatchHeldCoins && !cfg.AutoReportFraud {
-		cfg.AutoReportFraud = true
 	}
 	p := &Peer{
 		cfg:    cfg,
@@ -328,12 +320,6 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 	}
 
 	switch {
-	case cfg.Member != nil:
-		if len(cfg.GroupPub) == 0 {
-			p.closePersist()
-			return nil, errors.New("core: Member requires GroupPub")
-		}
-		p.member = cfg.Member
 	case cfg.Judge != nil:
 		member, err := cfg.Judge.Enroll(cfg.ID, cfg.CredPool)
 		if err != nil {
@@ -341,13 +327,13 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 			return nil, fmt.Errorf("core: enrolling %s: %w", cfg.ID, err)
 		}
 		p.member = member
-		p.cfg.GroupPub = cfg.Judge.GroupPublicKey()
+		p.groupPub = cfg.Judge.GroupPublicKey()
 	case cfg.JudgeAddr != "":
 		// Remote enrollment happens after Listen (it needs the
 		// endpoint).
 	default:
 		p.closePersist()
-		return nil, errors.New("core: peer needs a Judge, a Member key, or a JudgeAddr")
+		return nil, errors.New("core: peer needs a Judge or a JudgeAddr")
 	}
 
 	ep, err := cfg.Network.Listen(cfg.Addr, p.handle)
@@ -372,14 +358,14 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 			return nil, fmt.Errorf("core: remote enrollment of %s: %w", cfg.ID, err)
 		}
 		p.member = member
-		p.cfg.GroupPub = groupPub
+		p.groupPub = groupPub
 	}
-	// GroupPub is final here in all three enrollment branches, so the
+	// The group key is final here in both enrollment branches, so the
 	// CRL-aware verifier can bind to it.
-	p.gsv = groupsig.NewVerifier(p.cfg.GroupPub)
+	p.gsv = groupsig.NewVerifier(p.groupPub)
 	p.gsv.OnRevoke = p.cache.InvalidateKey
 	if len(cfg.DHTNodes) > 0 {
-		p.dhtc, err = dht.NewClient(ep, cfg.DHTNodes, cfg.DHTMode)
+		p.dhtc, err = dht.NewClient(ep, cfg.DHTNodes, dht.OneHop)
 		if err != nil {
 			_ = ep.Close()
 			p.closePersist()

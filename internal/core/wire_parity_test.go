@@ -37,7 +37,6 @@ func wireMessages() []any {
 		DisputeRequest{}, DisputeResponse{},
 		RelinquishProof{},
 		dht.PutMsg{},
-		dht.FindMsg{}, dht.FindResp{},
 		dht.SubMsg{}, dht.Notify{}, dht.Ack{},
 		dht.QuorumPutMsg{}, dht.QuorumAck{},
 		dht.DigestMsg{}, dht.DigestResp{},
@@ -128,6 +127,11 @@ func FuzzWireDecodeRegistered(f *testing.F) {
 	// trailing byte, to reach the decoders' length and trailing-byte checks.
 	f.Add(first[:len(first)-1])
 	f.Add(append(append([]byte(nil), first...), 0x00))
+	// The same encoding with its leading byte inverted (a corrupt length,
+	// count, or flag prefix), and twice over (a payload carrying two
+	// messages).
+	f.Add(append([]byte{^first[0]}, first[1:]...))
+	f.Add(append(append([]byte(nil), first...), first...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, e := range entries {
 			v, err := wire.Decode(e.Tag, data)

@@ -10,23 +10,15 @@ import (
 	"whopay/internal/dht/replica"
 )
 
-// Mode selects the client's routing strategy.
+// Mode names the client's routing. OneHop is the only routing: the client
+// holds the static membership and contacts a key's replica set directly,
+// as Hoepman's spender contacts the clerk set.
 type Mode int
 
-const (
-	// OneHop routes directly to the responsible node from a local
-	// membership snapshot (Dynamo-style; appropriate for the managed
-	// trusted infrastructure the paper assumes, and what the load
-	// simulator uses).
-	OneHop Mode = iota
-	// Iterative performs Chord iterative lookups through finger tables
-	// (O(log n) hops).
-	Iterative
-)
-
-// maxHops bounds iterative lookups; 2·256 covers any 256-bit ring walk with
-// sane fingers.
-const maxHops = 64
+// OneHop routes directly to the responsible nodes from the client's
+// membership snapshot (Dynamo-style; the paper's DHT is a managed, trusted
+// infrastructure with a known membership).
+const OneHop Mode = 0
 
 // Client reads and writes the DHT through an existing bus endpoint (the
 // entity's own endpoint, so DHT traffic is attributed to the entity).
@@ -34,7 +26,6 @@ type Client struct {
 	ep     bus.Endpoint
 	caller bus.Caller // ep, or a RetryCaller around it (WithRetry)
 	ring   []nodeRef
-	mode   Mode
 
 	// Replication (DESIGN.md §14): the normalized quorums and the
 	// hot-coin lease cache.
@@ -45,8 +36,8 @@ type Client struct {
 
 // NewClient builds a client over the given node membership at the default
 // quorums (see WithReplication). Node IDs are derived from addresses, so no
-// network round-trip is needed.
-func NewClient(ep bus.Endpoint, nodes []bus.Address, mode Mode) (*Client, error) {
+// network round-trip is needed. The routing is always OneHop.
+func NewClient(ep bus.Endpoint, nodes []bus.Address, _ Mode) (*Client, error) {
 	if len(nodes) == 0 {
 		return nil, ErrNoNodes
 	}
@@ -55,7 +46,7 @@ func NewClient(ep bus.Endpoint, nodes []bus.Address, mode Mode) (*Client, error)
 		ring = append(ring, nodeRef{id: keyForAddr(addr), addr: addr})
 	}
 	sort.Slice(ring, func(i, j int) bool { return ring[i].id.Less(ring[j].id) })
-	c := &Client{ep: ep, caller: ep, ring: ring, mode: mode}
+	c := &Client{ep: ep, caller: ep, ring: ring}
 	return c.WithReplication(replica.Config{}), nil
 }
 
@@ -86,48 +77,10 @@ func (c *Client) responsible(key Key) []nodeRef {
 	return out
 }
 
-// locate finds the address to contact for key under the configured mode.
-func (c *Client) locate(key Key) (bus.Address, error) {
-	if c.mode == OneHop {
-		return c.ring[c.primaryIndex(key)].addr, nil
-	}
-	// Iterative Chord: start anywhere (spread load by key), follow
-	// FindResp hops.
-	start := c.ring[int(key[0])%len(c.ring)].addr
-	cur := start
-	for hop := 0; hop < maxHops; hop++ {
-		resp, err := c.caller.Call(cur, FindMsg{Key: key})
-		if err != nil {
-			return "", fmt.Errorf("%w: hop via %s: %v", ErrLookupFailed, cur, err)
-		}
-		fr, ok := resp.(FindResp)
-		if !ok {
-			return "", fmt.Errorf("%w: unexpected response %T", ErrLookupFailed, resp)
-		}
-		if fr.Found {
-			return fr.Addr, nil
-		}
-		cur = fr.Addr
-	}
-	return "", fmt.Errorf("%w: hop limit exceeded", ErrLookupFailed)
-}
-
 // callWithFallback tries the responsible replica chain in order until one
 // answers, tolerating individual node outages.
 func (c *Client) callWithFallback(key Key, msg any) (any, error) {
-	var addr bus.Address
-	var err error
-	if c.mode == Iterative {
-		addr, err = c.locate(key)
-		if err == nil {
-			var resp any
-			resp, err = c.caller.Call(addr, msg)
-			if err == nil {
-				return resp, nil
-			}
-		}
-	}
-	var lastErr error = err
+	var lastErr error
 	primary := c.primaryIndex(key)
 	for r := 0; r < len(c.ring); r++ {
 		resp, err := c.caller.Call(c.ring[(primary+r)%len(c.ring)].addr, msg)

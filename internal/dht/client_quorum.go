@@ -17,7 +17,7 @@ import (
 // Call before concurrent use; returns the client for chaining.
 func (c *Client) WithReplication(cfg replica.Config) *Client {
 	c.rep = cfg.WithDefaults(len(c.ring))
-	c.leases = replica.NewLeaseCache(c.rep.LeaseTTL, c.rep.LeaseCap)
+	c.leases = replica.NewLeaseCache(c.rep.LeaseTTL, replica.DefaultLeaseCap)
 	return c
 }
 

@@ -12,12 +12,11 @@
 // spot an unexpected re-binding of a coin they hold — a double spend — in
 // real time.
 //
-// Routing is Chord-style: node IDs are SHA-256 of their addresses on a
-// 256-bit ring; each node knows its successor list and a finger table.
-// Clients may route iteratively (O(log n) hops, exercising the fingers) or
-// one-hop (the client knows the membership, as in Dynamo-style systems —
-// appropriate here because the paper's DHT is a managed, trusted
-// infrastructure, and cheap enough for the load simulator).
+// Node IDs are SHA-256 of their addresses on a 256-bit ring, and a key's
+// replica set is its successor and the N-1 nodes after it. Routing is
+// one-hop from a static membership: every client knows the ring (as in
+// Dynamo-style systems — appropriate here because the paper's DHT is a
+// managed, trusted infrastructure) and contacts the replica set directly.
 package dht
 
 import (
@@ -48,8 +47,8 @@ var (
 	ErrStaleVersion = errors.New("dht: stale version")
 	// ErrNoNodes is returned by a client with an empty membership.
 	ErrNoNodes = errors.New("dht: no nodes")
-	// ErrLookupFailed is returned when routing cannot reach a
-	// responsible node.
+	// ErrLookupFailed is returned when no node of a key's replica chain
+	// answers.
 	ErrLookupFailed = errors.New("dht: lookup failed")
 )
 
@@ -64,18 +63,6 @@ func keyForAddr(addr bus.Address) Key { return sha256.Sum256([]byte("dht/node/" 
 
 // Less orders keys on the ring's underlying integer line.
 func (k Key) Less(other Key) bool { return bytes.Compare(k[:], other[:]) < 0 }
-
-// between reports whether x lies in the half-open ring interval (a, b].
-func between(a, b, x Key) bool {
-	switch bytes.Compare(a[:], b[:]) {
-	case -1: // a < b: ordinary interval
-		return bytes.Compare(a[:], x[:]) < 0 && bytes.Compare(x[:], b[:]) <= 0
-	case 1: // wraps around zero
-		return bytes.Compare(a[:], x[:]) < 0 || bytes.Compare(x[:], b[:]) <= 0
-	default: // a == b: full circle
-		return true
-	}
-}
 
 // Record is a versioned, signed DHT entry. For coin bindings, Value is the
 // binding's canonical message concatenated with its signature, Version is
@@ -120,14 +107,6 @@ type (
 	// read-repair back-fill, or an anti-entropy push. The receiver
 	// validates and stores it; it neither fans out nor notifies.
 	PutMsg struct{ Rec Record }
-	// FindMsg asks a node for one Chord routing step toward Key.
-	FindMsg struct{ Key Key }
-	// FindResp answers FindMsg: the responsible node if Found, else the
-	// next hop.
-	FindResp struct {
-		Found bool
-		Addr  bus.Address
-	}
 	// SubMsg subscribes (or unsubscribes) Watcher to writes at Key.
 	// NoReplicate marks replica fan-out of a registration: watcher sets
 	// are replicated across the replica set like records, so a
@@ -169,21 +148,19 @@ type Node struct {
 	scheme  sig.Scheme
 	trusted map[string]bool
 
-	// started closes once the cluster has wired this node's routing
-	// tables. The endpoint is live from Listen on, and on a restart the
-	// address is already known to peers and sweepers — requests arriving
-	// in the wiring window park here instead of observing a half-built
-	// node.
+	// started closes once the cluster has wired this node's ring (the
+	// static membership its replica sets come from). The endpoint is live
+	// from Listen on, and on a restart the address is already known to
+	// peers and sweepers — requests arriving in the wiring window park
+	// here instead of observing a half-built node.
 	started chan struct{}
 
 	store *store.Sharded[Key, Record]
 	subs  *store.Sharded[Key, map[bus.Address]bool]
 
-	// Static routing state, wired by the cluster: the full sorted ring
-	// (successor/replica computation) and a log-sized finger table used
-	// to answer iterative lookups.
-	ring    []nodeRef
-	fingers []nodeRef
+	// Static membership, wired by the cluster: the full sorted ring the
+	// replica sets are computed from.
+	ring []nodeRef
 
 	// Durability (nil/zero for in-memory nodes): the journal, the node
 	// epoch (immutable once serving), and the first journal failure.
@@ -251,8 +228,6 @@ func (n *Node) dispatch(_ bus.Address, msg any) (any, error) {
 		resp, err := n.handleSweepKeys(m)
 		n.instr.End(sp, err)
 		return resp, err
-	case FindMsg:
-		return n.findStep(m.Key), nil
 	case SubMsg:
 		// The watcher set is mutated in place under the shard's write
 		// lock; readers copy it under View (see handlePut).
@@ -391,31 +366,6 @@ func (n *Node) fanOut(addrs []bus.Address, msg any) int {
 	return int(ok.Load())
 }
 
-// findStep performs one Chord routing step.
-func (n *Node) findStep(key Key) FindResp {
-	succ := n.successorOf(n.id)
-	if between(n.id, succ.id, key) {
-		return FindResp{Found: true, Addr: succ.addr}
-	}
-	// Closest preceding finger.
-	for i := len(n.fingers) - 1; i >= 0; i-- {
-		f := n.fingers[i]
-		if f.addr != n.addr && between(n.id, key, f.id) && f.id != key {
-			return FindResp{Found: false, Addr: f.addr}
-		}
-	}
-	return FindResp{Found: true, Addr: succ.addr}
-}
-
-// successorOf returns the first ring node strictly after id (wrapping).
-func (n *Node) successorOf(id Key) nodeRef {
-	i := sort.Search(len(n.ring), func(i int) bool { return id.Less(n.ring[i].id) })
-	if i == len(n.ring) {
-		i = 0
-	}
-	return n.ring[i]
-}
-
 // replicaSet returns the nodes responsible for key: its successor and the
 // following N-1 nodes.
 func (n *Node) replicaSet(key Key) []nodeRef {
@@ -477,7 +427,7 @@ type ClusterConfig struct {
 }
 
 // NewCluster creates n nodes on net at the default quorums with the given
-// trusted writers, and wires their static routing tables.
+// trusted writers, and wires every node's ring.
 func NewCluster(net bus.Network, scheme sig.Scheme, n int, trusted ...sig.PublicKey) (*Cluster, error) {
 	return NewClusterWithConfig(ClusterConfig{Network: net, Scheme: scheme, Nodes: n, Trusted: trusted})
 }
@@ -508,13 +458,12 @@ func NewClusterWithConfig(cfg ClusterConfig) (*Cluster, error) {
 	c.ring = ring
 	for _, node := range c.nodes {
 		node.ring = ring
-		node.fingers = fingersFor(node.id, ring)
 		close(node.started)
 	}
 	for _, node := range c.nodes {
 		c.addrs = append(c.addrs, node.addr)
 	}
-	// Sweepers start only after every node's routing is wired: a sweep
+	// Sweepers start only after every node's ring is wired: a sweep
 	// computes replica sets from the ring.
 	for _, node := range c.nodes {
 		node.startSweeper()
@@ -523,7 +472,7 @@ func NewClusterWithConfig(cfg ClusterConfig) (*Cluster, error) {
 }
 
 // startNode creates and starts node i: open its journal (when persistent),
-// replay it, listen. Routing tables are wired by the caller. A non-empty
+// replay it, listen. The ring is wired by the caller. A non-empty
 // override pins the listen address (Restart reuses the crashed node's bound
 // address — peers hold it); otherwise AddrFor or the in-memory default
 // names the node.
@@ -603,7 +552,7 @@ func (c *Cluster) startNode(i int, override bus.Address) (*Node, error) {
 	node.ep = ep
 	// Adopt the address the transport actually bound ("host:0" requests
 	// an ephemeral port) and re-derive the ring identity from it. Safe
-	// here: routing is wired after every node is up, so no request can
+	// here: the ring is wired after every node is up, so no request can
 	// have observed the provisional identity.
 	node.addr = ep.Addr()
 	node.id = keyForAddr(node.addr)
@@ -648,7 +597,6 @@ func (c *Cluster) Restart(i int) error {
 		return err
 	}
 	node.ring = c.ring
-	node.fingers = fingersFor(node.id, c.ring)
 	c.nodes[i] = node
 	close(node.started)
 	node.startSweeper()
@@ -670,38 +618,6 @@ func (c *Cluster) Kill(i int) error {
 		_ = node.walLog.Close()
 	}
 	return nil
-}
-
-// fingersFor computes a Chord finger table: for each bit k, the successor
-// of id + 2^k.
-func fingersFor(id Key, ring []nodeRef) []nodeRef {
-	var fingers []nodeRef
-	for k := 0; k < 256; k++ {
-		target := addPow2(id, k)
-		i := sort.Search(len(ring), func(i int) bool { return !ring[i].id.Less(target) })
-		if i == len(ring) {
-			i = 0
-		}
-		f := ring[i]
-		if len(fingers) == 0 || fingers[len(fingers)-1].addr != f.addr {
-			fingers = append(fingers, f)
-		}
-	}
-	return fingers
-}
-
-// addPow2 returns id + 2^k on the 256-bit ring.
-func addPow2(id Key, k int) Key {
-	var out Key
-	copy(out[:], id[:])
-	byteIdx := 31 - k/8
-	carry := uint16(1) << (k % 8)
-	for i := byteIdx; i >= 0 && carry > 0; i-- {
-		sum := uint16(out[i]) + carry
-		out[i] = byte(sum)
-		carry = sum >> 8
-	}
-	return out
 }
 
 // Trust adds trusted writers to every node after construction — for

@@ -3,10 +3,8 @@ package dht
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"whopay/internal/bus"
 	"whopay/internal/dht/replica"
@@ -22,7 +20,7 @@ type fixture struct {
 
 // newFixture builds an in-memory cluster and a client that both run N =
 // replicas (W and R defaulted, clamped so W+R > N).
-func newFixture(t testing.TB, nodes, replicas int, mode Mode) (*fixture, *Client) {
+func newFixture(t testing.TB, nodes, replicas int) (*fixture, *Client) {
 	t.Helper()
 	net := bus.NewMemory()
 	scheme := sig.NewNull(400)
@@ -44,7 +42,7 @@ func newFixture(t testing.TB, nodes, replicas int, mode Mode) (*fixture, *Client
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := NewClient(ep, cluster.Addrs(), mode)
+	client, err := NewClient(ep, cluster.Addrs(), OneHop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +64,7 @@ func (f *fixture) ownedRecord(t testing.TB, version uint64, value string) (sig.K
 }
 
 func TestPutGetOneHop(t *testing.T) {
-	f, c := newFixture(t, 8, 3, OneHop)
+	f, c := newFixture(t, 8, 3)
 	_, rec := f.ownedRecord(t, 1, "binding-v1")
 	if err := c.Put(rec); err != nil {
 		t.Fatal(err)
@@ -80,25 +78,8 @@ func TestPutGetOneHop(t *testing.T) {
 	}
 }
 
-func TestPutGetIterative(t *testing.T) {
-	f, c := newFixture(t, 16, 2, Iterative)
-	for i := 0; i < 20; i++ {
-		_, rec := f.ownedRecord(t, 1, fmt.Sprintf("value-%d", i))
-		if err := c.Put(rec); err != nil {
-			t.Fatalf("Put %d: %v", i, err)
-		}
-		got, found, err := c.Get(rec.Key)
-		if err != nil {
-			t.Fatalf("Get %d: %v", i, err)
-		}
-		if !found || !bytes.Equal(got.Value, rec.Value) {
-			t.Fatalf("Get %d mismatch", i)
-		}
-	}
-}
-
 func TestGetMissing(t *testing.T) {
-	_, c := newFixture(t, 4, 2, OneHop)
+	_, c := newFixture(t, 4, 2)
 	var key Key
 	key[0] = 0xaa
 	_, found, err := c.Get(key)
@@ -111,7 +92,7 @@ func TestGetMissing(t *testing.T) {
 }
 
 func TestWriteACLOwnerOnly(t *testing.T) {
-	f, c := newFixture(t, 4, 2, OneHop)
+	f, c := newFixture(t, 4, 2)
 	owner, rec := f.ownedRecord(t, 1, "legit")
 	if err := c.Put(rec); err != nil {
 		t.Fatal(err)
@@ -140,7 +121,7 @@ func TestWriteACLOwnerOnly(t *testing.T) {
 }
 
 func TestTrustedWriterCanWriteAnywhere(t *testing.T) {
-	f, c := newFixture(t, 4, 2, OneHop)
+	f, c := newFixture(t, 4, 2)
 	owner, rec := f.ownedRecord(t, 1, "owner-write")
 	if err := c.Put(rec); err != nil {
 		t.Fatal(err)
@@ -164,7 +145,7 @@ func TestTrustedWriterCanWriteAnywhere(t *testing.T) {
 }
 
 func TestBadSignatureRejected(t *testing.T) {
-	f, c := newFixture(t, 4, 2, OneHop)
+	f, c := newFixture(t, 4, 2)
 	_, rec := f.ownedRecord(t, 1, "v")
 	rec.Value = []byte("tampered after signing")
 	if err := c.Put(rec); err == nil {
@@ -173,7 +154,7 @@ func TestBadSignatureRejected(t *testing.T) {
 }
 
 func TestStaleVersionRejected(t *testing.T) {
-	f, c := newFixture(t, 4, 2, OneHop)
+	f, c := newFixture(t, 4, 2)
 	owner, rec2 := f.ownedRecord(t, 2, "v2")
 	if err := c.Put(rec2); err != nil {
 		t.Fatal(err)
@@ -200,7 +181,7 @@ func TestStaleVersionRejected(t *testing.T) {
 }
 
 func TestReplication(t *testing.T) {
-	f, c := newFixture(t, 6, 3, OneHop)
+	f, c := newFixture(t, 6, 3)
 	_, rec := f.ownedRecord(t, 1, "replicated")
 	if err := c.Put(rec); err != nil {
 		t.Fatal(err)
@@ -217,7 +198,7 @@ func TestReplication(t *testing.T) {
 }
 
 func TestFailoverToReplica(t *testing.T) {
-	f, c := newFixture(t, 6, 3, OneHop)
+	f, c := newFixture(t, 6, 3)
 	_, rec := f.ownedRecord(t, 1, "survives")
 	if err := c.Put(rec); err != nil {
 		t.Fatal(err)
@@ -236,7 +217,7 @@ func TestFailoverToReplica(t *testing.T) {
 }
 
 func TestAllReplicasDown(t *testing.T) {
-	f, c := newFixture(t, 3, 3, OneHop)
+	f, c := newFixture(t, 3, 3)
 	_, rec := f.ownedRecord(t, 1, "v")
 	if err := c.Put(rec); err != nil {
 		t.Fatal(err)
@@ -251,7 +232,7 @@ func TestAllReplicasDown(t *testing.T) {
 }
 
 func TestSubscribeNotify(t *testing.T) {
-	f, _ := newFixture(t, 4, 2, OneHop)
+	f, _ := newFixture(t, 4, 2)
 	var mu sync.Mutex
 	var notified []Record
 	watcherEp, err := f.net.Listen("watcher", func(from bus.Address, msg any) (any, error) {
@@ -294,7 +275,7 @@ func TestSubscribeNotify(t *testing.T) {
 }
 
 func TestUnsubscribeStopsNotifications(t *testing.T) {
-	f, _ := newFixture(t, 4, 2, OneHop)
+	f, _ := newFixture(t, 4, 2)
 	var mu sync.Mutex
 	count := 0
 	watcherEp, err := f.net.Listen("watcher", func(from bus.Address, msg any) (any, error) {
@@ -337,7 +318,7 @@ func TestUnsubscribeStopsNotifications(t *testing.T) {
 }
 
 func TestOfflineWatcherDoesNotBlockWrites(t *testing.T) {
-	f, _ := newFixture(t, 4, 2, OneHop)
+	f, _ := newFixture(t, 4, 2)
 	watcherEp, err := f.net.Listen("watcher", func(bus.Address, any) (any, error) { return Ack{}, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -385,73 +366,9 @@ func TestClusterValidation(t *testing.T) {
 	}
 }
 
-func TestBetween(t *testing.T) {
-	k := func(b byte) Key {
-		var key Key
-		key[0] = b
-		return key
-	}
-	cases := []struct {
-		a, b, x byte
-		want    bool
-	}{
-		{10, 20, 15, true},
-		{10, 20, 10, false}, // open at a
-		{10, 20, 20, true},  // closed at b
-		{10, 20, 25, false},
-		{20, 10, 25, true},  // wrap
-		{20, 10, 5, true},   // wrap
-		{20, 10, 15, false}, // wrap, outside
-		{10, 10, 99, true},  // full circle
-	}
-	for _, tc := range cases {
-		if got := between(k(tc.a), k(tc.b), k(tc.x)); got != tc.want {
-			t.Errorf("between(%d,%d,%d) = %v, want %v", tc.a, tc.b, tc.x, got, tc.want)
-		}
-	}
-}
-
-func TestAddPow2(t *testing.T) {
-	var id Key
-	id[31] = 0xff
-	got := addPow2(id, 0) // +1 → carry into byte 30
-	if got[31] != 0 || got[30] != 1 {
-		t.Fatalf("addPow2 carry wrong: %v %v", got[31], got[30])
-	}
-	// +2^8 = byte 30 += 1
-	var id2 Key
-	got2 := addPow2(id2, 8)
-	if got2[30] != 1 {
-		t.Fatalf("addPow2(,8)[30] = %d, want 1", got2[30])
-	}
-}
-
-// TestIterativeMatchesOneHop: both routing modes agree on the responsible
-// node for random keys.
-func TestIterativeMatchesOneHop(t *testing.T) {
-	f, oneHop := newFixture(t, 12, 1, OneHop)
-	ep, err := f.net.Listen("client2", func(bus.Address, any) (any, error) { return Ack{}, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	iter, err := NewClient(ep, f.cluster.Addrs(), Iterative)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fn := func(raw [32]byte) bool {
-		key := Key(raw)
-		direct := oneHop.responsible(key)[0].addr
-		routed, err := iter.locate(key)
-		return err == nil && routed == direct
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestKeysBalanced: records spread across nodes rather than piling on one.
 func TestKeysBalanced(t *testing.T) {
-	f, c := newFixture(t, 8, 1, OneHop)
+	f, c := newFixture(t, 8, 1)
 	for i := 0; i < 200; i++ {
 		_, rec := f.ownedRecord(t, 1, "v")
 		if err := c.Put(rec); err != nil {

@@ -28,7 +28,7 @@ const (
 	// worst-case real-time-detection delay a reader trades for shedding
 	// the hot-coin read storm.
 	DefaultLeaseTTL = 150 * time.Millisecond
-	// DefaultLeaseCap bounds the lease cache's footprint.
+	// DefaultLeaseCap bounds every DHT client's lease-cache entry count.
 	DefaultLeaseCap = 4096
 )
 
@@ -49,8 +49,6 @@ type Config struct {
 	// LeaseTTL is both the grant a node attaches to lease reads and the
 	// cap a client applies to cached entries.
 	LeaseTTL time.Duration
-	// LeaseCap bounds the client's lease-cache entry count.
-	LeaseCap int
 }
 
 // WithDefaults fills zero fields and clamps the quorums to a cluster of
@@ -83,9 +81,6 @@ func (c Config) WithDefaults(nodes int) Config {
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = DefaultLeaseTTL
-	}
-	if c.LeaseCap <= 0 {
-		c.LeaseCap = DefaultLeaseCap
 	}
 	return c
 }

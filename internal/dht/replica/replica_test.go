@@ -27,7 +27,7 @@ func TestWithDefaultsFillsAndClamps(t *testing.T) {
 			if got.W+got.R <= got.N {
 				t.Fatalf("quorums do not overlap: %d/%d/%d", got.N, got.W, got.R)
 			}
-			if got.SweepInterval == 0 || got.LeaseTTL <= 0 || got.LeaseCap <= 0 {
+			if got.SweepInterval == 0 || got.LeaseTTL <= 0 {
 				t.Fatalf("defaults not filled: %+v", got)
 			}
 		})

@@ -16,11 +16,11 @@ const (
 	tagPutMsg = 40
 	// 41 and 42 are retired — the unreplicated read and its response,
 	// replaced by LeaseGetMsg/LeaseResp — and must never be reused.
-	tagFindMsg  = 43
-	tagFindResp = 44
-	tagSubMsg   = 45
-	tagNotify   = 46
-	tagAck      = 47
+	// 43 and 44 are retired — the Chord routing step and its response,
+	// gone with iterative routing — and must never be reused.
+	tagSubMsg = 45
+	tagNotify = 46
+	tagAck    = 47
 
 	// Replication subsystem (DESIGN.md §14).
 	tagQuorumPutMsg  = 48
@@ -89,38 +89,6 @@ func RegisterWireCodecs() {
 				return nil, err
 			}
 			return PutMsg{Rec: rec}, nil
-		})
-	wire.Register(tagFindMsg, "dht.FindMsg", FindMsg{},
-		func(dst []byte, v any) ([]byte, error) {
-			m := v.(FindMsg)
-			return wire.AppendRaw(dst, m.Key[:]), nil
-		},
-		func(d *wire.Decoder) (any, error) {
-			var m FindMsg
-			if err := d.Fixed(m.Key[:]); err != nil {
-				return nil, err
-			}
-			return m, nil
-		})
-	wire.Register(tagFindResp, "dht.FindResp", FindResp{},
-		func(dst []byte, v any) ([]byte, error) {
-			m := v.(FindResp)
-			dst = wire.AppendBool(dst, m.Found)
-			dst = wire.AppendString(dst, string(m.Addr))
-			return dst, nil
-		},
-		func(d *wire.Decoder) (any, error) {
-			var m FindResp
-			var err error
-			if m.Found, err = d.Bool(); err != nil {
-				return nil, err
-			}
-			var s string
-			if s, err = d.String(); err != nil {
-				return nil, err
-			}
-			m.Addr = bus.Address(s)
-			return m, nil
 		})
 	wire.Register(tagSubMsg, "dht.SubMsg", SubMsg{},
 		func(dst []byte, v any) ([]byte, error) {

@@ -23,6 +23,14 @@ import (
 	"whopay/internal/wal"
 )
 
+// actorCredPool is each actor's initial group-credential pool; the pool
+// auto-refills over the bus when it runs dry.
+const actorCredPool = 8
+
+// callTimeout is the per-call deadline on the TCP transport NewWorld
+// builds.
+const callTimeout = 10 * time.Second
+
 // worldWorkers bounds the parallelism of actor construction and warmup
 // (each actor enrolls over the bus — expensive group-signature setup).
 const worldWorkers = 16
@@ -37,9 +45,6 @@ type WorldConfig struct {
 	// Scheme defaults to sig.Default() (Ed25519), the scheme production
 	// runs; ECDSA P-256 is the paper's Table 2 stand-in.
 	Scheme sig.Scheme
-	// CredPool is each actor's initial group-credential pool (default 8;
-	// the pool auto-refills over the bus when it runs dry).
-	CredPool int
 	// Seed derives all load randomness (actor choice, op mix) and the
 	// faultbus schedule.
 	Seed int64
@@ -86,9 +91,6 @@ type WorldConfig struct {
 	// Faults wraps the transport in a seeded faultbus so scenario events
 	// can cut partitions and churn owners.
 	Faults bool
-	// CallTimeout is the per-call deadline on the TCP transport (default
-	// 10s). Ignored when Network is set.
-	CallTimeout time.Duration
 	// Network overrides the transport (tests use the in-memory bus);
 	// nil builds a real tcpbus on Host.
 	Network bus.Network
@@ -248,12 +250,6 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	if cfg.Scheme == nil {
 		cfg.Scheme = sig.Default()
 	}
-	if cfg.CredPool <= 0 {
-		cfg.CredPool = 8
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 10 * time.Second
-	}
 	if cfg.Reg == nil {
 		cfg.Reg = obs.NewRegistry()
 	}
@@ -264,7 +260,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	if base == nil {
 		base = tcpbus.New(
 			tcpbus.WithObs(cfg.Reg),
-			tcpbus.WithCallTimeout(cfg.CallTimeout),
+			tcpbus.WithCallTimeout(callTimeout),
 			tcpbus.WithDialTimeout(5*time.Second),
 		)
 	}
@@ -439,7 +435,7 @@ func (w *World) spawnActors(dhtAddrs []bus.Address) error {
 			Router:             router,
 			Retry:              retry,
 			JudgeAddr:          w.JudgeSrv.Addr(),
-			CredPool:           cfg.CredPool,
+			CredPool:           actorCredPool,
 			DHTNodes:           dhtAddrs,
 			DHTReplication:     cfg.DHTReplication,
 			PublishBindings:    cfg.Detection,

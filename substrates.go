@@ -3,11 +3,10 @@ package whopay
 // Re-exports of the substrate packages a WhoPay deployment composes with:
 // the DHT behind real-time double-spending detection, the indirection layer
 // behind owner-anonymous coins, PayWord/lottery micropayment aggregation,
-// group signatures, and the crypto utilities. Examples and downstream users
+// group signatures, and Shamir secret sharing. Examples and downstream users
 // reach everything through this facade.
 
 import (
-	"whopay/internal/blind"
 	"whopay/internal/bus"
 	"whopay/internal/dht"
 	"whopay/internal/groupsig"
@@ -110,12 +109,6 @@ type (
 func LayeredHop(suite Suite, lc *LayeredCoin, holderPriv []byte, member *GroupMemberKey, nextHolder []byte, maxLayers int) (*LayeredCoin, error) {
 	return layered.Hop(suite, lc, holderPriv, member, nextHolder, maxLayers)
 }
-
-// BlindSigner issues Chaum blind signatures (coin-shop blind issuance).
-type BlindSigner = blind.Signer
-
-// NewBlindSigner creates an RSA blind signer with the given modulus size.
-func NewBlindSigner(bits int) (*BlindSigner, error) { return blind.NewSigner(bits) }
 
 // MemoryNetwork is the in-process transport.
 type MemoryNetwork = bus.Memory

@@ -2,11 +2,11 @@
 // anonymous peer-to-peer payment system of Wei, Chen, Smith and Vo (UC
 // Berkeley UCB/CSD-5-1386, ICDCS 2006), together with every substrate the
 // paper relies on: group signatures with judge-side opening, Shamir key
-// escrow, blind signatures, PayWord/lottery micropayment aggregation, a
-// Chord-style access-controlled DHT for real-time double-spending
-// detection, an i3-style indirection layer for owner-anonymous coins, the
-// PPay and centralized-anonymous baselines, and the discrete-event
-// simulator that regenerates the paper's entire evaluation.
+// escrow, PayWord/lottery micropayment aggregation, a replicated,
+// access-controlled DHT for real-time double-spending detection, an
+// i3-style indirection layer for owner-anonymous coins, the PPay baseline,
+// and the discrete-event simulator that regenerates the paper's entire
+// evaluation.
 //
 // # Quick start
 //
