@@ -36,12 +36,10 @@ import (
 // Network is a TCP-backed bus.Network. The zero value is not usable; use
 // New.
 type Network struct {
-	dialTimeout  time.Duration
-	callTimeout  time.Duration
-	idleTimeout  time.Duration
-	readTimeout  time.Duration
-	writeTimeout time.Duration
-	reg          *obs.Registry
+	dialTimeout time.Duration
+	callTimeout time.Duration
+	idleTimeout time.Duration
+	reg         *obs.Registry
 
 	// obs handles; nil (no-op) unless WithObs is given.
 	mConnsIn    *obs.Gauge
@@ -58,6 +56,11 @@ type Network struct {
 }
 
 var _ bus.Network = (*Network)(nil)
+
+// writeTimeout bounds each side's write of a batch of frames. A peer that
+// stops draining its receive buffer stalls our write; this deadline frees
+// the goroutine instead of wedging on it.
+const writeTimeout = 10 * time.Second
 
 // Option configures a Network.
 type Option func(*Network)
@@ -84,20 +87,6 @@ func WithIdleTimeout(d time.Duration) Option {
 	return func(n *Network) { n.idleTimeout = d }
 }
 
-// WithReadTimeout bounds the caller-side wait for the reply once the
-// request is sent, when smaller than the call timeout (default: the call
-// timeout).
-func WithReadTimeout(d time.Duration) Option {
-	return func(n *Network) { n.readTimeout = d }
-}
-
-// WithWriteTimeout bounds each side's write of its message (default 10s).
-// A peer that stops draining its receive buffer stalls our write; this
-// deadline frees the goroutine instead of wedging on it.
-func WithWriteTimeout(d time.Duration) Option {
-	return func(n *Network) { n.writeTimeout = d }
-}
-
 // WithObs enables transport metrics on reg: open inbound and outbound
 // connections, calls, dials, dial failures, reconnects, deadline timeouts,
 // and frame/byte throughput. It also activates trace propagation —
@@ -111,16 +100,12 @@ func WithObs(reg *obs.Registry) Option {
 // New returns a TCP Network.
 func New(opts ...Option) *Network {
 	n := &Network{
-		dialTimeout:  5 * time.Second,
-		callTimeout:  30 * time.Second,
-		idleTimeout:  10 * time.Second,
-		writeTimeout: 10 * time.Second,
+		dialTimeout: 5 * time.Second,
+		callTimeout: 30 * time.Second,
+		idleTimeout: 10 * time.Second,
 	}
 	for _, o := range opts {
 		o(n)
-	}
-	if n.readTimeout == 0 || n.readTimeout > n.callTimeout {
-		n.readTimeout = n.callTimeout
 	}
 	if n.reg != nil {
 		n.reg.Help("whopay_tcpbus_open_conns", "Accepted connections currently being served.")
@@ -575,7 +560,7 @@ func (w *frameWriter) loop() {
 		batch := w.queue
 		w.queue = nil
 		w.mu.Unlock()
-		_ = w.conn.SetWriteDeadline(time.Now().Add(w.net.writeTimeout))
+		_ = w.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		var werr error
 		var nbytes, nframes int
 		for _, q := range batch {
@@ -781,9 +766,9 @@ func (pc *peerConn) roundTrip(msg any) (any, error) {
 		return nil, fmt.Errorf("tcpbus: reading reply from %s: %w", pc.addr, err)
 	}
 	// The reply wait covers the remote handler's execution, so it gets the
-	// (larger) read budget. No socket deadline can bound one call among
-	// many on a shared connection, so the budget is a per-call timer.
-	timer := time.NewTimer(n.readTimeout)
+	// whole call budget. No socket deadline can bound one call among many
+	// on a shared connection, so the budget is a per-call timer.
+	timer := time.NewTimer(n.callTimeout)
 	defer timer.Stop()
 	select {
 	case res := <-ch:
@@ -798,7 +783,7 @@ func (pc *peerConn) roundTrip(msg any) (any, error) {
 	case <-timer.C:
 		pc.dropPending(id)
 		n.mTimeouts.Inc()
-		return nil, fmt.Errorf("tcpbus: reading reply from %s: %w", pc.addr, &timeoutError{n.readTimeout})
+		return nil, fmt.Errorf("tcpbus: reading reply from %s: %w", pc.addr, &timeoutError{n.callTimeout})
 	}
 }
 

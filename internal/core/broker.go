@@ -133,10 +133,10 @@ type Broker struct {
 	downtime    *store.Sharded[coin.ID, *coin.Binding]
 	pendingSync *store.Sharded[string, []coin.ID]
 	relinquish  *store.Sharded[coin.ID, map[uint64]RelinquishProof] // audit trail for broker-era re-bindings
-	deposited   *store.Durable[coin.ID, *depositRecord]
+	deposited   *store.Sharded[coin.ID, *depositRecord]
 	ledger      *store.Ledger
-	frozen      *store.Durable[string, struct{}]
-	settled     *store.Durable[coin.ID, *settledRec] // payout-shard settlement dedup
+	frozen      *store.Sharded[string, struct{}]
+	settled     *store.Sharded[coin.ID, *settledRec] // payout-shard settlement dedup
 
 	// Federation runtime (nil / unused on an unfederated broker).
 	fed          *FederationConfig
@@ -147,8 +147,8 @@ type Broker struct {
 	settleStop   chan struct{}
 	settleDone   chan struct{}
 
-	persist   *persistLog // nil when Persistence is not configured
-	recovered bool        // durable state was found and replayed
+	journal   *wal.Log // nil when Persistence is not configured
+	recovered bool     // durable state was found and replayed
 
 	depositOccupancy *obs.Histogram // deposits per flush (nil: no Obs)
 	depositFlushes   *obs.Counter
@@ -197,16 +197,16 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 		downtime:    store.NewSharded[coin.ID, *coin.Binding](brokerShards, coinKey),
 		pendingSync: store.NewSharded[string, []coin.ID](brokerShards, store.StringHash[string]),
 		relinquish:  store.NewSharded[coin.ID, map[uint64]RelinquishProof](brokerShards, coinKey),
+		deposited:   store.NewSharded[coin.ID, *depositRecord](brokerShards, coinKey),
 		ledger:      store.NewLedger(brokerShards, cfg.InitialCredit),
+		frozen:      store.NewSharded[string, struct{}](brokerShards, store.StringHash[string]),
+		settled:     store.NewSharded[coin.ID, *settledRec](brokerShards, coinKey),
 		fed:         cfg.Federation,
 		settleState: map[coin.ID]settleRec{},
 		settleKick:  make(chan struct{}, 1),
 		settleStop:  make(chan struct{}),
 		settleDone:  make(chan struct{}),
 	}
-	// A nil *persistLog must stay an untyped-nil Journal, or Durable would
-	// see a non-nil interface and journal into nothing.
-	var journal store.Journal
 	if cfg.Persistence != nil {
 		pc := *cfg.Persistence // copy: don't mutate the caller's config
 		if cfg.Obs != nil {
@@ -219,27 +219,17 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: broker wal: %w", err)
 		}
-		b.persist = &persistLog{log: log}
-		journal = b.persist
+		b.journal = log
 	}
-	b.deposited = store.NewDurable(
-		store.NewSharded[coin.ID, *depositRecord](brokerShards, coinKey),
-		tblDeposit, journal, store.StringCodec[coin.ID](), codecDeposit())
-	b.frozen = store.NewDurable(
-		store.NewSharded[string, struct{}](brokerShards, store.StringHash[string]),
-		tblFrozen, journal, store.StringCodec[string](), store.UnitCodec())
-	b.settled = store.NewDurable(
-		store.NewSharded[coin.ID, *settledRec](brokerShards, coinKey),
-		tblSettled, journal, store.StringCodec[coin.ID](), codecSettled())
 	b.suite, b.cache = sig.NewCachedSuite(b.suite, sig.CacheOptions{})
 	b.gsv = groupsig.NewVerifier(cfg.GroupPub)
 	// A revoked credential's one-time key must not keep satisfying verifies
 	// out of the memo.
 	b.gsv.OnRevoke = b.cache.InvalidateKey
-	if b.persist != nil {
+	if b.journal != nil {
 		recovered, err := b.recoverBrokerState()
 		if err != nil {
-			_ = b.persist.log.Close()
+			_ = b.journal.Close()
 			return nil, fmt.Errorf("core: broker recovery: %w", err)
 		}
 		b.recovered = recovered
@@ -252,20 +242,20 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 			return nil, fmt.Errorf("core: broker keygen: %w", err)
 		}
 		b.keys = keys
-		if b.persist != nil {
+		if b.journal != nil {
 			// The key must be durable before the first coin is signed:
 			// losing it orphans every coin in circulation.
 			b.journalKeys()
 			if err := b.PersistenceErr(); err != nil {
-				_ = b.persist.log.Close()
+				_ = b.journal.Close()
 				return nil, fmt.Errorf("core: broker key journal: %w", err)
 			}
 		}
 	}
 	ep, err := cfg.Network.Listen(cfg.Addr, b.handle)
 	if err != nil {
-		if b.persist != nil {
-			_ = b.persist.log.Close()
+		if b.journal != nil {
+			_ = b.journal.Close()
 		}
 		return nil, fmt.Errorf("core: broker listen: %w", err)
 	}
@@ -276,8 +266,8 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 		b.dhtc, err = dht.NewClient(ep, cfg.DHTNodes, dht.OneHop)
 		if err != nil {
 			_ = ep.Close()
-			if b.persist != nil {
-				_ = b.persist.log.Close()
+			if b.journal != nil {
+				_ = b.journal.Close()
 			}
 			return nil, fmt.Errorf("core: broker dht client: %w", err)
 		}
@@ -301,7 +291,7 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 			s := b.cache.Stats()
 			return s.Hits, s.Misses, s.KeyHits, s.KeyMisses
 		})
-		if b.persist != nil {
+		if b.journal != nil {
 			cfg.Obs.RegisterHealth("broker-journal", func() (string, error) {
 				if err := b.PersistenceErr(); err != nil {
 					return "", err
@@ -376,8 +366,8 @@ func (b *Broker) Close() error {
 		<-b.settleDone
 	}
 	err := b.ep.Close()
-	if b.persist != nil {
-		if lerr := b.persist.log.Close(); err == nil {
+	if b.journal != nil {
+		if lerr := b.journal.Close(); err == nil {
 			err = lerr
 		}
 	}
@@ -400,7 +390,12 @@ func (b *Broker) IssuedValue() int64 { return b.issuedValue.Load() }
 func (b *Broker) DepositedValue() int64 { return b.depositedValue.Load() }
 
 // Freeze bars an identity from purchasing (judge-ordered punishment).
-func (b *Broker) Freeze(identity string) { b.frozen.Set(identity, struct{}{}) }
+func (b *Broker) Freeze(identity string) {
+	b.frozen.Set(identity, struct{}{})
+	if b.journal != nil {
+		b.journal.Commit(frozenMut(identity))
+	}
+}
 
 // RevokeCredentials adds the given credential serials to the broker's CRL
 // and invalidates every cached verification artifact tied to the matching
@@ -526,7 +521,8 @@ func (b *Broker) handlePurchase(m PurchaseRequest) (any, error) {
 		return nil, fmt.Errorf("%w: anonymous purchase needs a handle", ErrBadRequest)
 	}
 
-	c := &coin.Coin{Pub: m.CoinPub.Clone(), Value: m.Value}
+	coins := []coin.Coin{{Pub: m.CoinPub.Clone(), Value: m.Value}}
+	c := &coins[0]
 	if m.Anonymous {
 		c.Handle = append([]byte(nil), m.Handle...)
 	} else {
@@ -549,25 +545,9 @@ func (b *Broker) handlePurchase(m PurchaseRequest) (any, error) {
 		return nil, fmt.Errorf("core: signing coin: %w", err)
 	}
 	c.Sig = sigBytes
-
-	// Commit: debit first, then register. A duplicate registration (the
-	// buyer raced itself on the same coin key) refunds the debit, so
-	// conservation holds without a global lock.
-	if b.cfg.InitialCredit > 0 {
-		if _, ok := b.ledger.TryDebit(m.Buyer, c.Value); !ok {
-			return nil, fmt.Errorf("%w: %s", ErrInsufficientFunds, m.Buyer)
-		}
+	if err := b.commitMint(m.Buyer, coins); err != nil {
+		return nil, err
 	}
-	if !b.coins.Insert(c.ID(), c) {
-		if b.cfg.InitialCredit > 0 {
-			b.ledger.Credit(m.Buyer, c.Value)
-		}
-		return nil, fmt.Errorf("%w: coin key already registered", ErrBadRequest)
-	}
-	b.purchasedBy.Set(c.ID(), m.Buyer)
-	b.journalMint([]*coin.Coin{c}, m.Buyer)
-	b.issuedValue.Add(c.Value)
-	b.ops.Inc(OpPurchase)
 	return PurchaseResponse{Coin: *c}, nil
 }
 
@@ -616,12 +596,27 @@ func (b *Broker) handleBatchPurchase(m BatchPurchaseRequest) (any, error) {
 		coins = append(coins, c)
 	}
 
-	// Commit: debit the whole batch, then register each coin; a duplicate
-	// rolls back the coins registered so far (they are ours alone — the
-	// keys were fresh) and refunds, keeping the batch all-or-nothing.
+	if err := b.commitMint(m.Buyer, coins); err != nil {
+		return nil, err
+	}
+	return BatchPurchaseResponse{Coins: coins}, nil
+}
+
+// commitMint is the one mint commit both purchase handlers end in, after
+// each has verified its own signature and inputs: debit the buyer, then
+// register every coin. A duplicate key (the buyer raced itself) rolls back
+// the coins registered so far — they are the buyer's alone, the keys were
+// fresh — and refunds, so a purchase is all-or-nothing and conservation
+// holds without a global lock. The purchase journals as one record and
+// counts as one purchase operation however many coins it mints.
+func (b *Broker) commitMint(buyer string, coins []coin.Coin) error {
+	var total int64
+	for i := range coins {
+		total += coins[i].Value
+	}
 	if b.cfg.InitialCredit > 0 {
-		if _, ok := b.ledger.TryDebit(m.Buyer, total); !ok {
-			return nil, fmt.Errorf("%w: %s", ErrInsufficientFunds, m.Buyer)
+		if _, ok := b.ledger.TryDebit(buyer, total); !ok {
+			return fmt.Errorf("%w: %s", ErrInsufficientFunds, buyer)
 		}
 	}
 	for i := range coins {
@@ -632,22 +627,16 @@ func (b *Broker) handleBatchPurchase(m BatchPurchaseRequest) (any, error) {
 				b.purchasedBy.Delete(coins[j].ID())
 			}
 			if b.cfg.InitialCredit > 0 {
-				b.ledger.Credit(m.Buyer, total)
+				b.ledger.Credit(buyer, total)
 			}
-			return nil, fmt.Errorf("%w: coin key already registered", ErrBadRequest)
+			return fmt.Errorf("%w: coin key already registered", ErrBadRequest)
 		}
-		b.purchasedBy.Set(c.ID(), m.Buyer)
+		b.purchasedBy.Set(c.ID(), buyer)
 	}
-	if b.persist != nil {
-		minted := make([]*coin.Coin, len(coins))
-		for i := range coins {
-			minted[i] = &coins[i]
-		}
-		b.journalMint(minted, m.Buyer)
-	}
+	b.journalMint(coins, buyer)
 	b.issuedValue.Add(total)
 	b.ops.Inc(OpPurchase)
-	return BatchPurchaseResponse{Coins: coins}, nil
+	return nil
 }
 
 // currentBinding establishes the authoritative binding for a coin from the
@@ -939,13 +928,19 @@ func (b *Broker) publishBinding(binding *coin.Binding) {
 	_ = b.dhtc.Put(rec)
 }
 
-func (b *Broker) recordCase(fc FraudCase) uint64 {
+// recordCase appends a fraud case to the case log and journals it in one
+// record together with also — the decision the case justifies, such as a
+// punishment's freeze — so recovery never sees the decision without its
+// judge-openable evidence.
+func (b *Broker) recordCase(fc FraudCase, also ...wal.Mutation) uint64 {
 	b.casesMu.Lock()
 	b.caseSeq++
 	fc.ID = b.caseSeq
 	b.cases = append(b.cases, fc)
 	b.casesMu.Unlock()
-	b.journalCase(fc)
+	if b.journal != nil {
+		b.journal.Commit(append(also, wal.Set(tblCase, caseKey(fc.ID), encCase(fc)))...)
+	}
 	return fc.ID
 }
 
@@ -1028,7 +1023,7 @@ func (b *Broker) punishOwner(c *coin.Coin, m FraudReport, why string) (any, erro
 			{fraudReportMessage(m.CoinPub, &m.MyBinding, &m.Observed), m.GroupSig},
 		},
 		Bindings: []coin.Binding{m.MyBinding, m.Observed},
-	})
+	}, frozenMut(owner))
 	return FraudResponse{CaseID: id, Verdict: "owner-fraud", Punished: owner}, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	mrand "math/rand"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"whopay/internal/coin"
@@ -326,6 +327,78 @@ func TestBrokerCrashSweep(t *testing.T) {
 				budget, crashedAt, seed, budget)
 			w.assertCrashInvariants(label, allowed)
 		})
+	}
+}
+
+// punishmentWorld drives a persisted broker through one owner-fraud
+// verdict: owner u issues a coin to v, then signs a second binding at the
+// same sequence for an accomplice key, v reports the conflict, and the
+// broker punishes u. The judge-ordered Freeze("mallory") follows. It
+// returns the fixture and the journal bytes written before the report.
+func punishmentWorld(t *testing.T, dir string, fs *crashfs.FS) (*fixture, int64) {
+	t.Helper()
+	f := newFixture(t, fixtureOpts{persist: &wal.Config{Dir: dir, Policy: wal.FsyncNever, FS: fs}})
+	u := f.addPeer("u", nil)
+	v := f.addPeer("v", nil)
+	id, err := u.Purchase(1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := u.IssueTo(v.Addr(), id); err != nil {
+		t.Fatal(err)
+	}
+	accomplice, err := u.suite.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged, err := u.ForgeDoubleIssue(id, accomplice.Public)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc, _ := v.held.Get(id)
+	hc.mu.Lock()
+	mine := hc.binding.Clone()
+	hc.mu.Unlock()
+	before := fs.Written()
+	if verdict := v.reportFraud(oc2pub(id), mine, forged); !strings.Contains(verdict, "owner-fraud") {
+		t.Fatalf("verdict = %q, want owner-fraud", verdict)
+	}
+	f.broker.Freeze("mallory")
+	return f, before
+}
+
+// TestBrokerPunishmentCrashAtomic crashes the broker at every byte of a
+// punishment's journaling. A punishment freezes the owner on the strength
+// of a case the judge can open, so recovery must never show the freeze
+// without the case: every recovered frozen identity is the judge-ordered
+// Freeze("mallory") or the Punished of a recovered case.
+func TestBrokerPunishmentCrashAtomic(t *testing.T) {
+	probeFS := crashfs.Count(wal.OS())
+	probe, lo := punishmentWorld(t, t.TempDir(), probeFS)
+	hi := probeFS.Written()
+	if !probe.broker.Frozen("u") {
+		t.Fatal("probe: the fraudulent owner was not frozen")
+	}
+	for budget := lo; budget <= hi+1; budget++ {
+		dir := t.TempDir()
+		f, _ := punishmentWorld(t, dir, crashfs.Limit(wal.OS(), budget))
+		f.brokerCfg.Persistence = &wal.Config{Dir: dir, Policy: wal.FsyncNever}
+		f.restartBroker()
+		justified := map[string]bool{"mallory": true}
+		for _, fc := range f.broker.FraudCases() {
+			if fc.Punished != "" {
+				justified[fc.Punished] = true
+			}
+		}
+		f.broker.frozen.Range(func(identity string, _ struct{}) bool {
+			if !justified[identity] {
+				t.Errorf("crash budget %d: %q recovered frozen with no case behind it", budget, identity)
+			}
+			return true
+		})
+		if budget > hi && !f.broker.Frozen("u") {
+			t.Errorf("crash-free control: the punishment did not survive recovery")
+		}
 	}
 }
 

@@ -123,54 +123,31 @@ func (b *Broker) flushDeposits(reqs []DepositRequest) []depositResult {
 		}
 	}
 
-	// Stage three: commit in arrival order. Inserts go to the embedded
-	// store (bypassing per-operation journaling) and the journal records
-	// accumulate into ONE atomic batch appended before any response is
-	// built: journal-before-response, at one fsync for the whole group.
-	var muts []wal.Mutation
-	var committed []int
+	// Stage three: commit in arrival order, the group as one journal
+	// record (journal-before-response, at one fsync for the whole group).
+	commits := make([]depositCommit, 0, len(order))
+	var committed []int // commits[k] belongs to reqs[committed[k]]
 	for i := range reqs {
 		p := pending[i]
 		if p == nil {
 			continue
 		}
 		m := &reqs[i]
-		id := coin.ID(m.CoinPub)
-		rec := &depositRecord{
+		commits = append(commits, depositCommit{c: p.c, rec: &depositRecord{
 			binding:   p.cur.Clone(),
 			groupSig:  m.GroupSig,
 			payoutRef: m.PayoutRef,
 			when:      b.cfg.Clock(),
-		}
-		if !b.deposited.Sharded.Insert(id, rec) {
-			results[i] = depositResult{err: ErrAlreadyDeposited}
-			continue
-		}
-		if b.persist != nil {
-			val, err := encDepositRecord(rec)
-			if err != nil {
-				b.persist.fail(err)
-			} else {
-				muts = append(muts, wal.Set(tblDeposit, []byte(id), val))
-			}
-		}
+		}})
 		committed = append(committed, i)
 	}
-	if b.persist != nil {
-		b.persist.batch(muts...)
-	}
-	for _, i := range committed {
-		m := &reqs[i]
-		p := pending[i]
-		id := coin.ID(m.CoinPub)
-		b.creditPayout(id, m.PayoutRef, p.c.Value)
-		b.depositedValue.Add(p.c.Value)
-		b.downtime.Delete(id)
-		// A deposited coin can never be serviced again (lookupActiveCoin
-		// refuses first), so its service lock is garbage: evict it.
-		b.evictServiceLock(id)
-		b.ops.Inc(OpDeposit)
-		results[i] = depositResult{resp: DepositResponse{Amount: p.c.Value}}
+	b.commitDeposits(commits)
+	for k, i := range committed {
+		if commits[k].ok {
+			results[i] = depositResult{resp: DepositResponse{Amount: commits[k].c.Value}}
+		} else {
+			results[i] = depositResult{err: ErrAlreadyDeposited}
+		}
 	}
 
 	// Within-batch duplicates replay as a flush of their own after the
@@ -189,6 +166,48 @@ func (b *Broker) flushDeposits(reqs []DepositRequest) []depositResult {
 		}
 	}
 	return results
+}
+
+// depositCommit is one verified deposit ready to commit; commitDeposits
+// sets ok when it won its coin.
+type depositCommit struct {
+	c   *coin.Coin
+	rec *depositRecord
+	ok  bool
+}
+
+// commitDeposits is the broker's one deposit commit, shared by every
+// deposit path. Each record is inserted in order — the insert is the
+// double-deposit gate: the first for a coin wins, a racing duplicate loses
+// here — and the winners journal as ONE record before any of them takes
+// effect. Each winner then credits its payout reference, counts toward the
+// redeemed total, and leaves downtime service for good: a deposited coin
+// can never be serviced again (lookupActiveCoin refuses first), so its
+// service lock is garbage too.
+func (b *Broker) commitDeposits(deps []depositCommit) {
+	var muts []wal.Mutation
+	for k := range deps {
+		d := &deps[k]
+		id := d.c.ID()
+		if d.ok = b.deposited.Insert(id, d.rec); d.ok && b.journal != nil {
+			muts = append(muts, wal.Set(tblDeposit, []byte(id), encDepositRecord(d.rec)))
+		}
+	}
+	if b.journal != nil {
+		b.journal.Commit(muts...)
+	}
+	for k := range deps {
+		d := &deps[k]
+		if !d.ok {
+			continue
+		}
+		id := d.c.ID()
+		b.creditPayout(id, d.rec.payoutRef, d.c.Value)
+		b.depositedValue.Add(d.c.Value)
+		b.downtime.Delete(id)
+		b.evictServiceLock(id)
+		b.ops.Inc(OpDeposit)
+	}
 }
 
 // handleBatchDeposit serves an explicit batch-deposit message: the whole

@@ -139,19 +139,6 @@ func decodeSettledRec(d *wire.Decoder) (settledRec, error) {
 	return r, err
 }
 
-func codecSettled() store.Codec[*settledRec] {
-	return store.Codec[*settledRec]{
-		Enc: func(r *settledRec) ([]byte, error) { return r.appendWire(nil), nil },
-		Dec: func(b []byte) (*settledRec, error) {
-			r, err := wire.DecodeExact(b, decodeSettledRec)
-			if err != nil {
-				return nil, err
-			}
-			return &r, nil
-		},
-	}
-}
-
 // defaultSettleRetry is the resend cadence for unacked settlements.
 const defaultSettleRetry = 50 * time.Millisecond
 
@@ -241,10 +228,10 @@ func (b *Broker) creditPayout(id coin.ID, payoutRef string, amount int64) {
 
 // journalSettle journals one settlement-state transition (intent or ack).
 func (b *Broker) journalSettle(id coin.ID, rec settleRec) {
-	if b.persist == nil {
+	if b.journal == nil {
 		return
 	}
-	b.persist.batch(wal.Set(tblSettle, []byte(id), rec.appendWire(nil)))
+	b.journal.Commit(wal.Set(tblSettle, []byte(id), rec.appendWire(nil)))
 }
 
 // kickSettle nudges the settlement loop without blocking.
@@ -349,6 +336,9 @@ func (b *Broker) trySettle(id coin.ID, rec settleRec) bool {
 // handleSettle applies one incoming cross-shard settlement exactly once: the
 // durable dedup insert is the commit point, recovery replays the credit from
 // it, and a replay of an applied settlement acks without crediting again.
+// The insert journals under its shard lock, so a concurrent replay of the
+// same settlement cannot ack before the first one is durable: that ack lets
+// the sender mark the credit delivered.
 func (b *Broker) handleSettle(m SettleRequest) (any, error) {
 	if m.Amount <= 0 || m.PayoutRef == "" || len(m.CoinID) == 0 {
 		return nil, fmt.Errorf("%w: malformed settlement", ErrBadRequest)
@@ -363,7 +353,19 @@ func (b *Broker) handleSettle(m SettleRequest) (any, error) {
 		}
 	}
 	id := coin.ID(m.CoinID)
-	if !b.settled.Insert(id, &settledRec{Ref: m.PayoutRef, Amount: m.Amount}) {
+	inserted := false
+	b.settled.Compute(id, func(cur *settledRec, exists bool) (*settledRec, store.Op) {
+		if exists {
+			return cur, store.OpKeep
+		}
+		inserted = true
+		rec := &settledRec{Ref: m.PayoutRef, Amount: m.Amount}
+		if b.journal != nil {
+			b.journal.Commit(wal.Set(tblSettled, []byte(id), rec.appendWire(nil)))
+		}
+		return rec, store.OpSet
+	})
+	if !inserted {
 		return SettleResponse{}, nil
 	}
 	b.ledger.Credit(m.PayoutRef, m.Amount)

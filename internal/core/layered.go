@@ -80,22 +80,17 @@ func (b *Broker) handleLayeredDeposit(m LayeredDepositRequest) (any, error) {
 		return nil, ErrAlreadyDeposited
 	}
 
-	// Commit: the Insert is the single atomic double-deposit gate — a
-	// racing fork of the same chain loses here.
-	rec := &depositRecord{
+	// Commit: a racing fork of the same chain loses the insert.
+	d := []depositCommit{{c: c, rec: &depositRecord{
 		binding:   lc.Binding.Clone(),
 		groupSig:  m.GroupSig,
 		payoutRef: m.PayoutRef,
 		when:      b.cfg.Clock(),
-	}
-	if !b.deposited.Insert(c.ID(), rec) {
+	}}}
+	b.commitDeposits(d)
+	if !d[0].ok {
 		return nil, ErrAlreadyDeposited
 	}
-	b.creditPayout(c.ID(), m.PayoutRef, c.Value)
-	b.depositedValue.Add(c.Value)
-	b.downtime.Delete(c.ID())
-	b.evictServiceLock(c.ID())
-	b.ops.Inc(OpDeposit)
 	return DepositResponse{Amount: c.Value}, nil
 }
 

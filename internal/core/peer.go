@@ -234,8 +234,8 @@ type Peer struct {
 	vchannels     *store.Sharded[string, *vendorChannel]
 	settleCredits *store.Sharded[coin.ID, *settleRecord]
 
-	persist   *persistLog // nil when cfg.Persistence is nil
-	recovered bool        // wallet state was replayed at startup
+	journal   *wal.Log // nil when cfg.Persistence is nil
+	recovered bool     // wallet state was replayed at startup
 
 	// stateMu guards the peer-global scalars: presence, trigger
 	// versioning, and the alert log.
@@ -293,7 +293,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: peer wal: %w", err)
 		}
-		p.persist = &persistLog{log: log}
+		p.journal = log
 		found, err := p.recoverPeerState()
 		if err != nil {
 			_ = log.Close()
@@ -310,9 +310,9 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 			return nil, fmt.Errorf("core: peer keygen: %w", err)
 		}
 		p.keys = keys
-		if p.persist != nil {
+		if p.journal != nil {
 			p.journalPeerKeys()
-			if err := p.persist.Err(); err != nil {
+			if err := p.journal.Err(); err != nil {
 				p.closePersist()
 				return nil, fmt.Errorf("core: journaling peer keys: %w", err)
 			}
@@ -418,7 +418,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 			cfg.Obs.CounterFunc("whopay_dht_reads_repaired_total", obs.Labels{"entity": cfg.ID},
 				func() int64 { _, _, _, r := p.dhtc.LeaseStats(); return int64(r) })
 		}
-		if p.persist != nil {
+		if p.journal != nil {
 			cfg.Obs.RegisterHealth(cfg.ID+"-journal", func() (string, error) {
 				if err := p.PersistenceErr(); err != nil {
 					return "", err
@@ -476,8 +476,8 @@ func (p *Peer) Close() error {
 
 // closePersist releases the journal handle, if any.
 func (p *Peer) closePersist() {
-	if p.persist != nil {
-		_ = p.persist.log.Close()
+	if p.journal != nil {
+		_ = p.journal.Close()
 	}
 }
 

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"whopay/internal/coin"
@@ -16,20 +16,21 @@ import (
 )
 
 // Durability layer (DESIGN.md §10). Entities journal every protocol-relevant
-// mutation into a write-ahead log before the response is sent; recovery
+// decision into a write-ahead log before the response is sent; recovery
 // replays the newest snapshot plus the segment tail and re-derives the
 // redundant state (ledger balances, issued/deposited counters) from the
 // journaled ground truth so a torn multi-record operation can never leave
 // the books inconsistent.
 //
-// Two journaling styles coexist, picked per table by its atomicity need:
-//
-//   - store.Durable decorators journal single-store commits (a deposit's
-//     record insert IS the atomic commit point; a freeze is one set).
-//   - Handler-level batches journal multi-store commits (mint = coin +
-//     buyer; a downtime re-binding = new binding + relinquishment proof +
-//     sync queue) as ONE record, so a crash between the stores is
-//     impossible by construction — a batch applies whole or not at all.
+// There is one journaling style: a handler applies its decision to the
+// in-memory stores and then journals every mutation it made as ONE
+// wal.Log.Commit — mint = coins + buyers, a punishment = freeze + case, a
+// downtime re-binding = new binding + relinquishment trail + sync queue — so
+// a crash between two stores is impossible by construction: a record
+// replays whole or not at all. A journal failure never blocks the in-memory
+// protocol (responses must not diverge from the unpersisted path); the log
+// latches its first failure, and PersistenceErr reads it so operators and
+// the crash suite can treat the entity as dead.
 //
 // Record values are encoded with the internal/wire helpers: each record
 // type has an appendWire method and a decode function, and every decode
@@ -55,58 +56,6 @@ const (
 
 	metaKeysKey = "keys"
 )
-
-// persistLog wraps a wal.Log with first-error retention and implements
-// store.Journal for the Durable decorators. A journal failure never blocks
-// the in-memory protocol (responses must not diverge from the nil-journal
-// path); it is surfaced through PersistenceErr so operators and the crash
-// suite can treat the entity as dead.
-type persistLog struct {
-	log *wal.Log
-
-	mu  sync.Mutex
-	err error
-}
-
-func (p *persistLog) fail(err error) {
-	if err == nil {
-		return
-	}
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.mu.Unlock()
-}
-
-// Err returns the first journaling failure.
-func (p *persistLog) Err() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
-
-// LogSet implements store.Journal.
-func (p *persistLog) LogSet(table string, key, val []byte) error {
-	err := p.log.Append(wal.EncodeBatch([]wal.Mutation{wal.Set(table, key, val)}))
-	p.fail(err)
-	return err
-}
-
-// LogDelete implements store.Journal.
-func (p *persistLog) LogDelete(table string, key []byte) error {
-	err := p.log.Append(wal.EncodeBatch([]wal.Mutation{wal.Delete(table, key)}))
-	p.fail(err)
-	return err
-}
-
-// batch appends one atomic multi-mutation record.
-func (p *persistLog) batch(muts ...wal.Mutation) {
-	if len(muts) == 0 {
-		return
-	}
-	p.fail(p.log.Append(wal.EncodeBatch(muts)))
-}
 
 // keyPairRec journals an entity's long-lived signing keys and the scheme
 // they belong to. Losing the broker's key on crash would orphan every
@@ -197,14 +146,14 @@ func decodeDepositRec(d *wire.Decoder) (depositRec, error) {
 	return r, err
 }
 
-func encDepositRecord(d *depositRecord) ([]byte, error) {
+func encDepositRecord(d *depositRecord) []byte {
 	rec := depositRec{
 		Binding:   *d.binding,
 		GroupSig:  d.groupSig,
 		PayoutRef: d.payoutRef,
 		WhenUnix:  d.when.UnixNano(),
 	}
-	return rec.appendWire(nil), nil
+	return rec.appendWire(nil)
 }
 
 func decDepositRecord(b []byte) (*depositRecord, error) {
@@ -218,11 +167,6 @@ func decDepositRecord(b []byte) (*depositRecord, error) {
 		payoutRef: r.PayoutRef,
 		when:      time.Unix(0, r.WhenUnix),
 	}, nil
-}
-
-// codecDeposit adapts depositRecord for the Durable decorator.
-func codecDeposit() store.Codec[*depositRecord] {
-	return store.Codec[*depositRecord]{Enc: encDepositRecord, Dec: decDepositRecord}
 }
 
 // claimsRec journals a coin's broker-era relinquishment trail. The
@@ -362,7 +306,10 @@ func decodeCaseRec(d *wire.Decoder) (caseRec, error) {
 	return r, err
 }
 
-func encCase(fc FraudCase) ([]byte, error) {
+// encCase journals a fraud case. Every case is built in this package with
+// (message bytes, groupsig.Signature) evidence pairs, so a pair of any other
+// shape is a programming error, not an input to handle.
+func encCase(fc FraudCase) []byte {
 	rec := caseRec{
 		ID: fc.ID, Kind: fc.Kind, CoinID: fc.CoinID,
 		Verdict: fc.Verdict, Punished: fc.Punished, Bindings: fc.Bindings,
@@ -371,12 +318,12 @@ func encCase(fc FraudCase) ([]byte, error) {
 		msg, ok1 := pair[0].([]byte)
 		gs, ok2 := pair[1].(groupsig.Signature)
 		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("core: fraud case %d has malformed evidence pair", fc.ID)
+			panic(fmt.Sprintf("core: fraud case %d has malformed evidence pair", fc.ID))
 		}
 		rec.SigMsgs = append(rec.SigMsgs, msg)
 		rec.Sigs = append(rec.Sigs, gs)
 	}
-	return rec.appendWire(nil), nil
+	return rec.appendWire(nil)
 }
 
 func decCase(b []byte) (FraudCase, error) {
@@ -420,43 +367,39 @@ func decBinding(b []byte) (*coin.Binding, error) {
 
 // --- broker persistence -------------------------------------------------
 
-// brokerPersist is the broker's durability runtime.
-type brokerPersist struct {
-	persistLog
-}
-
 // journalKeys writes (and force-syncs) the signing keys: they must survive
 // any later crash or every coin in circulation dies with the broker.
 func (b *Broker) journalKeys() {
-	b.persist.batch(wal.Set(tblMeta, []byte(metaKeysKey), encKeys(b.cfg.Scheme, b.keys)))
-	b.persist.fail(b.persist.log.Sync())
+	b.journal.Commit(wal.Set(tblMeta, []byte(metaKeysKey), encKeys(b.cfg.Scheme, b.keys)))
+	b.journal.Sync()
 }
 
 // journalMint journals a purchase commit: every minted coin plus its buyer
 // attribution, one atomic batch (a coin without its buyer would break
 // anonymous-coin sync routing and the credit-regime ledger derivation).
-func (b *Broker) journalMint(coins []*coin.Coin, buyer string) {
-	if b.persist == nil {
+func (b *Broker) journalMint(coins []coin.Coin, buyer string) {
+	if b.journal == nil {
 		return
 	}
 	muts := make([]wal.Mutation, 0, 2*len(coins))
-	for _, c := range coins {
+	for i := range coins {
+		id := []byte(coins[i].ID())
 		muts = append(muts,
-			wal.Set(tblCoin, []byte(c.ID()), encCoin(c)),
-			wal.Set(tblBuyer, []byte(c.ID()), []byte(buyer)),
+			wal.Set(tblCoin, id, encCoin(&coins[i])),
+			wal.Set(tblBuyer, id, []byte(buyer)),
 		)
 	}
-	b.persist.batch(muts...)
+	b.journal.Commit(muts...)
 }
 
 // journalIntent journals the pre-delivery half of a downtime re-binding
 // (see intentRec).
 func (b *Broker) journalIntent(id coin.ID, seq uint64, proof RelinquishProof) {
-	if b.persist == nil {
+	if b.journal == nil {
 		return
 	}
 	rec := intentRec{Seq: seq, Proof: proof}
-	b.persist.batch(wal.Set(tblIntent, []byte(id), rec.appendWire(nil)))
+	b.journal.Commit(wal.Set(tblIntent, []byte(id), rec.appendWire(nil)))
 }
 
 // journalDowntimeCommit journals a committed downtime re-binding or renewal:
@@ -465,7 +408,7 @@ func (b *Broker) journalIntent(id coin.ID, seq uint64, proof RelinquishProof) {
 // replaying any interleaving of commits converges to the memory state. Call
 // it after the in-memory commit, under the coin's service lock.
 func (b *Broker) journalDowntimeCommit(id coin.ID, owner string) {
-	if b.persist == nil {
+	if b.journal == nil {
 		return
 	}
 	muts := make([]wal.Mutation, 0, 3)
@@ -484,13 +427,13 @@ func (b *Broker) journalDowntimeCommit(id coin.ID, owner string) {
 			}
 		})
 	}
-	b.persist.batch(muts...)
+	b.journal.Commit(muts...)
 }
 
 // journalSyncDrain journals a completed owner synchronization: the sync
 // queue entry and every drained downtime binding disappear in one batch.
 func (b *Broker) journalSyncDrain(identity string, drained []coin.ID) {
-	if b.persist == nil {
+	if b.journal == nil {
 		return
 	}
 	muts := make([]wal.Mutation, 0, 1+len(drained))
@@ -498,59 +441,44 @@ func (b *Broker) journalSyncDrain(identity string, drained []coin.ID) {
 	for _, id := range drained {
 		muts = append(muts, wal.Delete(tblDowntime, []byte(id)))
 	}
-	b.persist.batch(muts...)
+	b.journal.Commit(muts...)
 }
 
-// journalCase journals one fraud-case append.
-func (b *Broker) journalCase(fc FraudCase) {
-	if b.persist == nil {
-		return
-	}
-	val, err := encCase(fc)
-	if err != nil {
-		b.persist.fail(err)
-		return
-	}
-	kb, err := store.Uint64Codec().Enc(fc.ID)
-	if err != nil {
-		b.persist.fail(err)
-		return
-	}
-	b.persist.batch(wal.Set(tblCase, kb, val))
-}
+// caseKey is a fraud case's journal key: its ID, big-endian, so the case
+// table sorts like the case log.
+func caseKey(id uint64) []byte { return binary.BigEndian.AppendUint64(nil, id) }
+
+// frozenMut is the journal mutation of one freeze (a membership entry: the
+// value is empty).
+func frozenMut(identity string) wal.Mutation { return wal.Set(tblFrozen, []byte(identity), nil) }
 
 // PersistenceErr returns the first durability failure (journal append,
-// snapshot, codec) since the broker started, or nil. A persisted broker
+// sync, snapshot) since the broker started, or nil. A persisted broker
 // whose log is failing is acknowledging operations it cannot make durable;
 // operators must treat that as a crash.
 func (b *Broker) PersistenceErr() error {
-	if b.persist == nil {
+	if b.journal == nil {
 		return nil
 	}
-	if err := b.persist.Err(); err != nil {
-		return err
-	}
-	if err := b.deposited.Err(); err != nil {
-		return err
-	}
-	return b.frozen.Err()
+	return b.journal.Err()
 }
 
 // maybePersistSnapshot cuts a compaction snapshot when the live log crosses
-// the configured threshold. Called at the end of mutating handlers.
+// the configured threshold. Called at the end of mutating handlers; a
+// failure is latched in the log (PersistenceErr).
 func (b *Broker) maybePersistSnapshot() {
-	if b.persist != nil && b.persist.log.SnapshotDue() {
-		b.persist.fail(b.CompactLog())
+	if b.journal != nil && b.journal.SnapshotDue() {
+		b.CompactLog()
 	}
 }
 
 // CompactLog writes a full-state snapshot and truncates the journal to it.
 // Safe to call at any time on a persisted broker; a no-op otherwise.
 func (b *Broker) CompactLog() error {
-	if b.persist == nil {
+	if b.journal == nil {
 		return nil
 	}
-	return b.persist.log.Snapshot(func(app func([]byte) error) error {
+	return b.journal.Snapshot(func(app func([]byte) error) error {
 		emit := func(muts ...wal.Mutation) error { return app(wal.EncodeBatch(muts)) }
 		if err := emit(wal.Set(tblMeta, []byte(metaKeysKey), encKeys(b.cfg.Scheme, b.keys))); err != nil {
 			return err
@@ -596,20 +524,26 @@ func (b *Broker) CompactLog() error {
 				}
 			}
 		}
-		if err := b.deposited.EmitAll(func(key, val []byte) error {
-			return emit(wal.Set(tblDeposit, key, val))
-		}); err != nil {
-			return err
+		b.deposited.Range(func(id coin.ID, rec *depositRecord) bool {
+			failed = emit(wal.Set(tblDeposit, []byte(id), encDepositRecord(rec)))
+			return failed == nil
+		})
+		if failed != nil {
+			return failed
 		}
-		if err := b.frozen.EmitAll(func(key, val []byte) error {
-			return emit(wal.Set(tblFrozen, key, val))
-		}); err != nil {
-			return err
+		b.frozen.Range(func(identity string, _ struct{}) bool {
+			failed = emit(frozenMut(identity))
+			return failed == nil
+		})
+		if failed != nil {
+			return failed
 		}
-		if err := b.settled.EmitAll(func(key, val []byte) error {
-			return emit(wal.Set(tblSettled, key, val))
-		}); err != nil {
-			return err
+		b.settled.Range(func(id coin.ID, rec *settledRec) bool {
+			failed = emit(wal.Set(tblSettled, []byte(id), rec.appendWire(nil)))
+			return failed == nil
+		})
+		if failed != nil {
+			return failed
 		}
 		b.settleMu.Lock()
 		settleSnap := make(map[coin.ID]settleRec, len(b.settleState))
@@ -623,15 +557,7 @@ func (b *Broker) CompactLog() error {
 			}
 		}
 		for _, fc := range b.FraudCases() {
-			val, err := encCase(fc)
-			if err != nil {
-				return err
-			}
-			kb, err := store.Uint64Codec().Enc(fc.ID)
-			if err != nil {
-				return err
-			}
-			if err := emit(wal.Set(tblCase, kb, val)); err != nil {
+			if err := emit(wal.Set(tblCase, caseKey(fc.ID), encCase(fc))); err != nil {
 				return err
 			}
 		}
@@ -646,7 +572,7 @@ func (b *Broker) recoverBrokerState() (bool, error) {
 	found := false
 	intents := map[coin.ID]intentRec{}
 	settles := map[coin.ID]settleRec{}
-	err := b.persist.log.Replay(func(payload []byte) error {
+	err := b.journal.Replay(func(payload []byte) error {
 		muts, err := wal.DecodeBatch(payload)
 		if err != nil {
 			return err
@@ -700,7 +626,7 @@ func (b *Broker) recoverBrokerState() (bool, error) {
 		}
 		return true
 	})
-	b.deposited.Sharded.Range(func(id coin.ID, rec *depositRecord) bool {
+	b.deposited.Range(func(id coin.ID, rec *depositRecord) bool {
 		if c, ok := b.coins.Get(id); ok {
 			depositedTotal += c.Value
 			if b.localKey(rec.payoutRef) {
@@ -719,7 +645,7 @@ func (b *Broker) recoverBrokerState() (bool, error) {
 	b.settleMu.Unlock()
 	// Inbound settlements already applied replay their credits (the
 	// durable dedup insert was the commit point).
-	b.settled.Sharded.Range(func(_ coin.ID, rec *settledRec) bool {
+	b.settled.Range(func(_ coin.ID, rec *settledRec) bool {
 		b.ledger.Credit(rec.Ref, rec.Amount)
 		return true
 	})
@@ -737,8 +663,7 @@ func (b *Broker) recoverBrokerState() (bool, error) {
 	return true, nil
 }
 
-// applyRecovered applies one replayed mutation (journaling suppressed:
-// replay goes straight to the embedded stores).
+// applyRecovered applies one replayed mutation to the broker's stores.
 func (b *Broker) applyRecovered(m wal.Mutation, intents map[coin.ID]intentRec, settles map[coin.ID]settleRec) error {
 	id := coin.ID(m.Key)
 	switch m.Table {
@@ -795,12 +720,17 @@ func (b *Broker) applyRecovered(m wal.Mutation, intents map[coin.ID]intentRec, s
 		if m.Op == wal.OpDelete {
 			return errors.New("core: deposit records are never deleted")
 		}
-		return b.deposited.ApplySet(m.Key, m.Val)
+		rec, err := decDepositRecord(m.Val)
+		if err != nil {
+			return err
+		}
+		b.deposited.Set(id, rec)
 	case tblFrozen:
 		if m.Op == wal.OpDelete {
-			return b.frozen.ApplyDelete(m.Key)
+			b.frozen.Delete(string(m.Key))
+			return nil
 		}
-		return b.frozen.ApplySet(m.Key, m.Val)
+		b.frozen.Set(string(m.Key), struct{}{})
 	case tblSettle:
 		rec, err := wire.DecodeExact(m.Val, decodeSettleRec)
 		if err != nil {
@@ -811,7 +741,11 @@ func (b *Broker) applyRecovered(m wal.Mutation, intents map[coin.ID]intentRec, s
 		if m.Op == wal.OpDelete {
 			return errors.New("core: settlement dedup records are never deleted")
 		}
-		return b.settled.ApplySet(m.Key, m.Val)
+		rec, err := wire.DecodeExact(m.Val, decodeSettledRec)
+		if err != nil {
+			return err
+		}
+		b.settled.Set(id, &rec)
 	case tblCase:
 		fc, err := decCase(m.Val)
 		if err != nil {

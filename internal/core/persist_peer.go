@@ -187,8 +187,8 @@ func decHeld(b []byte) (*heldCoin, error) {
 
 // journalPeerKeys writes (and force-syncs) the peer's identity keys.
 func (p *Peer) journalPeerKeys() {
-	p.persist.batch(wal.Set(tblMeta, []byte(metaKeysKey), encKeys(p.cfg.Scheme, p.keys)))
-	p.persist.fail(p.persist.log.Sync())
+	p.journal.Commit(wal.Set(tblMeta, []byte(metaKeysKey), encKeys(p.cfg.Scheme, p.keys)))
+	p.journal.Sync()
 }
 
 // saveOwned re-journals an owned coin's full current state. Call it after
@@ -196,14 +196,14 @@ func (p *Peer) journalPeerKeys() {
 // atomic under the shard write lock plus oc.mu, so concurrent saves land in
 // the journal in state order.
 func (p *Peer) saveOwned(id coin.ID) {
-	if p.persist == nil {
+	if p.journal == nil {
 		return
 	}
 	p.owned.ComputeIfPresent(id, func(oc *ownedCoin) (*ownedCoin, store.Op) {
 		oc.mu.Lock()
 		val := encOwnedLocked(oc)
 		oc.mu.Unlock()
-		p.persist.batch(wal.Set(tblOwned, []byte(id), val))
+		p.journal.Commit(wal.Set(tblOwned, []byte(id), val))
 		return oc, store.OpKeep
 	})
 }
@@ -211,14 +211,14 @@ func (p *Peer) saveOwned(id coin.ID) {
 // saveHeld re-journals a held coin's full current state (same discipline as
 // saveOwned).
 func (p *Peer) saveHeld(id coin.ID) {
-	if p.persist == nil {
+	if p.journal == nil {
 		return
 	}
 	p.held.ComputeIfPresent(id, func(hc *heldCoin) (*heldCoin, store.Op) {
 		hc.mu.Lock()
 		val := encHeldLocked(hc)
 		hc.mu.Unlock()
-		p.persist.batch(wal.Set(tblHeld, []byte(id), val))
+		p.journal.Commit(wal.Set(tblHeld, []byte(id), val))
 		return hc, store.OpKeep
 	})
 }
@@ -226,10 +226,10 @@ func (p *Peer) saveHeld(id coin.ID) {
 // journalHeldSetLocked journals a held entry from inside a store Compute
 // (the shard write lock is held; hc is fresh or entry-locked by the caller).
 func (p *Peer) journalHeldSetLocked(id coin.ID, hc *heldCoin) {
-	if p.persist == nil {
+	if p.journal == nil {
 		return
 	}
-	p.persist.batch(wal.Set(tblHeld, []byte(id), encHeldLocked(hc)))
+	p.journal.Commit(wal.Set(tblHeld, []byte(id), encHeldLocked(hc)))
 }
 
 // dropHeld removes a held coin, journaling the delete under the shard lock
@@ -243,8 +243,8 @@ func (p *Peer) dropHeld(id coin.ID) (*heldCoin, bool) {
 			return cur, store.OpKeep
 		}
 		out, found = cur, true
-		if p.persist != nil {
-			p.persist.batch(wal.Delete(tblHeld, []byte(id)))
+		if p.journal != nil {
+			p.journal.Commit(wal.Delete(tblHeld, []byte(id)))
 		}
 		return cur, store.OpDelete
 	})
@@ -254,29 +254,30 @@ func (p *Peer) dropHeld(id coin.ID) (*heldCoin, bool) {
 // PersistenceErr returns the first durability failure since the peer
 // started, or nil.
 func (p *Peer) PersistenceErr() error {
-	if p.persist == nil {
+	if p.journal == nil {
 		return nil
 	}
-	return p.persist.Err()
+	return p.journal.Err()
 }
 
 // Recovered reports whether this peer replayed durable state at startup.
 func (p *Peer) Recovered() bool { return p.recovered }
 
-// maybePersistSnapshot cuts a compaction snapshot when due. Never call it
-// while holding a store shard lock (the emitter ranges the stores).
+// maybePersistSnapshot cuts a compaction snapshot when due; a failure is
+// latched in the log (PersistenceErr). Never call it while holding a store
+// shard lock (the emitter ranges the stores).
 func (p *Peer) maybePersistSnapshot() {
-	if p.persist != nil && p.persist.log.SnapshotDue() {
-		p.persist.fail(p.CompactLog())
+	if p.journal != nil && p.journal.SnapshotDue() {
+		p.CompactLog()
 	}
 }
 
 // CompactLog writes a full-wallet snapshot and truncates the journal to it.
 func (p *Peer) CompactLog() error {
-	if p.persist == nil {
+	if p.journal == nil {
 		return nil
 	}
-	return p.persist.log.Snapshot(func(app func([]byte) error) error {
+	return p.journal.Snapshot(func(app func([]byte) error) error {
 		emit := func(muts ...wal.Mutation) error { return app(wal.EncodeBatch(muts)) }
 		if err := emit(wal.Set(tblMeta, []byte(metaKeysKey), encKeys(p.cfg.Scheme, p.keys))); err != nil {
 			return err
@@ -307,7 +308,7 @@ func (p *Peer) CompactLog() error {
 // peer starts serving. Returns whether any durable state was found.
 func (p *Peer) recoverPeerState() (bool, error) {
 	found := false
-	err := p.persist.log.Replay(func(payload []byte) error {
+	err := p.journal.Replay(func(payload []byte) error {
 		muts, err := wal.DecodeBatch(payload)
 		if err != nil {
 			return err

@@ -162,12 +162,11 @@ type Node struct {
 	// replica sets are computed from.
 	ring []nodeRef
 
-	// Durability (nil/zero for in-memory nodes): the journal, the node
-	// epoch (immutable once serving), and the first journal failure.
+	// Durability (nil/zero for in-memory nodes): the journal, which also
+	// latches its first failure, and the node epoch (immutable once
+	// serving).
 	walLog *wal.Log
 	epoch  uint64
-	walMu  sync.Mutex
-	walErr error
 
 	// Observability (nil/zero when the cluster has no Obs registry).
 	instr         *obs.Instr

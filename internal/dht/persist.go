@@ -43,32 +43,12 @@ func sortedWatchers(ws map[bus.Address]bool) []string {
 	return watchers
 }
 
-// journal appends one record batch, remembering the first failure.
-func (n *Node) journal(muts ...wal.Mutation) {
-	if n.walLog == nil {
-		return
-	}
-	if err := n.walLog.Append(wal.EncodeBatch(muts)); err != nil {
-		n.walFail(err)
-	}
-}
-
-func (n *Node) walFail(err error) {
-	if err == nil {
-		return
-	}
-	n.walMu.Lock()
-	if n.walErr == nil {
-		n.walErr = err
-	}
-	n.walMu.Unlock()
-}
-
 // PersistenceErr returns the first durability failure since startup, or nil.
 func (n *Node) PersistenceErr() error {
-	n.walMu.Lock()
-	defer n.walMu.Unlock()
-	return n.walErr
+	if n.walLog == nil {
+		return nil
+	}
+	return n.walLog.Err()
 }
 
 // Epoch returns the node's current epoch (0 for in-memory nodes).
@@ -80,7 +60,7 @@ func (n *Node) journalRecordLocked(rec Record) {
 	if n.walLog == nil {
 		return
 	}
-	n.journal(wal.Set(tblRec, rec.Key[:], rec.AppendWire(nil)))
+	n.walLog.Commit(wal.Set(tblRec, rec.Key[:], rec.AppendWire(nil)))
 }
 
 // journalSubsLocked journals a key's full watcher set (nil deletes); the
@@ -90,10 +70,10 @@ func (n *Node) journalSubsLocked(key Key, ws map[bus.Address]bool) {
 		return
 	}
 	if len(ws) == 0 {
-		n.journal(wal.Delete(tblSub, key[:]))
+		n.walLog.Commit(wal.Delete(tblSub, key[:]))
 		return
 	}
-	n.journal(wal.Set(tblSub, key[:], wire.AppendStrings(nil, sortedWatchers(ws))))
+	n.walLog.Commit(wal.Set(tblSub, key[:], wire.AppendStrings(nil, sortedWatchers(ws))))
 }
 
 // recoverState replays the node's journal and advances the epoch. Runs
@@ -118,7 +98,7 @@ func (n *Node) recoverState() error {
 	// The epoch bump is the restart fence: force-synced so that even under
 	// FsyncNever a recovered node never serves in a stale epoch.
 	n.epoch = lastEpoch + 1
-	n.journal(wal.Set(tblEpoch, epochKey, wire.AppendU64(nil, n.epoch)))
+	n.walLog.Commit(wal.Set(tblEpoch, epochKey, wire.AppendU64(nil, n.epoch)))
 	if err := n.walLog.Sync(); err != nil {
 		return err
 	}
@@ -181,7 +161,7 @@ func (n *Node) healthCheck() (string, error) {
 // threshold. Never called under a store shard lock.
 func (n *Node) maybeSnapshot() {
 	if n.walLog != nil && n.walLog.SnapshotDue() {
-		n.walFail(n.snapshot())
+		n.snapshot() // a failure is latched in the log (PersistenceErr)
 	}
 }
 

@@ -2,17 +2,15 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"sync"
 )
 
-// Journal receives durable mutations. The write-ahead-log-backed
-// implementation lives with the entities (internal/core, internal/dht); the
-// store layer only defines the contract so it stays free of I/O concerns.
-// Implementations must be safe for concurrent use — Durable calls them under
-// shard write locks of independent shards.
+// Journal receives durable mutations for a Durable store. Implementations
+// must be safe for concurrent use — Durable calls them under shard write
+// locks of independent shards. No entity implements it: every entity
+// journals through wal.Log.Commit directly (DESIGN.md §10).
 type Journal interface {
 	// LogSet records that val is now stored under key in table.
 	LogSet(table string, key, val []byte) error
@@ -20,10 +18,9 @@ type Journal interface {
 	LogDelete(table string, key []byte) error
 }
 
-// Codec converts keys or values to and from their journaled byte form.
-// Encodings must be deterministic (byte-identical for equal input) so
-// snapshots and the journal round-trip suite can assert stability. The
-// entities build theirs from the internal/wire helpers.
+// Codec converts a Durable store's keys or values to and from their
+// journaled byte form. Encodings must be deterministic (byte-identical for
+// equal input).
 type Codec[T any] struct {
 	Enc func(T) ([]byte, error)
 	Dec func([]byte) (T, error)
@@ -34,27 +31,6 @@ func StringCodec[T ~string]() Codec[T] {
 	return Codec[T]{
 		Enc: func(v T) ([]byte, error) { return []byte(v), nil },
 		Dec: func(b []byte) (T, error) { return T(b), nil },
-	}
-}
-
-// Uint64Codec encodes uint64 keys big-endian (sorts like the integers).
-func Uint64Codec() Codec[uint64] {
-	return Codec[uint64]{
-		Enc: func(v uint64) ([]byte, error) { return binary.BigEndian.AppendUint64(nil, v), nil },
-		Dec: func(b []byte) (uint64, error) {
-			if len(b) != 8 {
-				return 0, fmt.Errorf("store: uint64 key of %d bytes", len(b))
-			}
-			return binary.BigEndian.Uint64(b), nil
-		},
-	}
-}
-
-// UnitCodec encodes struct{} values (membership tables) as empty bytes.
-func UnitCodec() Codec[struct{}] {
-	return Codec[struct{}]{
-		Enc: func(struct{}) ([]byte, error) { return nil, nil },
-		Dec: func([]byte) (struct{}, error) { return struct{}{}, nil },
 	}
 }
 
@@ -79,16 +55,18 @@ func GobCodec[T any]() Codec[T] {
 	}
 }
 
-// Durable decorates a Sharded store with write-ahead journaling: every
-// mutation is logged — under the owning shard's write lock, so the journal
-// order matches the memory order per key — before the mutating call returns.
-// With a nil Journal it is a pure passthrough with zero added locking, which
-// is what keeps the Persistence:nil configuration byte-for-byte compatible
-// with the in-memory-only behavior.
+// Durable decorates a Sharded store with write-ahead journaling. Production
+// no longer uses it: the broker, peers and DHT nodes journal each decision
+// as one wal.Log.Commit against plain Sharded stores. It stays only because
+// the benchmark's store.durable_set_us probe (bench/probes.go) builds one;
+// retargeting that probe at wal.Log.Commit lets Durable, Journal and Codec
+// go.
 //
-// Journal or codec failures never block the in-memory mutation (the
-// protocol response must not diverge from the nil-journal path); the first
-// failure is retained for the entity to surface via Err.
+// Every mutation is logged — under the owning shard's write lock, so the
+// journal order matches the memory order per key — before the mutating call
+// returns. With a nil Journal it is a pure passthrough. Journal or codec
+// failures never block the in-memory mutation; the first one is retained
+// for Err.
 type Durable[K comparable, V any] struct {
 	*Sharded[K, V]
 	table string

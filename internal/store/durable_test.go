@@ -180,18 +180,6 @@ func TestDurableErrCapturesJournalFailure(t *testing.T) {
 }
 
 func TestCodecs(t *testing.T) {
-	u := store.Uint64Codec()
-	b, err := u.Enc(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := u.Dec(b); err != nil || v != 42 {
-		t.Fatalf("uint64 round trip: %d %v", v, err)
-	}
-	if _, err := u.Dec([]byte{1}); err == nil {
-		t.Fatal("short uint64 accepted")
-	}
-
 	type rec struct{ A, B string }
 	g := store.GobCodec[rec]()
 	rb, err := g.Enc(rec{"x", "y"})
@@ -207,11 +195,5 @@ func TestCodecs(t *testing.T) {
 	}
 	if v, err := g.Dec(rb); err != nil || v != (rec{"x", "y"}) {
 		t.Fatalf("gob round trip: %+v %v", v, err)
-	}
-
-	unit := store.UnitCodec()
-	ub, err := unit.Enc(struct{}{})
-	if err != nil || len(ub) != 0 {
-		t.Fatalf("unit codec: %v %v", ub, err)
 	}
 }

@@ -178,6 +178,10 @@ type Log struct {
 
 	snapBusy atomic.Bool
 
+	// failed latches the first error Append, Sync or Snapshot returned
+	// (see Err); it never changes once set.
+	failed atomic.Pointer[error]
+
 	// obs handles (nil-safe no-ops when Config.Obs is unset)
 	mFsync     *obs.Histogram
 	mRotations *obs.Counter
@@ -315,12 +319,43 @@ func (l *Log) Replay(fn func(payload []byte) error) error {
 	return nil
 }
 
+// Commit journals muts as one atomic record (EncodeBatch payload): replay
+// applies the whole batch or none of it. An empty commit writes nothing.
+// This is how entities journal every decision.
+func (l *Log) Commit(muts ...Mutation) error {
+	if len(muts) == 0 {
+		return nil
+	}
+	return l.Append(EncodeBatch(muts))
+}
+
+// Err returns the first failure of Append, Sync or Snapshot since Open, or
+// nil. A log that has failed once may have acknowledged work it could not
+// make durable; its entity must be treated as crashed, so the value never
+// changes after it is set.
+func (l *Log) Err() error {
+	if p := l.failed.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// fail latches err as the log's failure when it is the first one (see Err)
+// and returns it. Append and Sync call it under l.mu, so their failures
+// latch in the order they happened.
+func (l *Log) fail(err error) error {
+	if err != nil {
+		l.failed.CompareAndSwap(nil, &err)
+	}
+	return err
+}
+
 // Append frames payload as one record and writes it, rotating segments and
 // syncing per the configured policy. The record is durable per the policy
 // when Append returns.
 func (l *Log) Append(payload []byte) error {
 	if len(payload) > maxRecordLen {
-		return fmt.Errorf("wal: record of %d bytes exceeds max %d", len(payload), maxRecordLen)
+		return l.fail(fmt.Errorf("wal: record of %d bytes exceeds max %d", len(payload), maxRecordLen))
 	}
 	buf := make([]byte, frameHeaderLen+len(payload))
 	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
@@ -329,6 +364,11 @@ func (l *Log) Append(payload []byte) error {
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.fail(l.appendLocked(buf))
+}
+
+// appendLocked writes one framed record under l.mu.
+func (l *Log) appendLocked(buf []byte) error {
 	if l.closed {
 		return ErrClosed
 	}
@@ -362,9 +402,9 @@ func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return ErrClosed
+		return l.fail(ErrClosed)
 	}
-	return l.syncLocked(true)
+	return l.fail(l.syncLocked(true))
 }
 
 // LiveSize returns the bytes of record data not yet covered by a snapshot —
@@ -393,6 +433,11 @@ func (l *Log) SnapshotDue() bool {
 // replay, which is safe because every record carries a full value (set) or a
 // tombstone (delete) — re-application is idempotent.
 func (l *Log) Snapshot(emit func(app func(payload []byte) error) error) error {
+	return l.fail(l.snapshot(emit))
+}
+
+// snapshot is Snapshot without the failure latch.
+func (l *Log) snapshot(emit func(app func(payload []byte) error) error) error {
 	if !l.snapBusy.CompareAndSwap(false, true) {
 		return nil // one at a time; the next threshold check retries
 	}

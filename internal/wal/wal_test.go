@@ -2,9 +2,11 @@ package wal_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"whopay/internal/wal"
@@ -343,6 +345,78 @@ func TestCrashfsByteSweep(t *testing.T) {
 				t.Fatalf("budget %d: record %d corrupted after crash", budget, i)
 			}
 		}
+	}
+}
+
+// TestErrLatchesFirstFailure: concurrent Commits against a log whose
+// filesystem dies mid-run leave Err set to the first failure, and nothing
+// that fails afterwards — more Commits, a Sync, a Snapshot — replaces it.
+func TestErrLatchesFirstFailure(t *testing.T) {
+	l, err := wal.Open(wal.Config{Dir: t.TempDir(), FS: crashfs.Limit(wal.OS(), 4<<10)})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer l.Close()
+	if err := l.Err(); err != nil {
+		t.Fatalf("fresh log: Err = %v", err)
+	}
+
+	const writers, commits = 8, 64
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		returned []error // every error a Commit returned
+		observed []error // Err as read right after each failing Commit
+	)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < commits; i++ {
+				err := l.Commit(wal.Set("t", []byte(fmt.Sprintf("%d/%d", w, i)), payload(i)))
+				if err == nil {
+					continue
+				}
+				latched := l.Err()
+				mu.Lock()
+				returned = append(returned, err)
+				observed = append(observed, latched)
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if len(returned) == 0 {
+		t.Fatal("the byte budget never ran out")
+	}
+	first := l.Err()
+	if !errors.Is(first, crashfs.ErrCrashed) {
+		t.Fatalf("Err = %v, want the simulated crash", first)
+	}
+	isReturned := false
+	for _, err := range returned {
+		isReturned = isReturned || err == first
+	}
+	if !isReturned {
+		t.Fatalf("Err = %v is not an error any Commit returned", first)
+	}
+	for _, err := range observed {
+		if err != first {
+			t.Fatalf("Err read %v after a failing Commit, later %v: the latch moved", err, first)
+		}
+	}
+
+	if err := l.Commit(wal.Set("t", []byte("late"), nil)); err == nil {
+		t.Fatal("Commit after the crash succeeded")
+	}
+	if err := l.Sync(); err == nil {
+		t.Fatal("Sync after the crash succeeded")
+	}
+	if err := l.Snapshot(func(func([]byte) error) error { return nil }); err == nil {
+		t.Fatal("Snapshot after the crash succeeded")
+	}
+	if got := l.Err(); got != first {
+		t.Fatalf("Err changed from %v to %v", first, got)
 	}
 }
 
