@@ -13,10 +13,11 @@
 //
 // With -admin the process also serves the observability admin endpoint
 // (DESIGN.md §11): /metrics, /healthz, /traces, and /debug/pprof. All
-// entities share one registry, so a single multi-hop transfer shows up as
-// one trace with spans from payer, owner, payee, and broker; the demo
-// prints one such trace before exiting. Use -linger to keep the process
-// (and the admin endpoint) alive after the demo for scraping.
+// entities share one registry, so one payment shows up as spans from
+// payer, owner, payee, and broker, each under its own party-local trace
+// ID; the demo prints the last payment's spans before exiting. Use -linger
+// to keep the process (and the admin endpoint) alive after the demo for
+// scraping.
 //
 // Usage:
 //
@@ -494,60 +495,34 @@ func run() error {
 	return nil
 }
 
-// printSampleTrace picks the demo's most interesting trace — preferring a
-// multi-hop transfer — and prints its span tree, showing one trace ID
-// stitched across payer, owner/broker, and payee over real sockets.
+// printSampleTrace prints the demo's last payment (an issue or a transfer)
+// as each party recorded it: the payer's span and every span the other
+// parties recorded while it ran, as one flat list in start order. Each line
+// carries its own trace ID, because a trace never leaves the party that
+// minted it.
 func printSampleTrace(tr *obs.Tracer) {
 	spans := tr.Spans()
-	traceID := ""
-	for _, want := range []string{"transfer", "downtime-transfer", "downtime-renewal", "deposit"} {
-		for i := len(spans) - 1; i >= 0; i-- {
-			if spans[i].Op == want {
-				traceID = spans[i].TraceID
-				break
-			}
-		}
-		if traceID != "" {
-			break
+	var pay *obs.SpanRecord
+	for i := len(spans) - 1; i >= 0 && pay == nil; i-- {
+		switch spans[i].Op {
+		case "issue", "transfer", "downtime-transfer":
+			pay = &spans[i]
 		}
 	}
-	if traceID == "" && len(spans) > 0 {
-		traceID = spans[len(spans)-1].TraceID
-	}
-	if traceID == "" {
+	if pay == nil {
 		return
 	}
-	recs := tr.Trace(traceID)
-	fmt.Printf("\n=== sample trace %s (%d spans) ===\n", traceID, len(recs))
-	inTrace := make(map[string]bool, len(recs))
+	end := pay.Start.Add(pay.Duration)
+	var recs []obs.SpanRecord
+	for _, r := range spans {
+		if !r.Start.Before(pay.Start) && !r.Start.After(end) {
+			recs = append(recs, r)
+		}
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Start.Before(recs[j].Start) })
+	fmt.Printf("\n=== last payment (%s by %s): %d spans ===\n", pay.Op, pay.Entity, len(recs))
 	for _, r := range recs {
-		inTrace[r.SpanID] = true
-	}
-	children := make(map[string][]obs.SpanRecord)
-	var roots []obs.SpanRecord
-	for _, r := range recs {
-		if r.ParentID != "" && inTrace[r.ParentID] {
-			children[r.ParentID] = append(children[r.ParentID], r)
-		} else {
-			roots = append(roots, r)
-		}
-	}
-	var walk func(r obs.SpanRecord, depth int)
-	walk = func(r obs.SpanRecord, depth int) {
-		for i := 0; i < depth; i++ {
-			fmt.Print("  ")
-		}
-		line := fmt.Sprintf("%s %s", r.Entity, r.Op)
-		fmt.Printf("%-40s %v\n", line, r.Duration.Round(time.Microsecond))
-		kids := children[r.SpanID]
-		sort.Slice(kids, func(i, j int) bool { return kids[i].Start.Before(kids[j].Start) })
-		for _, kid := range kids {
-			walk(kid, depth+1)
-		}
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].Start.Before(roots[j].Start) })
-	for _, r := range roots {
-		walk(r, 0)
+		fmt.Printf("%-40s %-10v trace %s\n", r.Entity+" "+r.Op, r.Duration.Round(time.Microsecond), r.TraceID)
 	}
 }
 

@@ -89,10 +89,8 @@ func WithIdleTimeout(d time.Duration) Option {
 
 // WithObs enables transport metrics on reg: open inbound and outbound
 // connections, calls, dials, dial failures, reconnects, deadline timeouts,
-// and frame/byte throughput. It also activates trace propagation —
-// outgoing requests carry the caller's ambient trace identity. Nil reg
-// (the default) leaves the transport uninstrumented and the wire format
-// byte-identical.
+// and frame/byte throughput. It never changes what goes on the wire. Nil
+// reg (the default) leaves the transport uninstrumented.
 func WithObs(reg *obs.Registry) Option {
 	return func(n *Network) { n.reg = reg }
 }
@@ -397,7 +395,6 @@ func (e *endpoint) serveFramedConn(conn net.Conn, br *bufio.Reader) {
 		// ReadFrame will overwrite. Decoded values copy out of it.
 		payload, derr := decodeFramePayload(&f)
 		reqID, from := f.ReqID, f.From
-		traceID, spanID := f.TraceID, f.SpanID
 		if derr != nil {
 			// A frame with a bad payload is that caller's problem, not the
 			// connection's: framing is intact, so reply with the error and
@@ -408,10 +405,6 @@ func (e *endpoint) serveFramedConn(conn net.Conn, br *bufio.Reader) {
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
-			if traceID != "" {
-				release := obs.Adopt(traceID, spanID)
-				defer release()
-			}
 			resp, herr := e.handler(bus.Address(from), payload)
 			w.enqueue(encodeReplyFrame(reqID, resp, herr))
 		}()
@@ -740,15 +733,6 @@ func (pc *peerConn) roundTrip(msg any) (any, error) {
 	pc.mu.Unlock()
 
 	f := wire.Frame{Kind: wire.KindRequest, ReqID: id, From: string(pc.ep.addr)}
-	if n.reg != nil {
-		// Trace identity crosses the wire only on instrumented networks, so
-		// uninstrumented daemons keep trace-free wire bytes even when some
-		// other subsystem in the process activated tracing.
-		if tid, sid := obs.Inject(); tid != "" {
-			f.Flags |= wire.FlagTraced
-			f.TraceID, f.SpanID = tid, sid
-		}
-	}
 	buf, err := appendPayloadFrame(wire.GetBuf(), &f, msg)
 	if err != nil {
 		pc.dropPending(id)

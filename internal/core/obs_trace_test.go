@@ -1,21 +1,23 @@
 package core
 
 import (
-	"fmt"
-	"strings"
 	"testing"
+	"time"
 
+	"whopay/internal/bus"
+	"whopay/internal/bus/tcpbus"
 	"whopay/internal/obs"
 	"whopay/internal/sig"
 )
 
-// TestTracePropagationOverTCP proves end-to-end trace stitching on the
+// TestTraceStaysInParty pins the anonymity rule for tracing on the
 // production stack: one anonymous transfer is a three-hop exchange — payer
 // → payee (offer), payer → owner (transfer), owner → payee (deliver) —
-// each hop crossing a real TCP socket. With a shared registry the trace
-// identity rides the request frames, so all three entities' server spans
-// land in ONE trace rooted at the payer's client span.
-func TestTracePropagationOverTCP(t *testing.T) {
+// each hop crossing a real TCP socket. With a registry shared by all three
+// parties every party records its own spans, and no trace ID is shared
+// between parties: a shared ID would let the owner and the payee link the
+// payer's hops.
+func TestTraceStaysInParty(t *testing.T) {
 	eachRealScheme(t, func(t *testing.T, scheme sig.Scheme) {
 		reg := obs.NewRegistry()
 		w := newTCPWorld(t, scheme, tcpWorldOpts{reg: reg})
@@ -33,78 +35,36 @@ func TestTracePropagationOverTCP(t *testing.T) {
 		if err := payer.TransferTo(payee.ep.Addr(), id); err != nil {
 			t.Fatal(err)
 		}
-		checkTransferTrace(t, reg.Tracer())
+
+		recorded := make(map[string]bool)
+		party := make(map[string]string) // trace ID → entity that recorded it
+		for _, s := range reg.Tracer().Spans() {
+			recorded[s.Entity+" "+s.Op] = true
+			if s.TraceID == "" {
+				t.Errorf("span %s/%s has no trace ID", s.Entity, s.Op)
+			}
+			if e, ok := party[s.TraceID]; ok && e != s.Entity {
+				t.Errorf("trace %s is shared by %s and %s", s.TraceID, e, s.Entity)
+			}
+			party[s.TraceID] = s.Entity
+		}
+		for _, want := range []string{
+			"trace-payer transfer",
+			"trace-payee serve-offer",
+			"trace-owner serve-transfer",
+			"trace-payee serve-deliver",
+		} {
+			if !recorded[want] {
+				t.Errorf("no %q span recorded", want)
+			}
+		}
 	})
 }
 
-// checkTransferTrace asserts that the payer's transfer span roots one
-// stitched trace holding exactly one span per hop from all three parties.
-func checkTransferTrace(t *testing.T, tr *obs.Tracer) {
-	t.Helper()
-	var traceID, rootSpan string
-	for _, s := range tr.Spans() {
-		if s.Op == "transfer" && s.Entity == "trace-payer" {
-			traceID, rootSpan = s.TraceID, s.SpanID
-		}
-	}
-	if traceID == "" {
-		t.Fatal("no transfer span recorded for the payer")
-	}
-	trace := tr.Trace(traceID)
-
-	inTrace := make(map[string]bool, len(trace))
-	entities := make(map[string]bool)
-	ops := make(map[string]int)
-	for _, s := range trace {
-		inTrace[s.SpanID] = true
-		entities[s.Entity] = true
-		ops[s.Op]++
-	}
-	for _, want := range []string{"trace-payer", "trace-owner", "trace-payee"} {
-		if !entities[want] {
-			t.Errorf("trace %s is missing spans from %s (has %v)", traceID, want, keys(entities))
-		}
-	}
-	for _, want := range []string{"transfer", "serve-offer", "serve-transfer", "serve-deliver"} {
-		if ops[want] != 1 {
-			t.Errorf("trace has %d %q spans, want 1 (ops: %v)", ops[want], want, ops)
-		}
-	}
-	// Every non-root span's parent must resolve inside the same trace —
-	// that is what makes it one stitched tree rather than four orphans.
-	for _, s := range trace {
-		if s.SpanID == rootSpan {
-			if s.ParentID != "" {
-				t.Errorf("root span has parent %q", s.ParentID)
-			}
-			continue
-		}
-		if s.ParentID == "" || !inTrace[s.ParentID] {
-			t.Errorf("span %s/%s parent %q not in trace", s.Entity, s.Op, s.ParentID)
-		}
-	}
-	// The three server-side spans crossed real sockets: their parents were
-	// reconstructed from envelope fields, not shared memory.
-	if ops["serve-deliver"] == 1 {
-		var deliver, serveTransfer obs.SpanRecord
-		for _, s := range trace {
-			switch s.Op {
-			case "serve-deliver":
-				deliver = s
-			case "serve-transfer":
-				serveTransfer = s
-			}
-		}
-		if deliver.ParentID != serveTransfer.SpanID {
-			t.Errorf("serve-deliver parent = %s, want the owner's serve-transfer span %s",
-				deliver.ParentID, serveTransfer.SpanID)
-		}
-	}
-}
-
-// TestUntracedTCPEnvelopeUnchanged pins the disabled-state wire contract:
-// without a registry the transport injects nothing, so no span records
-// exist anywhere and messages decode exactly as before.
+// TestUntracedTCPEnvelopeUnchanged pins the wire contract of tracing. With
+// no registry the stack runs as before. On an instrumented network the
+// same call puts the same bytes on the wire whether or not the caller has
+// a span open, because no trace identity rides a frame.
 func TestUntracedTCPEnvelopeUnchanged(t *testing.T) {
 	eachRealScheme(t, func(t *testing.T, scheme sig.Scheme) {
 		w := newTCPWorld(t, scheme, tcpWorldOpts{})
@@ -112,12 +72,48 @@ func TestUntracedTCPEnvelopeUnchanged(t *testing.T) {
 			t.Fatalf("purchase without obs: %v", err)
 		}
 	})
-}
+	t.Run("span-open", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		network := tcpbus.New(tcpbus.WithObs(reg))
+		h := func(bus.Address, any) (any, error) { return nil, nil }
+		srv, err := network.Listen("127.0.0.1:0", h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		cli, err := network.Listen("127.0.0.1:0", h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cli.Close() })
 
-func keys(m map[string]bool) string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	return fmt.Sprintf("[%s]", strings.Join(out, " "))
+		value := func(name string) float64 { v, _ := reg.Value(name, nil); return v }
+		// callBytes makes one call and returns the bytes it put on the wire.
+		// Both ends count received bytes before the call returns, but a
+		// writer counts sent bytes after its write, so wait for tx to catch
+		// up with rx.
+		callBytes := func() float64 {
+			tx0, rx0 := value("whopay_tcpbus_bytes_tx_total"), value("whopay_tcpbus_bytes_rx_total")
+			if _, err := cli.Call(srv.Addr(), nil); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for value("whopay_tcpbus_bytes_tx_total")-tx0 < value("whopay_tcpbus_bytes_rx_total")-rx0 {
+				if time.Now().After(deadline) {
+					t.Fatal("sent bytes never caught up with received bytes")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			return value("whopay_tcpbus_bytes_tx_total") - tx0
+		}
+		callBytes() // dials the connection and sends the preamble
+		plain := callBytes()
+		in := obs.NewInstr(reg, "caller")
+		sp := in.Begin("call")
+		traced := callBytes()
+		in.End(sp, nil)
+		if traced != plain {
+			t.Fatalf("a call with a span open sent %v bytes, without one %v", traced, plain)
+		}
+	})
 }

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Instr is an entity's handle into the obs subsystem: it opens a span plus
-// a latency-histogram observation around each logical operation, and counts
+// Instr is an entity's handle into the obs subsystem: it times each logical
+// operation into a latency histogram and the span ring, and counts
 // errored operations. A nil *Instr — the state when an entity's Obs knob is
 // unset — makes Begin/End pure no-ops that read no clock and allocate
 // nothing, so uninstrumented runs stay byte-identical.
@@ -36,35 +36,36 @@ func NewInstr(reg *Registry, entity string) *Instr {
 	}
 }
 
-// OpSpan carries one in-flight operation's trace span and latency timer
-// between Begin and End. The zero value (from a nil Instr) is inert.
+// OpSpan is one in-flight operation between Begin and End. The zero
+// value (from a nil Instr) is inert.
 type OpSpan struct {
-	span *Span
 	hist *Histogram
 	t0   time.Time
 	op   string
 }
 
-// Begin opens a span for op and starts its latency timer.
+// Begin starts timing op.
 func (in *Instr) Begin(op string) OpSpan {
 	if in == nil {
 		return OpSpan{}
 	}
-	h := in.hist(op)
-	return OpSpan{span: in.tracer.StartSpan(in.entity, op), hist: h, t0: time.Now(), op: op}
+	return OpSpan{hist: in.hist(op), t0: time.Now(), op: op}
 }
 
-// End closes the operation: records the latency, counts the error if any,
-// and finishes the span. Must run on the goroutine that called Begin.
+// End closes the operation: it records the latency, counts the error if
+// any, and stores the span as the root of its own party-local trace.
 func (in *Instr) End(s OpSpan, err error) {
-	if in == nil || s.span == nil {
+	if in == nil || s.hist == nil {
 		return
 	}
-	s.hist.ObserveSince(s.t0)
+	d := time.Since(s.t0)
+	s.hist.Observe(d)
+	rec := SpanRecord{TraceID: newID(), Entity: in.entity, Op: s.op, Start: s.t0, Duration: d}
 	if err != nil {
 		in.reg.Counter("whopay_op_errors_total", Labels{"entity": in.entity, "op": s.op}).Inc()
+		rec.Err = err.Error()
 	}
-	s.span.End(err)
+	in.tracer.record(rec)
 }
 
 // hist returns the latency histogram for op, caching the handle so the hot

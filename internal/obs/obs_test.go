@@ -47,11 +47,9 @@ func TestNilRegistryNoOps(t *testing.T) {
 	if err := reg.WritePrometheus(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if reg.Tracer() != nil {
-		t.Fatal("nil registry must have a nil tracer")
+	if reg.Tracer() != nil || reg.Tracer().Spans() != nil {
+		t.Fatal("nil registry must have a nil tracer with no spans")
 	}
-	sp := reg.Tracer().StartSpan("e", "op")
-	sp.End(nil)
 	in := NewInstr(nil, "e")
 	if in != nil {
 		t.Fatal("NewInstr(nil) must be nil")
@@ -154,6 +152,7 @@ func TestPrometheusGolden(t *testing.T) {
 func TestRegistryRaceHammer(t *testing.T) {
 	reg := NewRegistry()
 	tr := reg.Tracer()
+	in := NewInstr(reg, "hammer")
 	const writers, iters = 8, 2000
 	var done atomic.Int32
 	var wg sync.WaitGroup
@@ -171,11 +170,11 @@ func TestRegistryRaceHammer(t *testing.T) {
 				h.Observe(time.Duration(i%1000) * time.Microsecond)
 				// Dynamic get-or-create on a hot path, as instr.hist does.
 				reg.Counter("hammer_dyn_total", Labels{"k": fmt.Sprint(i % 8)}).Inc()
-				sp := tr.StartSpan("hammer", "op")
+				sp := in.Begin("op")
 				if i%3 == 0 {
-					sp.End(errors.New("boom"))
+					in.End(sp, errors.New("boom"))
 				} else {
-					sp.End(nil)
+					in.End(sp, nil)
 				}
 			}
 		}(w)
@@ -242,64 +241,11 @@ func TestConcurrentFirstRegistration(t *testing.T) {
 	}
 }
 
-// TestSpanNesting proves same-goroutine parentage: a span opened while
-// another is active becomes its child, and ending the child restores the
-// parent as the ambient context.
-func TestSpanNesting(t *testing.T) {
-	tr := NewTracer(16)
-	parent := tr.StartSpan("peer", "transfer")
-	child := tr.StartSpan("peer", "sign")
-	child.End(nil)
-	mid, _ := Current()
-	parent.End(nil)
-	after, _ := Current()
-
-	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("recorded %d spans, want 2", len(spans))
-	}
-	// Ring records in End order: child first.
-	if spans[0].ParentID != spans[1].SpanID {
-		t.Fatalf("child parent = %q, want %q", spans[0].ParentID, spans[1].SpanID)
-	}
-	if spans[0].TraceID != spans[1].TraceID {
-		t.Fatal("nested spans must share a trace")
-	}
-	if mid != spans[1].TraceID {
-		t.Fatal("ending the child must restore the parent context")
-	}
-	if after != "" {
-		t.Fatalf("ending the root must clear the context, got %q", after)
-	}
-}
-
-// TestAdoptPropagatesRemoteParent models the transport server side: Adopt
-// installs a remote trace identity, spans started under it join that trace,
-// and release restores the prior (empty) context.
-func TestAdoptPropagatesRemoteParent(t *testing.T) {
-	tr := NewTracer(16)
-	release := Adopt("remotetrace", "remotespan")
-	sp := tr.StartSpan("broker", "serve-deposit")
-	sp.End(nil)
-	release()
-	if id, _ := Current(); id != "" {
-		t.Fatalf("release must clear adopted context, got %q", id)
-	}
-	spans := tr.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("recorded %d spans, want 1", len(spans))
-	}
-	if spans[0].TraceID != "remotetrace" || spans[0].ParentID != "remotespan" {
-		t.Fatalf("span = %+v, want adopted trace/parent", spans[0])
-	}
-}
-
 // TestTracerRingBound proves the ring drops oldest-first at capacity.
 func TestTracerRingBound(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 10; i++ {
-		sp := tr.StartSpan("e", fmt.Sprintf("op-%d", i))
-		sp.End(nil)
+		tr.record(SpanRecord{TraceID: newID(), Entity: "e", Op: fmt.Sprintf("op-%d", i)})
 	}
 	spans := tr.Spans()
 	if len(spans) != 4 {
@@ -312,13 +258,25 @@ func TestTracerRingBound(t *testing.T) {
 	}
 }
 
-// TestSpanErrRecorded pins that failures land in the record.
+// TestSpanErrRecorded pins that failures land in the record, and that each
+// span roots its own trace.
 func TestSpanErrRecorded(t *testing.T) {
-	tr := NewTracer(4)
-	sp := tr.StartSpan("e", "op")
-	sp.End(errors.New("kaput"))
-	if got := tr.Spans()[0].Err; got != "kaput" {
+	reg := NewRegistry()
+	in := NewInstr(reg, "e")
+	in.End(in.Begin("op"), errors.New("kaput"))
+	in.End(in.Begin("op"), nil)
+	spans := reg.Tracer().Spans()
+	if len(spans) != 2 {
+		t.Fatalf("recorded %d spans, want 2", len(spans))
+	}
+	if got := spans[0].Err; got != "kaput" {
 		t.Fatalf("Err = %q", got)
+	}
+	if spans[0].TraceID == "" || spans[0].TraceID == spans[1].TraceID {
+		t.Fatalf("trace IDs %q and %q: each span must root its own trace", spans[0].TraceID, spans[1].TraceID)
+	}
+	if got, _ := reg.Value("whopay_op_errors_total", Labels{"entity": "e", "op": "op"}); got != 1 {
+		t.Fatalf("whopay_op_errors_total = %v, want 1", got)
 	}
 }
 
@@ -327,8 +285,8 @@ func TestSpanErrRecorded(t *testing.T) {
 func TestAdminEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("admin_smoke_total", nil).Inc()
-	sp := reg.Tracer().StartSpan("e", "smoke")
-	sp.End(nil)
+	in := NewInstr(reg, "e")
+	in.End(in.Begin("smoke"), nil)
 	healthy := atomic.Bool{}
 	healthy.Store(true)
 	reg.RegisterHealth("flip", func() (string, error) {
@@ -378,10 +336,5 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].Op != "smoke" {
 		t.Fatalf("/traces = %+v", recs)
-	}
-	// Filtered to a bogus trace ID: empty array, still valid JSON.
-	code, body = get("/traces?trace=nosuch")
-	if code != http.StatusOK || strings.TrimSpace(body) != "[]" {
-		t.Fatalf("filtered /traces = %d %q", code, body)
 	}
 }

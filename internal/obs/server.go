@@ -59,7 +59,7 @@ func (r *Registry) runHealth() (results []healthResult, healthy bool) {
 
 // Handler returns the admin HTTP mux: /metrics (Prometheus text),
 // /healthz (JSON; 503 when any check fails), /traces (JSON span records,
-// optionally filtered by ?trace=ID), and /debug/pprof.
+// oldest first), and /debug/pprof.
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -77,15 +77,8 @@ func (r *Registry) Handler() http.Handler {
 			Checks  []healthResult `json:"checks"`
 		}{healthy, results})
 	})
-	mux.HandleFunc("/traces", func(w http.ResponseWriter, req *http.Request) {
-		var spans []SpanRecord
-		if t := r.Tracer(); t != nil {
-			if id := req.URL.Query().Get("trace"); id != "" {
-				spans = t.Trace(id)
-			} else {
-				spans = t.Spans()
-			}
-		}
+	mux.HandleFunc("/traces", func(w http.ResponseWriter, _ *http.Request) {
+		spans := r.Tracer().Spans()
 		if spans == nil {
 			spans = []SpanRecord{}
 		}

@@ -9,111 +9,14 @@ import (
 	"time"
 )
 
-// Protocol tracing without context.Context: the bus.Handler signature
-// (func(from Address, msg any)) predates the obs subsystem and threads no
-// context, so trace identity rides on goroutine-local storage keyed by
-// goroutine identity (gkey — the g pointer on amd64/arm64, the parsed
-// goroutine ID elsewhere). The in-memory bus runs handlers synchronously on
-// the caller's goroutine, so a span started by a payer is automatically the
-// parent of spans the owner and broker start while serving the same call.
-// Across tcpbus the identity crosses the wire in two optional envelope
-// fields (TraceID/SpanID) — Inject reads the caller's ambient context into
-// the envelope, Adopt installs it on the serving goroutine.
-//
-// The whole mechanism is gated on a package-level atomic flag that flips on
-// the first StartSpan/Adopt: until then Inject is one atomic load and the
-// goroutine lookup never runs, so programs that never trace pay nothing.
-
-// traceCtx is the ambient trace identity of one goroutine.
-type traceCtx struct {
-	traceID string
-	spanID  string
-}
-
-// glsShards spreads the goroutine→context map over independently locked
-// shards so concurrent traced goroutines don't serialize on one mutex.
-const glsShards = 64
-
-type glsShard struct {
-	mu sync.Mutex
-	m  map[uintptr]traceCtx
-}
-
-var gls [glsShards]*glsShard
-
-// tracingActive flips to true on the first StartSpan/Adopt and never
-// resets. While false, Inject and Current return empty without touching
-// the gls — the only cost tracing imposes on a program that never uses it.
-var tracingActive atomic.Bool
-
-func init() {
-	for i := range gls {
-		gls[i] = &glsShard{m: make(map[uintptr]traceCtx)}
-	}
-}
-
-// shardFor picks a lock shard for a goroutine key. Keys are g pointers on
-// the fast-path architectures, so the low bits carry no entropy
-// (allocation alignment); Fibonacci hashing spreads them before reducing.
-func shardFor(id uintptr) *glsShard {
-	return gls[(uint64(id)*0x9e3779b97f4a7c15)>>58&(glsShards-1)]
-}
-
-func getCtx(id uintptr) (traceCtx, bool) {
-	s := shardFor(id)
-	s.mu.Lock()
-	c, ok := s.m[id]
-	s.mu.Unlock()
-	return c, ok
-}
-
-func setCtx(id uintptr, c traceCtx) {
-	s := shardFor(id)
-	s.mu.Lock()
-	if c.traceID == "" {
-		delete(s.m, id) // empty context = not traced; drop the entry so the map can't leak
-	} else {
-		s.m[id] = c
-	}
-	s.mu.Unlock()
-}
-
-// Current returns the goroutine's ambient trace and span IDs ("" when
-// untraced). Cheap when tracing has never been activated.
-func Current() (traceID, spanID string) {
-	if !tracingActive.Load() {
-		return "", ""
-	}
-	c, _ := getCtx(gkey())
-	return c.traceID, c.spanID
-}
-
-// Inject returns the identity a transport should stamp on an outgoing
-// message envelope. Identical to Current; the name marks intent at call
-// sites in tcpbus.
-func Inject() (traceID, spanID string) { return Current() }
-
-// Adopt installs a remote trace identity on the current goroutine and
-// returns a release function that MUST be called (on the same goroutine)
-// when the handler returns. Transports call it when an incoming envelope
-// carries a trace ID, so spans started while serving the request join the
-// caller's trace.
-func Adopt(traceID, spanID string) (release func()) {
-	if traceID == "" {
-		return func() {}
-	}
-	tracingActive.Store(true)
-	id := gkey()
-	prev, had := getCtx(id)
-	setCtx(id, traceCtx{traceID: traceID, spanID: spanID})
-	return func() {
-		if had {
-			setCtx(id, prev)
-		} else {
-			setCtx(id, traceCtx{})
-		}
-	}
-}
+// Per-party tracing. Every span is the root of its own trace, minted by the
+// party that records it: nothing ties a span to a goroutine, and no trace
+// identity crosses the wire. WhoPay's anonymity rests on the owner and the
+// payee being unable to link a payer's hops (PROTOCOL.md, DESIGN.md §5), so
+// an identifier the payer shared with them would undo it. An operation that
+// calls another inside one party (a channel settle that purchases and issues
+// coins) records both as separate spans; the outer span's duration covers
+// the inner one.
 
 // ID generation: an 8-byte random process base (crypto/rand, drawn once)
 // plus an atomic counter, hex-encoded. Unique across processes with
@@ -138,30 +41,16 @@ func newID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// SpanRecord is the completed form of a span, as stored in the ring and
-// serialized by /traces.
+// SpanRecord is one completed operation, as stored in the ring and
+// serialized by /traces. TraceID is unique per span and never leaves the
+// process that minted it.
 type SpanRecord struct {
 	TraceID  string        `json:"trace_id"`
-	SpanID   string        `json:"span_id"`
-	ParentID string        `json:"parent_id,omitempty"`
 	Entity   string        `json:"entity"`
 	Op       string        `json:"op"`
 	Start    time.Time     `json:"start"`
 	Duration time.Duration `json:"duration_ns"`
 	Err      string        `json:"err,omitempty"`
-}
-
-// Span is an in-flight traced operation. Start and End must run on the
-// same goroutine (the bus model already guarantees this: a handler serves
-// one request start-to-finish on one goroutine). Nil-safe: End on a nil
-// span is a no-op.
-type Span struct {
-	tracer   *Tracer
-	rec      SpanRecord
-	gid      uintptr
-	prev     traceCtx
-	hadPrev  bool
-	finished bool
 }
 
 // DefaultTraceCap bounds the in-memory span ring: new records overwrite
@@ -184,69 +73,6 @@ func NewTracer(capacity int) *Tracer {
 		capacity = DefaultTraceCap
 	}
 	return &Tracer{ring: make([]SpanRecord, capacity)}
-}
-
-// StartSpan opens a span for op on behalf of entity. If the goroutine
-// already carries a trace identity (a parent span on this goroutine, or an
-// Adopt from an incoming envelope) the new span joins that trace as a
-// child; otherwise it roots a fresh trace. Returns nil (a no-op span) on a
-// nil tracer.
-func (t *Tracer) StartSpan(entity, op string) *Span {
-	if t == nil {
-		return nil
-	}
-	tracingActive.Store(true)
-	id := gkey()
-	prev, had := getCtx(id)
-	sp := &Span{
-		tracer:  t,
-		gid:     id,
-		prev:    prev,
-		hadPrev: had,
-		rec: SpanRecord{
-			SpanID: newID(),
-			Entity: entity,
-			Op:     op,
-			Start:  time.Now(),
-		},
-	}
-	if prev.traceID != "" {
-		sp.rec.TraceID = prev.traceID
-		sp.rec.ParentID = prev.spanID
-	} else {
-		sp.rec.TraceID = newID()
-	}
-	setCtx(id, traceCtx{traceID: sp.rec.TraceID, spanID: sp.rec.SpanID})
-	return sp
-}
-
-// End closes the span, restores the goroutine's previous trace context, and
-// records the result. err may be nil. Idempotent; no-op on a nil span.
-func (s *Span) End(err error) {
-	if s == nil || s.finished {
-		return
-	}
-	s.finished = true
-	s.rec.Duration = time.Since(s.rec.Start)
-	if err != nil {
-		s.rec.Err = err.Error()
-	}
-	if s.hadPrev {
-		setCtx(s.gid, s.prev)
-	} else {
-		setCtx(s.gid, traceCtx{})
-	}
-	s.tracer.record(s.rec)
-}
-
-// TraceID reports the span's trace identity ("" on nil), letting callers
-// remember which trace an operation belonged to (whopayd uses it to print
-// the demo transfer's trace).
-func (s *Span) TraceID() string {
-	if s == nil {
-		return ""
-	}
-	return s.rec.TraceID
 }
 
 func (t *Tracer) record(rec SpanRecord) {
@@ -272,17 +98,6 @@ func (t *Tracer) Spans() []SpanRecord {
 		out = append(out, t.ring[:t.next]...)
 	} else {
 		out = append(out, t.ring[:t.n]...)
-	}
-	return out
-}
-
-// Trace returns the retained spans belonging to one trace, oldest first.
-func (t *Tracer) Trace(traceID string) []SpanRecord {
-	var out []SpanRecord
-	for _, r := range t.Spans() {
-		if r.TraceID == traceID {
-			out = append(out, r)
-		}
 	}
 	return out
 }

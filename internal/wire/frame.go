@@ -12,11 +12,10 @@ import (
 //	u16 magic         0x5750 ("WP")
 //	u8  version       1
 //	u8  kind          request / reply
-//	u8  flags         traced / error reply (bit 1 reserved)
+//	u8  flags         error reply (bits 0 and 1 reserved)
 //	u64 reqID         big-endian; pairs replies with requests on a mux
 //	uvarint tag       registered type tag; 0 = nil payload
 //	[kind=request]    from address  (uvarint-prefixed string)
-//	[flags&Traced]    trace ID, span ID  (uvarint-prefixed strings)
 //	[flags&Error]     error message, error code  (uvarint-prefixed strings)
 //	payload           codec bytes for tag
 //
@@ -57,14 +56,12 @@ const (
 
 // Frame flags.
 const (
-	// FlagTraced marks frames carrying obs trace identity.
-	FlagTraced = 1 << 0
-	// Bit 1 is reserved: ParseFrame rejects it as an unknown flag.
+	// Bits 0 and 1 are reserved: ParseFrame rejects them as unknown flags.
 
 	// FlagError marks replies carrying an error instead of a payload.
 	FlagError = 1 << 2
 
-	knownFlags = FlagTraced | FlagError
+	knownFlags = FlagError
 )
 
 // Frame is one parsed (or to-be-encoded) frame. Payload aliases the parse
@@ -77,8 +74,6 @@ type Frame struct {
 
 	// From is the caller's listen address (requests only).
 	From string
-	// TraceID/SpanID are the obs trace identity (FlagTraced).
-	TraceID, SpanID string
 	// ErrMsg/ErrCode carry a remote error (replies with FlagError).
 	ErrMsg, ErrCode string
 
@@ -96,10 +91,6 @@ func AppendFrame(dst []byte, f *Frame, payload func([]byte) ([]byte, error)) ([]
 	dst = binary.AppendUvarint(dst, f.Tag)
 	if f.Kind == KindRequest {
 		dst = AppendString(dst, f.From)
-	}
-	if f.Flags&FlagTraced != 0 {
-		dst = AppendString(dst, f.TraceID)
-		dst = AppendString(dst, f.SpanID)
 	}
 	if f.Flags&FlagError != 0 {
 		dst = AppendString(dst, f.ErrMsg)
@@ -154,14 +145,6 @@ func ParseFrame(body []byte) (Frame, error) {
 	if f.Kind == KindRequest {
 		if f.From, err = d.String(); err != nil {
 			return f, fmt.Errorf("from address: %w", err)
-		}
-	}
-	if f.Flags&FlagTraced != 0 {
-		if f.TraceID, err = d.String(); err != nil {
-			return f, fmt.Errorf("trace id: %w", err)
-		}
-		if f.SpanID, err = d.String(); err != nil {
-			return f, fmt.Errorf("span id: %w", err)
 		}
 	}
 	if f.Flags&FlagError != 0 {

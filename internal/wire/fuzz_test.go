@@ -21,9 +21,12 @@ func seedFrames(f *testing.F) {
 	}
 	add(Frame{Kind: KindRequest, ReqID: 1, Tag: 7, From: "127.0.0.1:1"},
 		func(b []byte) ([]byte, error) { return append(b, 1, 2, 3), nil })
-	add(Frame{Kind: KindRequest, Flags: FlagTraced, ReqID: 2, Tag: 9,
-		From: "a:1", TraceID: "t", SpanID: "s"},
-		func(b []byte) ([]byte, error) { return append(b, 0xff), nil })
+	// Reserved flag bit 0 must be rejected: these are the bytes a sender
+	// that stamped its trace ID and span ID after From used to write.
+	add(Frame{Kind: KindRequest, Flags: 1 << 0, ReqID: 2, Tag: 9, From: "a:1"},
+		func(b []byte) ([]byte, error) {
+			return append(AppendString(AppendString(b, "t"), "s"), 0xff), nil
+		})
 	add(Frame{Kind: KindReply, Flags: FlagError, ReqID: 3, ErrMsg: "m", ErrCode: "c"}, nil)
 	// Reserved flag bit 1 must be rejected.
 	add(Frame{Kind: KindReply, Flags: 1 << 1, ReqID: 4},

@@ -122,8 +122,8 @@ func TestDoneRejectsTrailing(t *testing.T) {
 
 func frameEqual(a, b *Frame) bool {
 	return a.Kind == b.Kind && a.Flags == b.Flags && a.ReqID == b.ReqID &&
-		a.Tag == b.Tag && a.From == b.From && a.TraceID == b.TraceID &&
-		a.SpanID == b.SpanID && a.ErrMsg == b.ErrMsg && a.ErrCode == b.ErrCode &&
+		a.Tag == b.Tag && a.From == b.From &&
+		a.ErrMsg == b.ErrMsg && a.ErrCode == b.ErrCode &&
 		bytes.Equal(a.Payload, b.Payload)
 }
 
@@ -131,8 +131,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	payload := []byte("payload-bytes")
 	frames := []Frame{
 		{Kind: KindRequest, ReqID: 1, Tag: 7, From: "127.0.0.1:9"},
-		{Kind: KindRequest, Flags: FlagTraced, ReqID: 2, Tag: 7, From: "a:1",
-			TraceID: "t-1", SpanID: "s-1"},
 		{Kind: KindReply, ReqID: 3, Tag: 7},
 		{Kind: KindReply, Flags: FlagError, ReqID: 4, ErrMsg: "boom", ErrCode: "x.y"},
 		{Kind: KindRequest, ReqID: 5, From: "b:2"}, // nil payload
@@ -162,6 +160,19 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Errorf("frame %d mangled:\n got  %+v\n want %+v", i, got, f)
 		}
 	}
+	// Flag bit 0 is reserved. A frame laid out the way a trace-stamping
+	// sender used to write it (trace ID and span ID after From) encodes
+	// but must not parse.
+	traced := Frame{Kind: KindRequest, Flags: 1 << 0, ReqID: 2, Tag: 7, From: "a:1"}
+	enc, err := AppendFrame(nil, &traced, func(dst []byte) ([]byte, error) {
+		return append(AppendString(AppendString(dst, "t-1"), "s-1"), payload...), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseFrame(enc[4:]); err == nil {
+		t.Error("frame with reserved flag bit 0 parsed")
+	}
 }
 
 func TestParseFrameRejects(t *testing.T) {
@@ -183,6 +194,7 @@ func TestParseFrameRejects(t *testing.T) {
 		"bad version":      mutate(func(b []byte) { b[2] = 99 }),
 		"bad kind":         mutate(func(b []byte) { b[3] = 9 }),
 		"unknown flags":    mutate(func(b []byte) { b[4] = 0x80 }),
+		"reserved bit 0":   mutate(func(b []byte) { b[4] = 1 << 0 }),
 		"reserved bit 1":   mutate(func(b []byte) { b[4] = 1 << 1 }),
 		"error on request": mutate(func(b []byte) { b[4] = FlagError }),
 	}
