@@ -28,7 +28,7 @@ test: vet build
 # The packages whose locking the protocol's correctness rests on. CI's Race
 # step runs this target, so the list lives only here.
 race:
-	$(GO) test -race ./internal/store/ ./internal/core/ ./internal/dht/... ./internal/wal/... ./internal/bus/... ./internal/obs/ ./internal/federation/ ./bench
+	$(GO) test -race ./internal/store/ ./internal/core/ ./internal/dht/... ./internal/wal/... ./internal/bus/... ./internal/obs/ ./internal/federation/ ./internal/groupsig/ ./bench
 
 # Fault-injection smoke: the chaos lifecycles, retry-enabled chaos, and the
 # seed-reproducibility check. WHOPAY_CHAOS_SEED is honored when CHAOS_SEED

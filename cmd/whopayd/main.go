@@ -7,9 +7,8 @@
 // All traffic — payments AND judge enrollment — crosses real sockets on the
 // framed binary wire (see PROTOCOL.md, "Wire format") under the production
 // scheme, sig.Default() (Ed25519). Only the identity directory is shared
-// in-process configuration (the PKI of the paper's model). Note the enrollment
-// responses carry credential private keys: production transports must add
-// TLS.
+// in-process configuration (the PKI of the paper's model). Enrollment sends
+// only credential public keys; members keep the private halves.
 //
 // With -admin the process also serves the observability admin endpoint
 // (DESIGN.md §11): /metrics, /healthz, /traces, and /debug/pprof. All

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"whopay/internal/bus"
+	"whopay/internal/groupsig"
 )
 
 // Sentinel errors for protocol rejections. Handlers return these; across
@@ -57,10 +58,11 @@ var (
 	ErrNotLeader = errors.New("core: not the shard leader")
 )
 
-// init registers wire codes for every protocol sentinel, so errors.Is keeps
-// working after a hop through tcpbus (which can only carry strings) and the
-// retry layer can tell protocol rejections from transport failures. Codes
-// are stable wire contract; never renumber.
+// init registers wire codes for every protocol sentinel and for the judge's
+// groupsig rejections, so errors.Is keeps working after a hop through tcpbus
+// (which can only carry strings) and the retry layer can tell protocol
+// rejections from transport failures. Codes are stable wire contract; never
+// renumber.
 func init() {
 	for _, e := range []struct {
 		code     string
@@ -83,6 +85,8 @@ func init() {
 		{"core.channel_closed", ErrChannelClosed},
 		{"core.wrong_shard", ErrWrongShard},
 		{"core.not_leader", ErrNotLeader},
+		{"groupsig.revoked", groupsig.ErrRevoked},
+		{"groupsig.already_certified", groupsig.ErrAlreadyCertified},
 	} {
 		bus.RegisterErrorCode(e.code, e.sentinel)
 	}

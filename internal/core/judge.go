@@ -9,7 +9,9 @@ import (
 
 // Judge is the trusted fairness authority (paper Section 3.2): it enrolls
 // users into the signature group and, when fraud is detected, opens group
-// signatures to reveal the signers — and nothing else. The judge never
+// signatures to reveal the signers — and nothing else. Enrolling a member
+// means certifying the credential public keys the member generated; the
+// judge never holds a member's credential private key. The judge never
 // participates in payments.
 type Judge struct {
 	mgr *groupsig.Manager

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -9,63 +8,79 @@ import (
 	"whopay/internal/bus"
 	"whopay/internal/groupsig"
 	"whopay/internal/sig"
+	"whopay/internal/wire"
 )
 
 // Remote enrollment: in single-process deployments peers enroll with an
 // in-process *Judge; multi-process deployments run a JudgeServer and peers
-// enroll over the bus (PeerConfig.JudgeAddr). Credential private keys cross
-// the wire in the response — run the TCP transport over a confidential
-// channel (TLS, WireGuard) in any real deployment.
+// enroll over the bus (PeerConfig.JudgeAddr). Either way the member
+// generates its credential key pairs and sends only the public halves; the
+// judge draws serials and certifies. No private key crosses the wire.
 
-// EnrollRequest registers an identity with the judge and requests an
-// initial credential pool. The identity's public key is bound on first
-// enrollment (trust-on-first-use); refills must be signed by it.
+// EnrollRequest registers an identity with the judge and has it certify the
+// member's first batch of credential keys. The identity's public key is
+// bound on first enrollment (trust-on-first-use); refills must be signed by
+// it.
 type EnrollRequest struct {
 	Identity string
-	PoolSize int
+	Keys     []sig.PublicKey
 	Pub      sig.PublicKey
 	Sig      []byte
 }
 
-func enrollMessage(identity string, poolSize int, pub sig.PublicKey) []byte {
-	out := []byte("whopay/msg/enroll/1")
+func enrollMessage(identity string, keys []sig.PublicKey, pub sig.PublicKey) []byte {
+	out := []byte("whopay/msg/enroll/2")
 	out = appendBytes(out, []byte(identity))
-	out = binary.BigEndian.AppendUint32(out, uint32(poolSize))
+	out = wire.AppendList(out, keys, appendKey)
 	out = appendBytes(out, pub)
 	return out
 }
 
-// EnrollResponse carries the group public key and the member's initial
-// credentials.
+// EnrollResponse carries the group public key and one credential per
+// requested key, in request order.
 type EnrollResponse struct {
 	GroupPub    sig.PublicKey
-	Credentials []groupsig.IssuedCredential
+	Credentials []groupsig.Credential
 }
 
-// RefillRequest tops up a member's credential pool.
+// RefillRequest has the judge certify a fresh batch of credential keys.
+// The fresh keys make every request unique: the judge refuses any key it
+// has certified before, so a replayed request certifies nothing.
 type RefillRequest struct {
 	Identity string
-	N        int
-	Nonce    []byte
+	Keys     []sig.PublicKey
 	Sig      []byte
 }
 
-func refillMessage(identity string, n int, nonce []byte) []byte {
-	out := []byte("whopay/msg/refill/1")
+func refillMessage(identity string, keys []sig.PublicKey) []byte {
+	out := []byte("whopay/msg/refill/2")
 	out = appendBytes(out, []byte(identity))
-	out = binary.BigEndian.AppendUint32(out, uint32(n))
-	out = appendBytes(out, nonce)
+	out = wire.AppendList(out, keys, appendKey)
 	return out
 }
 
-// RefillResponse carries fresh credentials.
+// RefillResponse carries one credential per requested key, in request
+// order.
 type RefillResponse struct {
-	Credentials []groupsig.IssuedCredential
+	Credentials []groupsig.Credential
 }
 
-// maxCredentialBatch bounds per-request issuance so a compromised member
-// key cannot drain the judge.
+// maxCredentialBatch bounds per-request certification so a compromised
+// member key cannot drain the judge.
 const maxCredentialBatch = 256
+
+// checkCredentialKeys refuses an empty or oversized batch and empty keys.
+func checkCredentialKeys(keys []sig.PublicKey) error {
+	if len(keys) == 0 || len(keys) > maxCredentialBatch {
+		return fmt.Errorf("%w: batch of %d credential keys", ErrBadRequest, len(keys))
+	}
+	for _, k := range keys {
+		if len(k) == 0 {
+			return fmt.Errorf("%w: empty credential key", ErrBadRequest)
+		}
+	}
+	return nil
+}
 
 // JudgeServer exposes a Judge over the bus.
 type JudgeServer struct {
@@ -118,10 +133,10 @@ func (s *JudgeServer) handleEnroll(m EnrollRequest) (any, error) {
 	if m.Identity == "" || len(m.Pub) == 0 {
 		return nil, fmt.Errorf("%w: empty identity or key", ErrBadRequest)
 	}
-	if m.PoolSize <= 0 || m.PoolSize > maxCredentialBatch {
-		return nil, fmt.Errorf("%w: pool size %d", ErrBadRequest, m.PoolSize)
+	if err := checkCredentialKeys(m.Keys); err != nil {
+		return nil, err
 	}
-	if err := s.suite.Verify(m.Pub, enrollMessage(m.Identity, m.PoolSize, m.Pub), m.Sig); err != nil {
+	if err := s.suite.Verify(m.Pub, enrollMessage(m.Identity, m.Keys, m.Pub), m.Sig); err != nil {
 		return nil, fmt.Errorf("%w: enrollment signature: %v", ErrBadRequest, err)
 	}
 	s.mu.Lock()
@@ -132,7 +147,10 @@ func (s *JudgeServer) handleEnroll(m EnrollRequest) (any, error) {
 	s.pubKey[m.Identity] = m.Pub.Clone()
 	s.mu.Unlock()
 
-	creds, err := s.judge.mgr.EnrollRemote(m.Identity, m.PoolSize)
+	if err := s.judge.mgr.Admit(m.Identity); err != nil {
+		return nil, err
+	}
+	creds, err := s.judge.mgr.Certify(m.Identity, m.Keys)
 	if err != nil {
 		return nil, err
 	}
@@ -140,8 +158,8 @@ func (s *JudgeServer) handleEnroll(m EnrollRequest) (any, error) {
 }
 
 func (s *JudgeServer) handleRefill(m RefillRequest) (any, error) {
-	if m.N <= 0 || m.N > maxCredentialBatch {
-		return nil, fmt.Errorf("%w: refill size %d", ErrBadRequest, m.N)
+	if err := checkCredentialKeys(m.Keys); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	pub, ok := s.pubKey[m.Identity]
@@ -149,48 +167,57 @@ func (s *JudgeServer) handleRefill(m RefillRequest) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q not enrolled here", ErrUnknownIdentity, m.Identity)
 	}
-	if err := s.suite.Verify(pub, refillMessage(m.Identity, m.N, m.Nonce), m.Sig); err != nil {
+	if err := s.suite.Verify(pub, refillMessage(m.Identity, m.Keys), m.Sig); err != nil {
 		return nil, fmt.Errorf("%w: refill signature: %v", ErrBadRequest, err)
 	}
-	creds, err := s.judge.mgr.IssueCredentials(m.Identity, m.N)
+	creds, err := s.judge.mgr.Certify(m.Identity, m.Keys)
 	if err != nil {
 		return nil, err
 	}
 	return RefillResponse{Credentials: creds}, nil
 }
 
-// enrollRemotely performs the peer-side enrollment handshake and builds the
-// member key with a refill RPC back to the judge.
+// enrollRemotely builds the peer's member key over the bus: the key's first
+// batch of credential keys rides an EnrollRequest, every later batch a
+// RefillRequest, each signed by the peer's identity key.
 func (p *Peer) enrollRemotely(judgeAddr bus.Address, poolSize int) (*groupsig.MemberKey, sig.PublicKey, error) {
-	req := EnrollRequest{Identity: p.cfg.ID, PoolSize: poolSize, Pub: p.keys.Public}
-	var err error
-	if req.Sig, err = p.suite.Sign(p.keys.Private, enrollMessage(req.Identity, req.PoolSize, req.Pub)); err != nil {
-		return nil, nil, fmt.Errorf("core: signing enrollment: %w", err)
+	var groupPub sig.PublicKey // set by the enrollment response
+	certify := func(keys []sig.PublicKey) ([]groupsig.Credential, error) {
+		if groupPub == nil {
+			req := EnrollRequest{Identity: p.cfg.ID, Keys: keys, Pub: p.keys.Public}
+			var err error
+			if req.Sig, err = p.suite.Sign(p.keys.Private, enrollMessage(req.Identity, req.Keys, req.Pub)); err != nil {
+				return nil, fmt.Errorf("core: signing enrollment: %w", err)
+			}
+			resp, err := callJudge[EnrollResponse](p, judgeAddr, req)
+			groupPub = resp.GroupPub
+			return resp.Credentials, err
+		}
+		req := RefillRequest{Identity: p.cfg.ID, Keys: keys}
+		var err error
+		if req.Sig, err = p.suite.Sign(p.keys.Private, refillMessage(req.Identity, req.Keys)); err != nil {
+			return nil, fmt.Errorf("core: signing refill: %w", err)
+		}
+		resp, err := callJudge[RefillResponse](p, judgeAddr, req)
+		return resp.Credentials, err
 	}
-	raw, err := p.ep.Call(judgeAddr, req)
+	mk, err := groupsig.NewMemberKey(p.cfg.Scheme, p.cfg.ID, poolSize, certify)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: remote enrollment: %w", err)
 	}
-	resp, ok := raw.(EnrollResponse)
+	return mk, groupPub, nil
+}
+
+// callJudge sends req to the judge and checks the response's type.
+func callJudge[R any](p *Peer, judgeAddr bus.Address, req any) (R, error) {
+	var resp R
+	raw, err := p.ep.Call(judgeAddr, req)
+	if err != nil {
+		return resp, err
+	}
+	resp, ok := raw.(R)
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: unexpected enrollment response %T", ErrBadRequest, raw)
+		return resp, fmt.Errorf("%w: unexpected judge response %T", ErrBadRequest, raw)
 	}
-	refill := func(n int) ([]groupsig.IssuedCredential, error) {
-		rr := RefillRequest{Identity: p.cfg.ID, N: n, Nonce: p.randBytes(16)}
-		var err error
-		if rr.Sig, err = p.suite.Sign(p.keys.Private, refillMessage(rr.Identity, rr.N, rr.Nonce)); err != nil {
-			return nil, err
-		}
-		raw, err := p.ep.Call(judgeAddr, rr)
-		if err != nil {
-			return nil, err
-		}
-		resp, ok := raw.(RefillResponse)
-		if !ok {
-			return nil, fmt.Errorf("%w: unexpected refill response %T", ErrBadRequest, raw)
-		}
-		return resp.Credentials, nil
-	}
-	mk := groupsig.NewMemberKey(p.cfg.ID, resp.GroupPub, resp.Credentials, refill)
-	return mk, resp.GroupPub, nil
+	return resp, nil
 }

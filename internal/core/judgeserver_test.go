@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"whopay/internal/bus"
 	"whopay/internal/bus/tcpbus"
+	"whopay/internal/groupsig"
 	"whopay/internal/sig"
 )
 
@@ -89,10 +91,21 @@ func TestRemoteEnrollmentValidation(t *testing.T) {
 	}
 	defer ep.Close()
 
-	kp, err := f.scheme.GenerateKey()
-	if err != nil {
-		t.Fatal(err)
+	newKey := func() sig.KeyPair {
+		kp, err := f.scheme.GenerateKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return kp
 	}
+	credKeys := func(n int) []sig.PublicKey {
+		out := make([]sig.PublicKey, n)
+		for i := range out {
+			out[i] = newKey().Public
+		}
+		return out
+	}
+	kp := newKey()
 	sign := func(msg []byte) []byte {
 		s, err := f.scheme.Sign(kp.Private, msg)
 		if err != nil {
@@ -100,11 +113,19 @@ func TestRemoteEnrollmentValidation(t *testing.T) {
 		}
 		return s
 	}
+	signedRefill := func(keys []sig.PublicKey) RefillRequest {
+		return RefillRequest{Identity: "victim", Keys: keys, Sig: sign(refillMessage("victim", keys))}
+	}
 
-	// Happy path first: enroll "victim" under kp.
-	req := EnrollRequest{Identity: "victim", PoolSize: 2, Pub: kp.Public}
-	req.Sig = sign(enrollMessage("victim", 2, kp.Public))
+	// Happy path first: enroll "victim" under kp, then refill once.
+	victimKeys := credKeys(2)
+	req := EnrollRequest{Identity: "victim", Keys: victimKeys, Pub: kp.Public}
+	req.Sig = sign(enrollMessage("victim", victimKeys, kp.Public))
 	if _, err := ep.Call("judge", req); err != nil {
+		t.Fatal(err)
+	}
+	replayed := signedRefill(credKeys(2))
+	if _, err := ep.Call("judge", replayed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,33 +134,44 @@ func TestRemoteEnrollmentValidation(t *testing.T) {
 		msg  any
 		want string
 	}{
-		{"empty identity", EnrollRequest{PoolSize: 2, Pub: kp.Public}, "empty"},
+		{"empty identity", EnrollRequest{Keys: credKeys(2), Pub: kp.Public}, "empty"},
 		{"huge pool", func() any {
-			r := EnrollRequest{Identity: "x", PoolSize: 100000, Pub: kp.Public}
-			r.Sig = sign(enrollMessage("x", 100000, kp.Public))
-			return r
-		}(), "pool size"},
-		{"bad signature", EnrollRequest{Identity: "y", PoolSize: 2, Pub: kp.Public, Sig: []byte("junk")}, "signature"},
+			keys := credKeys(maxCredentialBatch + 1)
+			return EnrollRequest{Identity: "x", Keys: keys, Pub: kp.Public, Sig: sign(enrollMessage("x", keys, kp.Public))}
+		}(), "batch of 257"},
+		{"bad signature", EnrollRequest{Identity: "y", Keys: credKeys(2), Pub: kp.Public, Sig: []byte("junk")}, "signature"},
 		{"identity takeover", func() any {
-			other, err := f.scheme.GenerateKey()
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := EnrollRequest{Identity: "victim", PoolSize: 2, Pub: other.Public}
-			s, err := f.scheme.Sign(other.Private, enrollMessage("victim", 2, other.Public))
+			other := newKey()
+			keys := credKeys(2)
+			r := EnrollRequest{Identity: "victim", Keys: keys, Pub: other.Public}
+			s, err := f.scheme.Sign(other.Private, enrollMessage("victim", keys, other.Public))
 			if err != nil {
 				t.Fatal(err)
 			}
 			r.Sig = s
 			return r
 		}(), "different key"},
-		{"refill unknown", RefillRequest{Identity: "ghost", N: 2}, "not enrolled"},
-		{"refill bad sig", RefillRequest{Identity: "victim", N: 2, Sig: []byte("junk")}, "signature"},
-		{"refill huge", func() any {
-			r := RefillRequest{Identity: "victim", N: 100000}
-			r.Sig = sign(refillMessage("victim", 100000, nil))
+		{"key certified to another identity", func() any {
+			thief := newKey()
+			keys := []sig.PublicKey{newKey().Public, victimKeys[0]}
+			r := EnrollRequest{Identity: "thief", Keys: keys, Pub: thief.Public}
+			s, err := f.scheme.Sign(thief.Private, enrollMessage("thief", keys, thief.Public))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Sig = s
 			return r
-		}(), "refill size"},
+		}(), "already certified"},
+		{"refill unknown", RefillRequest{Identity: "ghost", Keys: credKeys(2)}, "not enrolled"},
+		{"refill bad sig", RefillRequest{Identity: "victim", Keys: credKeys(2), Sig: []byte("junk")}, "signature"},
+		{"refill huge", signedRefill(credKeys(maxCredentialBatch + 1)), "batch of 257"},
+		{"refill keys altered after signing", func() any {
+			r := signedRefill(credKeys(2))
+			r.Keys = []sig.PublicKey{r.Keys[0], newKey().Public}
+			return r
+		}(), "signature"},
+		{"refill replayed", replayed, "already certified"},
+		{"refill empty key", signedRefill([]sig.PublicKey{newKey().Public, {}}), "empty credential key"},
 		{"unknown message", 42, "judge got"},
 	}
 	for _, tc := range cases {
@@ -152,14 +184,57 @@ func TestRemoteEnrollmentValidation(t *testing.T) {
 	}
 
 	// Legit refill still works.
-	rr := RefillRequest{Identity: "victim", N: 3, Nonce: []byte("n")}
-	rr.Sig = sign(refillMessage("victim", 3, []byte("n")))
-	raw, err := ep.Call("judge", rr)
+	keys := credKeys(3)
+	raw, err := ep.Call("judge", signedRefill(keys))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := raw.(RefillResponse); len(got.Credentials) != 3 {
-		t.Fatalf("refill returned %d credentials", len(got.Credentials))
+	got := raw.(RefillResponse).Credentials
+	if len(got) != 3 {
+		t.Fatalf("refill returned %d credentials", len(got))
+	}
+	for i, c := range got {
+		if !c.Pub.Equal(keys[i]) {
+			t.Fatalf("credential %d certifies another key", i)
+		}
+	}
+}
+
+// TestRevokedRefillOverTCP: a revoked member's refill is refused with
+// groupsig.ErrRevoked, and the rejection survives tcpbus as that sentinel.
+func TestRevokedRefillOverTCP(t *testing.T) {
+	registerOnce.Do(RegisterWireTypes)
+	network := tcpbus.New()
+	scheme := sig.Default()
+	judge, err := NewJudge(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := NewJudgeServer(network, "127.0.0.1:0", judge, scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer js.Close()
+	p, err := NewPeer(PeerConfig{
+		ID: "mallory", Network: network, Addr: "127.0.0.1:0", Scheme: scheme,
+		Directory: NewDirectory(), BrokerAddr: "127.0.0.1:1",
+		JudgeAddr: js.Addr(), CredPool: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	judge.Revoke("mallory")
+	member := p.GroupMember()
+	for i := 0; i < 2; i++ {
+		if _, err := member.Sign(p.Suite(), []byte("m")); err != nil {
+			t.Fatalf("signature %d from the enrolled pool: %v", i, err)
+		}
+	}
+	_, err = member.Sign(p.Suite(), []byte("m"))
+	if !errors.Is(err, groupsig.ErrRevoked) {
+		t.Fatalf("refill after revocation: got %v, want groupsig.ErrRevoked", err)
 	}
 }
 

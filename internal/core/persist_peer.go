@@ -26,8 +26,9 @@ import (
 // Not persisted, by design:
 //   - pending offers: an open offer's holder key dies with the process; the
 //     payer's delivery fails ErrNoOffer and the payment restarts cleanly.
-//   - group member credentials: MemberKey holds judge-coupled secrets with
-//     a refill channel; a recovered peer re-enrolls instead.
+//   - group member credentials: the pool's private keys are the member's
+//     own, but each pairs with a judge certificate and the pool with a live
+//     refill channel; a recovered peer re-enrolls with fresh keys instead.
 //   - fraud alerts and trigger versions: operational, reconstructible.
 
 // ownedRec is the journaled form of an ownedCoin. The audit trail is stored

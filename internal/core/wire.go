@@ -169,7 +169,7 @@ func registerCoreWireCodecs() {
 		func(dst []byte, v any) ([]byte, error) {
 			m := v.(EnrollRequest)
 			dst = wire.AppendString(dst, m.Identity)
-			dst = wire.AppendInt(dst, int64(m.PoolSize))
+			dst = wire.AppendList(dst, m.Keys, appendKey)
 			dst = wire.AppendBytes(dst, m.Pub)
 			dst = wire.AppendBytes(dst, m.Sig)
 			return dst, nil
@@ -180,11 +180,9 @@ func registerCoreWireCodecs() {
 			if m.Identity, err = d.String(); err != nil {
 				return nil, err
 			}
-			var n int64
-			if n, err = d.Int(); err != nil {
+			if m.Keys, err = wire.DecodeList(d, decodeKey); err != nil {
 				return nil, err
 			}
-			m.PoolSize = int(n)
 			if m.Pub, err = decodeKey(d); err != nil {
 				return nil, err
 			}
@@ -197,7 +195,7 @@ func registerCoreWireCodecs() {
 		func(dst []byte, v any) ([]byte, error) {
 			m := v.(EnrollResponse)
 			dst = wire.AppendBytes(dst, m.GroupPub)
-			return wire.AppendList(dst, m.Credentials, (*groupsig.IssuedCredential).AppendWire), nil
+			return wire.AppendList(dst, m.Credentials, (*groupsig.Credential).AppendWire), nil
 		},
 		func(d *wire.Decoder) (any, error) {
 			var m EnrollResponse
@@ -205,7 +203,7 @@ func registerCoreWireCodecs() {
 			if m.GroupPub, err = decodeKey(d); err != nil {
 				return nil, err
 			}
-			if m.Credentials, err = wire.DecodeList(d, groupsig.DecodeWireIssuedCredential); err != nil {
+			if m.Credentials, err = wire.DecodeList(d, groupsig.DecodeWireCredential); err != nil {
 				return nil, err
 			}
 			return m, nil
@@ -214,8 +212,7 @@ func registerCoreWireCodecs() {
 		func(dst []byte, v any) ([]byte, error) {
 			m := v.(RefillRequest)
 			dst = wire.AppendString(dst, m.Identity)
-			dst = wire.AppendInt(dst, int64(m.N))
-			dst = wire.AppendBytes(dst, m.Nonce)
+			dst = wire.AppendList(dst, m.Keys, appendKey)
 			dst = wire.AppendBytes(dst, m.Sig)
 			return dst, nil
 		},
@@ -225,12 +222,7 @@ func registerCoreWireCodecs() {
 			if m.Identity, err = d.String(); err != nil {
 				return nil, err
 			}
-			var n int64
-			if n, err = d.Int(); err != nil {
-				return nil, err
-			}
-			m.N = int(n)
-			if m.Nonce, err = d.Bytes(); err != nil {
+			if m.Keys, err = wire.DecodeList(d, decodeKey); err != nil {
 				return nil, err
 			}
 			if m.Sig, err = d.Bytes(); err != nil {
@@ -240,10 +232,10 @@ func registerCoreWireCodecs() {
 		})
 	wire.Register(tagRefillResponse, "core.RefillResponse", RefillResponse{},
 		func(dst []byte, v any) ([]byte, error) {
-			return wire.AppendList(dst, v.(RefillResponse).Credentials, (*groupsig.IssuedCredential).AppendWire), nil
+			return wire.AppendList(dst, v.(RefillResponse).Credentials, (*groupsig.Credential).AppendWire), nil
 		},
 		func(d *wire.Decoder) (any, error) {
-			creds, err := wire.DecodeList(d, groupsig.DecodeWireIssuedCredential)
+			creds, err := wire.DecodeList(d, groupsig.DecodeWireCredential)
 			if err != nil {
 				return nil, err
 			}

@@ -7,6 +7,7 @@ import (
 
 	"whopay/internal/dht"
 	"whopay/internal/indirect"
+	"whopay/internal/sig"
 	"whopay/internal/wire"
 )
 
@@ -55,6 +56,43 @@ func TestEveryWireMessageHasCodec(t *testing.T) {
 		if _, ok := wire.ByValue(proto); !ok {
 			t.Errorf("%T has no registered wire codec", proto)
 		}
+	}
+}
+
+// TestNoPrivateKeyOnTheWire: no registered wire message may have a field
+// that can hold a private key. Each prototype's type is walked through
+// structs, slices, arrays, maps and pointers.
+func TestNoPrivateKeyOnTheWire(t *testing.T) {
+	RegisterWireTypes()
+	secret := map[reflect.Type]bool{
+		reflect.TypeOf(sig.PrivateKey(nil)): true,
+		reflect.TypeOf(sig.KeyPair{}):       true,
+	}
+	for _, e := range wire.Entries() {
+		seen := map[reflect.Type]bool{}
+		var walk func(ty reflect.Type, path string)
+		walk = func(ty reflect.Type, path string) {
+			if secret[ty] {
+				t.Errorf("%s has a %v at %s", e.Name, ty, path)
+				return
+			}
+			if seen[ty] {
+				return
+			}
+			seen[ty] = true
+			switch ty.Kind() {
+			case reflect.Struct:
+				for i := 0; i < ty.NumField(); i++ {
+					walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+				}
+			case reflect.Slice, reflect.Array, reflect.Pointer:
+				walk(ty.Elem(), path+"[]")
+			case reflect.Map:
+				walk(ty.Key(), path+"[key]")
+				walk(ty.Elem(), path+"[]")
+			}
+		}
+		walk(e.Type, e.Name)
 	}
 }
 

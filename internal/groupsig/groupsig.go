@@ -6,15 +6,15 @@
 // judge — and only the judge — open a signature to recover the signer.
 //
 // Construction (documented substitution, see DESIGN.md §5): instead of a
-// pairing-based scheme, the judge issues each member a pool of one-time
-// credentials. A credential is a fresh key pair whose public half is
-// certified by the judge's master key together with an opaque serial number;
-// the judge privately maps serials to identities. Signing consumes one
-// credential, so distinct signatures carry distinct serials and are
-// unlinkable. Verification checks the judge's certificate and the
-// credential signature — about twice the cost of a plain signature, which
-// matches the 2x relative cost the paper assumes for group signatures
-// (Table 3).
+// pairing-based scheme, each member holds a pool of one-time credentials. A
+// credential is a fresh key pair the member generates itself; the judge
+// certifies only its public half, together with an opaque serial number,
+// under the master key, and privately maps serials to identities. Credential
+// private keys never leave the member. Signing consumes one credential, so
+// distinct signatures carry distinct serials and are unlinkable.
+// Verification checks the judge's certificate and the credential signature —
+// about twice the cost of a plain signature, which matches the 2x relative
+// cost the paper assumes for group signatures (Table 3).
 package groupsig
 
 import (
@@ -44,6 +44,9 @@ var (
 	// ErrNoCredentials is returned by Sign when the pool is empty and no
 	// refill source is available.
 	ErrNoCredentials = errors.New("groupsig: credential pool exhausted")
+	// ErrAlreadyCertified is returned by Certify for a credential key the
+	// judge has certified before, to any identity.
+	ErrAlreadyCertified = errors.New("groupsig: credential key already certified")
 	// ErrCredentialRevoked is returned by Verifier.Verify for signatures
 	// made with a credential whose serial is on the revocation list.
 	ErrCredentialRevoked = errors.New("groupsig: credential revoked")
@@ -199,34 +202,68 @@ type secretCredential struct {
 	priv sig.PrivateKey
 }
 
-// IssuedCredential is the transferable form of a credential plus its
-// private key, used when enrollment happens over a network (the judge
-// issues, the member imports). Transport confidentiality is the caller's
-// problem: anyone who reads Priv can sign as the member.
-type IssuedCredential struct {
-	Cred Credential
-	Priv sig.PrivateKey
-}
-
 // MemberKey is a member's group private key: a pool of one-time credentials
-// plus a refill channel back to the judge. Safe for concurrent use.
+// whose key pairs the member generated itself, plus the certify function
+// that refills it. Safe for concurrent use.
 type MemberKey struct {
 	identity string
-	groupPub sig.PublicKey
+	scheme   sig.Scheme
 
 	mu     sync.Mutex
 	pool   []secretCredential
-	refill func(n int) ([]secretCredential, error)
+	refill func(pubs []sig.PublicKey) ([]Credential, error)
+}
+
+// NewMemberKey builds identity's member key; it is the one way a member key
+// is made, in process (Manager.Enroll) or over a network. It generates
+// poolSize credential key pairs under scheme, passes their public halves to
+// certify, and pools the resulting credentials; the private halves never
+// leave the member. A dry pool refills through the same certify. Keygen
+// uses the raw scheme, unrecorded: filling a pool is enrollment setup, not
+// part of any operation's cost.
+func NewMemberKey(scheme sig.Scheme, identity string, poolSize int, certify func(pubs []sig.PublicKey) ([]Credential, error)) (*MemberKey, error) {
+	mk := &MemberKey{identity: identity, scheme: scheme, refill: certify}
+	pool, err := mk.fill(poolSize)
+	if err != nil {
+		return nil, err
+	}
+	mk.pool = pool
+	return mk, nil
+}
+
+// fill generates n credential key pairs and has mk.refill certify their
+// public halves.
+func (mk *MemberKey) fill(n int) ([]secretCredential, error) {
+	keys := make([]sig.KeyPair, n)
+	pubs := make([]sig.PublicKey, n)
+	for i := range keys {
+		kp, err := mk.scheme.GenerateKey()
+		if err != nil {
+			return nil, fmt.Errorf("groupsig: credential keygen: %w", err)
+		}
+		keys[i], pubs[i] = kp, kp.Public
+	}
+	creds, err := mk.refill(pubs)
+	if err != nil {
+		return nil, err
+	}
+	if len(creds) != n {
+		return nil, fmt.Errorf("groupsig: %d of %d credential keys certified", len(creds), n)
+	}
+	pool := make([]secretCredential, n)
+	for i, c := range creds {
+		if !c.Pub.Equal(pubs[i]) {
+			return nil, fmt.Errorf("groupsig: credential %d certifies a key the member did not send", c.Serial)
+		}
+		pool[i] = secretCredential{cred: c, priv: keys[i].Private}
+	}
+	return pool, nil
 }
 
 // Identity returns the enrolled identity this key was issued to. The
 // identity is local to the member and the judge; it is never embedded in
 // signatures.
 func (mk *MemberKey) Identity() string { return mk.identity }
-
-// GroupPublicKey returns the group public key credentials are certified
-// under.
-func (mk *MemberKey) GroupPublicKey() sig.PublicKey { return mk.groupPub.Clone() }
 
 // PoolSize reports how many unused credentials remain.
 func (mk *MemberKey) PoolSize() int {
@@ -241,7 +278,8 @@ const refillBatch = 32
 
 // Sign produces a group signature over msg, consuming one credential. It
 // records one group-signing micro-op on the suite's recorder. When the pool
-// is empty the member transparently requests a refill from the judge.
+// is empty the member transparently generates a fresh batch of credential
+// keys and has the judge certify them.
 func (mk *MemberKey) Sign(suite sig.Suite, msg []byte) (Signature, error) {
 	if suite.Rec != nil {
 		suite.Rec.RecordGroupSign()
@@ -264,7 +302,7 @@ func (mk *MemberKey) take() (secretCredential, error) {
 		if mk.refill == nil {
 			return secretCredential{}, ErrNoCredentials
 		}
-		fresh, err := mk.refill(refillBatch)
+		fresh, err := mk.fill(refillBatch)
 		if err != nil {
 			return secretCredential{}, fmt.Errorf("groupsig: refilling credentials: %w", err)
 		}
@@ -275,24 +313,18 @@ func (mk *MemberKey) take() (secretCredential, error) {
 	return sc, nil
 }
 
-// Manager is the judge-side group manager: it enrolls members, issues
-// credentials, and opens signatures. Safe for concurrent use.
+// Manager is the judge-side group manager: it enrolls members, certifies
+// the credential keys they generate, and opens signatures. It never holds a
+// member's credential private keys. Safe for concurrent use.
 type Manager struct {
 	scheme sig.Scheme
 	master sig.KeyPair
 
 	mu       sync.Mutex
-	serials  map[uint64]issuedCredential // credential serial -> issuance record
+	serials  map[uint64]string // credential serial -> identity
+	keys     map[string]uint64 // credential public key -> serial
 	enrolled map[string]bool
 	revoked  map[string]bool
-}
-
-// issuedCredential is the judge's private record of one minted credential:
-// who it was issued to, and its public key so revocation can name the keys
-// relying parties should forget.
-type issuedCredential struct {
-	identity string
-	pub      sig.PublicKey
 }
 
 // NewManager creates a group with a fresh master key under scheme.
@@ -304,7 +336,8 @@ func NewManager(scheme sig.Scheme) (*Manager, error) {
 	return &Manager{
 		scheme:   scheme,
 		master:   master,
-		serials:  make(map[uint64]issuedCredential),
+		serials:  make(map[uint64]string),
+		keys:     make(map[string]uint64),
 		enrolled: make(map[string]bool),
 		revoked:  make(map[string]bool),
 	}, nil
@@ -314,141 +347,92 @@ func NewManager(scheme sig.Scheme) (*Manager, error) {
 func (m *Manager) GroupPublicKey() sig.PublicKey { return m.master.Public.Clone() }
 
 // Enroll registers identity with the group and returns its member key,
-// pre-charged with poolSize one-time credentials. Enrolling the same
-// identity again yields a fresh key (e.g. after device loss); old unused
-// credentials remain openable to the same identity.
+// pre-charged with poolSize one-time credentials: NewMemberKey with Certify
+// as the certify function, exactly as a remote member builds its own.
+// Enrolling the same identity again yields a fresh key (e.g. after device
+// loss); old unused credentials remain openable to the same identity.
 func (m *Manager) Enroll(identity string, poolSize int) (*MemberKey, error) {
+	if err := m.Admit(identity); err != nil {
+		return nil, err
+	}
+	return NewMemberKey(m.scheme, identity, poolSize, func(pubs []sig.PublicKey) ([]Credential, error) {
+		return m.Certify(identity, pubs)
+	})
+}
+
+// Admit registers identity with the group so Certify serves it. Admitting
+// an identity again is a no-op; a revoked identity is refused.
+func (m *Manager) Admit(identity string) error {
 	if identity == "" {
-		return nil, errors.New("groupsig: empty identity")
+		return errors.New("groupsig: empty identity")
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.revoked[identity] {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("enrolling %q: %w", identity, ErrRevoked)
+		return fmt.Errorf("enrolling %q: %w", identity, ErrRevoked)
 	}
 	m.enrolled[identity] = true
-	m.mu.Unlock()
+	return nil
+}
 
-	mk := &MemberKey{
-		identity: identity,
-		groupPub: m.master.Public.Clone(),
-		refill:   func(n int) ([]secretCredential, error) { return m.issue(identity, n) },
-	}
-	pool, err := m.issue(identity, poolSize)
+// Certify certifies credential public keys an enrolled member generated,
+// returning one credential per key in order. A key certified before, to
+// any identity, is refused with ErrAlreadyCertified: every credential key
+// maps to exactly one serial and one identity, and a replayed request
+// certifies nothing.
+func (m *Manager) Certify(identity string, pubs []sig.PublicKey) ([]Credential, error) {
+	serials, err := m.reserve(identity, pubs)
 	if err != nil {
 		return nil, err
 	}
-	mk.pool = pool
-	return mk, nil
+	out := make([]Credential, len(pubs))
+	for i, serial := range serials {
+		cert, err := m.scheme.Sign(m.master.Private, CredentialMessage(serial, pubs[i]))
+		if err != nil {
+			return nil, fmt.Errorf("groupsig: certifying credential: %w", err)
+		}
+		out[i] = Credential{Serial: serial, Pub: pubs[i].Clone(), Cert: cert}
+	}
+	return out, nil
 }
 
-// issue mints n one-time credentials for identity. Each serial is drawn
-// uniformly at random and reserved in the judge's map under m.mu (a draw
-// that collides with any serial ever issued is redrawn), so a serial tells
-// an observer nothing about its holder or about any other serial.
-func (m *Manager) issue(identity string, n int) ([]secretCredential, error) {
+// reserve checks that identity may be certified and that no key in pubs
+// was certified before, then draws one serial per key and records both
+// maps, all under m.mu so concurrent requests cannot claim one key or one
+// serial twice. Each serial is drawn uniformly at random (a draw that
+// collides with any serial ever issued is redrawn), so a serial tells an
+// observer nothing about its holder or about any other serial.
+func (m *Manager) reserve(identity string, pubs []sig.PublicKey) ([]uint64, error) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.revoked[identity] {
-		m.mu.Unlock()
 		return nil, fmt.Errorf("issuing to %q: %w", identity, ErrRevoked)
 	}
 	if !m.enrolled[identity] {
-		m.mu.Unlock()
 		return nil, fmt.Errorf("groupsig: %q not enrolled", identity)
 	}
-	serials := make([]uint64, 0, n)
+	batch := make(map[string]bool, len(pubs))
+	for _, pub := range pubs {
+		if _, done := m.keys[string(pub)]; done || batch[string(pub)] {
+			return nil, ErrAlreadyCertified
+		}
+		batch[string(pub)] = true
+	}
+	serials := make([]uint64, 0, len(pubs))
 	var draw [8]byte
-	for len(serials) < n {
+	for len(serials) < len(pubs) {
 		if _, err := rand.Read(draw[:]); err != nil {
-			m.mu.Unlock()
 			return nil, fmt.Errorf("groupsig: drawing a serial: %w", err)
 		}
 		serial := binary.BigEndian.Uint64(draw[:])
 		if _, taken := m.serials[serial]; taken {
 			continue
 		}
-		m.serials[serial] = issuedCredential{identity: identity}
+		m.serials[serial] = identity
+		m.keys[string(pubs[len(serials)])] = serial
 		serials = append(serials, serial)
 	}
-	m.mu.Unlock()
-
-	out := make([]secretCredential, 0, n)
-	for _, serial := range serials {
-		kp, err := m.scheme.GenerateKey()
-		if err != nil {
-			return nil, fmt.Errorf("groupsig: credential keygen: %w", err)
-		}
-		cert, err := m.scheme.Sign(m.master.Private, CredentialMessage(serial, kp.Public))
-		if err != nil {
-			return nil, fmt.Errorf("groupsig: certifying credential: %w", err)
-		}
-		out = append(out, secretCredential{
-			cred: Credential{Serial: serial, Pub: kp.Public, Cert: cert},
-			priv: kp.Private,
-		})
-	}
-	m.mu.Lock()
-	for _, sc := range out {
-		m.serials[sc.cred.Serial] = issuedCredential{identity: identity, pub: sc.cred.Pub}
-	}
-	m.mu.Unlock()
-	return out, nil
-}
-
-// IssueCredentials mints n one-time credentials for an enrolled identity
-// in transferable form (remote enrollment / refill).
-func (m *Manager) IssueCredentials(identity string, n int) ([]IssuedCredential, error) {
-	secrets, err := m.issue(identity, n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]IssuedCredential, len(secrets))
-	for i, sc := range secrets {
-		out[i] = IssuedCredential{Cred: sc.cred, Priv: sc.priv}
-	}
-	return out, nil
-}
-
-// EnrollRemote registers identity and returns its initial credentials in
-// transferable form; combine with NewMemberKey on the member side.
-func (m *Manager) EnrollRemote(identity string, poolSize int) ([]IssuedCredential, error) {
-	if identity == "" {
-		return nil, errors.New("groupsig: empty identity")
-	}
-	m.mu.Lock()
-	if m.revoked[identity] {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("enrolling %q: %w", identity, ErrRevoked)
-	}
-	m.enrolled[identity] = true
-	m.mu.Unlock()
-	return m.IssueCredentials(identity, poolSize)
-}
-
-// NewMemberKey assembles a member key from remotely issued credentials.
-// refill (may be nil) is called when the pool runs dry — typically an RPC
-// back to the judge.
-func NewMemberKey(identity string, groupPub sig.PublicKey, creds []IssuedCredential, refill func(n int) ([]IssuedCredential, error)) *MemberKey {
-	mk := &MemberKey{identity: identity, groupPub: groupPub.Clone()}
-	mk.pool = importCredentials(creds)
-	if refill != nil {
-		mk.refill = func(n int) ([]secretCredential, error) {
-			fresh, err := refill(n)
-			if err != nil {
-				return nil, err
-			}
-			return importCredentials(fresh), nil
-		}
-	}
-	return mk
-}
-
-func importCredentials(creds []IssuedCredential) []secretCredential {
-	out := make([]secretCredential, len(creds))
-	for i, ic := range creds {
-		out[i] = secretCredential{cred: ic.Cred, priv: ic.Priv}
-	}
-	return out
+	return serials, nil
 }
 
 // Open reveals the identity behind a group signature. It first verifies the
@@ -461,11 +445,11 @@ func (m *Manager) Open(msg []byte, gs Signature) (string, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rec, ok := m.serials[gs.Cred.Serial]
+	identity, ok := m.serials[gs.Cred.Serial]
 	if !ok {
 		return "", ErrUnknownSerial
 	}
-	return rec.identity, nil
+	return identity, nil
 }
 
 // Revoke bars identity from obtaining further credentials and returns the
@@ -478,10 +462,10 @@ func (m *Manager) Revoke(identity string) (serials []uint64, pubs []sig.PublicKe
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.revoked[identity] = true
-	for serial, rec := range m.serials {
-		if rec.identity == identity {
+	for pub, serial := range m.keys {
+		if m.serials[serial] == identity {
 			serials = append(serials, serial)
-			pubs = append(pubs, rec.pub)
+			pubs = append(pubs, sig.PublicKey(pub))
 		}
 	}
 	return serials, pubs

@@ -485,3 +485,28 @@ func BenchmarkGroupVerifyECDSA(b *testing.B) {
 		}
 	}
 }
+
+// TestNewMemberKeyRefusesMismatchedCredentials: a member pools only
+// credentials that certify the keys it sent, one per key, in order.
+func TestNewMemberKeyRefusesMismatchedCredentials(t *testing.T) {
+	m, suite := newTestGroup(t)
+	if err := m.Admit("alice"); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]func([]Credential) []Credential{
+		"short":   func(creds []Credential) []Credential { return creds[1:] },
+		"swapped": func(creds []Credential) []Credential { return []Credential{creds[1], creds[0]} },
+	}
+	for name, tamper := range cases {
+		certify := func(pubs []sig.PublicKey) ([]Credential, error) {
+			creds, err := m.Certify("alice", pubs)
+			if err != nil {
+				return nil, err
+			}
+			return tamper(creds), nil
+		}
+		if _, err := NewMemberKey(suite.Scheme, "alice", 2, certify); err == nil {
+			t.Errorf("%s: member pooled credentials for keys it did not send", name)
+		}
+	}
+}

@@ -80,28 +80,3 @@ func DecodeWireSignaturePtr(d *wire.Decoder) (*Signature, error) {
 	}
 	return &s, nil
 }
-
-// AppendWire appends the issued credential's wire encoding to dst. The
-// private key crosses the wire in the clear; transport confidentiality
-// remains the deployment's problem (see judgeserver.go).
-func (ic *IssuedCredential) AppendWire(dst []byte) []byte {
-	dst = ic.Cred.AppendWire(dst)
-	dst = wire.AppendBytes(dst, ic.Priv)
-	return dst
-}
-
-// DecodeWireIssuedCredential decodes an issued credential written by
-// AppendWire.
-func DecodeWireIssuedCredential(d *wire.Decoder) (IssuedCredential, error) {
-	var ic IssuedCredential
-	var err error
-	if ic.Cred, err = DecodeWireCredential(d); err != nil {
-		return ic, err
-	}
-	var raw []byte
-	if raw, err = d.Bytes(); err != nil {
-		return ic, err
-	}
-	ic.Priv = sig.PrivateKey(raw)
-	return ic, nil
-}
