@@ -728,10 +728,11 @@ func (b *Broker) lookupActiveCoin(pub sig.PublicKey) (*coin.Coin, error) {
 	return c, nil
 }
 
-// recordRelinquish appends a broker-era relinquishment proof to the coin's
-// audit trail. The inner map is mutated under the shard's write lock;
-// readers copy it under View.
-func (b *Broker) recordRelinquish(id coin.ID, seq uint64, proof RelinquishProof) {
+// recordRelinquish adds a broker-era relinquishment proof to the coin's
+// audit trail and returns the proof's journal record for the caller to
+// commit. The inner map is mutated under the shard's write lock; readers
+// copy it under View.
+func (b *Broker) recordRelinquish(id coin.ID, seq uint64, proof RelinquishProof) wal.Mutation {
 	b.relinquish.Compute(id, func(proofs map[uint64]RelinquishProof, _ bool) (map[uint64]RelinquishProof, store.Op) {
 		if proofs == nil {
 			proofs = make(map[uint64]RelinquishProof)
@@ -739,6 +740,7 @@ func (b *Broker) recordRelinquish(id coin.ID, seq uint64, proof RelinquishProof)
 		proofs[seq] = proof
 		return proofs, store.OpSet
 	})
+	return proofMut(id, seq, &proof)
 }
 
 // queueSync marks a coin for the owner's next synchronization.
@@ -790,12 +792,17 @@ func (b *Broker) handleDowntimeTransfer(m TransferRequest) (any, error) {
 		return nil, fmt.Errorf("core: signing challenge: %w", err)
 	}
 
-	// Journal the relinquishment intent before the new binding leaves the
-	// broker: once the payee holds a broker-signed binding, the proof that
-	// justified it must survive any crash (else the audit-trail walk would
-	// read the re-binding as owner fraud — a false punishment).
-	proof := RelinquishProof{Body: m.Body, HolderSig: m.HolderSig, PrevHold: cur.Holder.Clone()}
-	b.journalIntent(c.ID(), cur.Seq, proof)
+	// Record and journal the relinquishment before the new binding leaves
+	// the broker: once the payee holds a broker-signed binding, the proof
+	// that justified it must survive any crash or snapshot (else the
+	// audit-trail walk would read the re-binding as owner fraud — a false
+	// punishment). The binding itself commits only after delivery: an
+	// undelivered one must not strand the coin with a holder that never
+	// received it.
+	proof := b.recordRelinquish(c.ID(), cur.Seq, RelinquishProof{Body: m.Body, HolderSig: m.HolderSig, PrevHold: cur.Holder.Clone()})
+	if b.journal != nil {
+		b.journal.Commit(proof)
+	}
 
 	// Deliver to the payee before committing: nothing to roll back if
 	// the payee is gone.
@@ -810,7 +817,6 @@ func (b *Broker) handleDowntimeTransfer(m TransferRequest) (any, error) {
 
 	owner := b.ownerIdentity(c)
 	b.downtime.Set(c.ID(), next)
-	b.recordRelinquish(c.ID(), cur.Seq, proof)
 	b.queueSync(owner, c.ID())
 	b.journalDowntimeCommit(c.ID(), owner)
 
@@ -864,14 +870,14 @@ func (b *Broker) handleDowntimeRenew(m RenewRequest) (any, error) {
 
 	owner := b.ownerIdentity(c)
 	b.downtime.Set(c.ID(), next)
-	b.recordRelinquish(c.ID(), cur.Seq, RelinquishProof{
+	proof := b.recordRelinquish(c.ID(), cur.Seq, RelinquishProof{
 		Renewal:   true,
 		Body:      coin.TransferBody{CoinPub: c.Pub.Clone(), PrevSeq: cur.Seq},
 		HolderSig: m.HolderSig,
 		PrevHold:  cur.Holder.Clone(),
 	})
 	b.queueSync(owner, c.ID())
-	b.journalDowntimeCommit(c.ID(), owner)
+	b.journalDowntimeCommit(c.ID(), owner, proof)
 
 	b.publishBinding(next)
 	b.ops.Inc(OpDowntimeRenewal)

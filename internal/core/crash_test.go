@@ -47,7 +47,7 @@ type crashStep struct {
 
 // Both crash workloads repeat their script for several rounds, so replay
 // meets records that supersede earlier ones under the same keys (sync
-// queues, relinquishment trails, wallet entries) and the sweep spans a few
+// queues, downtime bindings, wallet entries) and the sweep spans a few
 // KiB of crash points.
 const (
 	brokerCrashRounds = 3
@@ -85,6 +85,7 @@ func newBrokerCrashWorld(t *testing.T, dir string, fs wal.FS) *crashWorld {
 		{"deposit-c", 7, func() error { return w.bob.Deposit(w.idC, w.bob.ID()) }},
 		{"offline", 0, func() error { w.alice.GoOffline(); w.aliceOffline = true; return nil }},
 		{"downtime-transfer", 3, func() error { return w.bob.TransferViaBroker(w.carol.Addr(), w.idA) }},
+		{"downtime-renew", 3, func() error { return w.carol.RenewViaBroker(w.idA) }},
 		{"online", 0, func() error { err := w.alice.GoOnline(); w.aliceOffline = err != nil; return err }},
 		{"deposit-a", 3, func() error { return w.carol.Deposit(w.idA, w.carol.ID()) }},
 		{"freeze", 0, func() error { w.f.broker.Freeze("mallory"); return nil }},
@@ -551,6 +552,16 @@ func TestPeerCrashSweep(t *testing.T) {
 			if !w.alice.Recovered() {
 				t.Fatal("recovered peer reports no durable state")
 			}
+			// A proof commits in the record that moves the binding past
+			// it, so a recovered trail never runs ahead of its binding.
+			w.alice.owned.Range(func(id coin.ID, oc *ownedCoin) bool {
+				for seq := range oc.log {
+					if oc.binding == nil || seq >= oc.binding.Seq {
+						t.Errorf("budget %d: coin %x recovered a proof for seq %d beside binding %v", budget, id, seq, oc.binding)
+					}
+				}
+				return true
+			})
 
 			// Drain with the anti-framing guard: the recovered wallet may
 			// believe it still owns a coin someone else provably holds.

@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"whopay/internal/groupsig"
+	"whopay/internal/wal"
 )
 
 // TestAnonymousCoinLazySyncCycle drives an owner-anonymous coin through a
@@ -279,11 +282,14 @@ func TestManyPeersRoundRobin(t *testing.T) {
 
 // TestAuditLogCapEviction: capped audit logs keep only the most recent
 // proofs; disputes older than the cap cannot be answered (the documented
-// trade-off the simulator accepts).
+// trade-off the simulator accepts). Evictions are journaled: a restarted
+// owner recovers exactly the live trail.
 func TestAuditLogCapEviction(t *testing.T) {
 	f := newFixture(t, fixtureOpts{detection: true})
-	owner := f.addPeer("owner", nil)
-	owner.cfg.AuditLogCap = 2
+	ownerCfg := f.peerConfig("owner", nil)
+	ownerCfg.AuditLogCap = 2
+	ownerCfg.Persistence = &wal.Config{Dir: t.TempDir(), Policy: wal.FsyncAlways}
+	owner := f.addPeerWith(ownerCfg)
 	a := f.addPeer("a", nil)
 	b := f.addPeer("b", nil)
 	id, err := owner.Purchase(1, false)
@@ -302,10 +308,24 @@ func TestAuditLogCapEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ownerOC, _ := owner.owned.Get(id)
-	logLen := len(ownerOC.log)
-	if logLen != 2 {
-		t.Fatalf("audit log length = %d, want cap 2", logLen)
+	trailSeqs := func(p *Peer) []uint64 {
+		oc, _ := p.owned.Get(id)
+		oc.mu.Lock()
+		defer oc.mu.Unlock()
+		var seqs []uint64
+		for seq := range oc.log {
+			seqs = append(seqs, seq)
+		}
+		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		return seqs
+	}
+	live := trailSeqs(owner)
+	if len(live) != 2 {
+		t.Fatalf("audit log length = %d, want cap 2", len(live))
+	}
+	owner = f.restartPeer(owner, ownerCfg)
+	if got := trailSeqs(owner); !reflect.DeepEqual(got, live) {
+		t.Fatalf("recovered audit trail seqs %v, live trail %v", got, live)
 	}
 }
 

@@ -18,8 +18,9 @@ import (
 // record forms (DESIGN.md §10) — goes through internal/wire and must encode
 // deterministically: encode → decode → encode reproduces the bytes exactly,
 // and the decoded value equals the original. Maps would break the first
-// property, which is why the journaled forms flatten them into sorted
-// parallel slices; this suite is the regression net for both.
+// property, which is why no journaled form holds one (a map-valued store,
+// like an audit trail, journals one record per entry, and a watcher set is
+// sorted); this suite is the regression net for both.
 
 // fillValue populates every settable field of v with distinct non-zero
 // values drawn from a deterministic counter, so a round trip exercises each
@@ -129,8 +130,7 @@ func journalRecords() []codec {
 	return []codec{
 		recordCodec((*keyPairRec).appendWire, decodeKeyPairRec),
 		recordCodec((*depositRec).appendWire, decodeDepositRec),
-		recordCodec((*claimsRec).appendWire, decodeClaimsRec),
-		recordCodec((*intentRec).appendWire, decodeIntentRec),
+		recordCodec((*RelinquishProof).appendWire, decodeRelinquishProof),
 		recordCodec((*caseRec).appendWire, decodeCaseRec),
 		recordCodec((*ownedRec).appendWire, decodeOwnedRec),
 		recordCodec((*heldRec).appendWire, decodeHeldRec),
@@ -198,6 +198,10 @@ func FuzzJournalRecordDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	// An owned record as it was written while it carried the audit trail:
+	// the current fields, then two empty counted lists.
+	owned := filled(ownedRec{}).(ownedRec)
+	f.Add(append(owned.appendWire(nil), 0x00, 0x00))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, c := range codecs {
 			v, err := c.dec(data)
@@ -228,28 +232,40 @@ var gobKeyRecord = []byte{
 	0x76, 0x00,
 }
 
-// TestOldFormatJournalRejected: a journal in the old record format fails
-// recovery with an error naming the table of the record it could not read;
-// nothing from it is applied.
+// TestOldFormatJournalRejected: a journal record the current format cannot
+// read fails recovery with an error naming the record's table; nothing from
+// it is applied.
 func TestOldFormatJournalRejected(t *testing.T) {
-	dir := t.TempDir()
-	log, err := wal.Open(wal.Config{Dir: dir, Policy: wal.FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Append(wal.EncodeBatch([]wal.Mutation{wal.Set(tblMeta, []byte(metaKeysKey), gobKeyRecord)})); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f := newFixture(t, fixtureOpts{})
-	cfg := f.brokerCfg
-	cfg.Addr = "broker-old-format"
-	cfg.Persistence = &wal.Config{Dir: dir, Policy: wal.FsyncAlways}
-	_, err = RecoverBroker(cfg)
-	if err == nil || !strings.Contains(err.Error(), "replaying meta record") {
-		t.Fatalf("recovery of an old-format journal: err = %v, want a meta-table replay error", err)
+	for _, tc := range []struct {
+		name string
+		rec  wal.Mutation
+		want string
+	}{
+		{"gob-keys", wal.Set(tblMeta, []byte(metaKeysKey), gobKeyRecord), "replaying meta record"},
+		// A proof key is the coin ID followed by an 8-byte sequence.
+		{"short-proof-key", wal.Set(tblProof, []byte("seq"), nil), "replaying proof record"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			log, err := wal.Open(wal.Config{Dir: dir, Policy: wal.FsyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Commit(tc.rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f := newFixture(t, fixtureOpts{})
+			cfg := f.brokerCfg
+			cfg.Addr = "broker-old-format"
+			cfg.Persistence = &wal.Config{Dir: dir, Policy: wal.FsyncAlways}
+			_, err = RecoverBroker(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("recovery of an unreadable journal: err = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"whopay/internal/coin"
 	"whopay/internal/dht"
 	"whopay/internal/sig"
+	"whopay/internal/wal"
 )
 
 // Owner-side protocol: issuing coins, servicing transfers and renewals for
@@ -164,9 +165,9 @@ func (p *Peer) handleTransferRequest(m TransferRequest) (any, error) {
 
 	oc.mu.Lock()
 	oc.binding = next
-	p.recordProofLocked(oc, RelinquishProof{Body: m.Body, HolderSig: m.HolderSig, PrevHold: cur.Holder.Clone()})
+	proof := p.recordProofLocked(oc, RelinquishProof{Body: m.Body, HolderSig: m.HolderSig, PrevHold: cur.Holder.Clone()})
 	oc.mu.Unlock()
-	p.saveOwned(id)
+	p.saveOwned(id, proof...)
 
 	p.publishOwnedBinding(oc, next)
 	p.ops.Inc(OpTransfer)
@@ -220,14 +221,14 @@ func (p *Peer) handleRenewRequest(m RenewRequest) (any, error) {
 
 	oc.mu.Lock()
 	oc.binding = next
-	p.recordProofLocked(oc, RelinquishProof{
+	proof := p.recordProofLocked(oc, RelinquishProof{
 		Renewal:   true,
 		Body:      coin.TransferBody{CoinPub: c.Pub.Clone(), PrevSeq: cur.Seq},
 		HolderSig: m.HolderSig,
 		PrevHold:  cur.Holder.Clone(),
 	})
 	oc.mu.Unlock()
-	p.saveOwned(id)
+	p.saveOwned(id, proof...)
 
 	p.publishOwnedBinding(oc, next)
 	p.ops.Inc(OpRenewal)
@@ -301,19 +302,26 @@ func (p *Peer) ownerCatchUp(oc *ownedCoin, presented *coin.Binding) error {
 	return nil
 }
 
-// recordProofLocked appends to the coin's audit trail, enforcing the
-// configured cap. Callers hold oc.mu.
-func (p *Peer) recordProofLocked(oc *ownedCoin, proof RelinquishProof) {
+// recordProofLocked adds a proof to the coin's audit trail, enforcing the
+// configured cap, and returns the journal mutations for saveOwned: the
+// proof's record and, past the cap, the delete of the evicted oldest proof
+// (the smallest seq, since a coin's seq only grows). Callers hold oc.mu.
+func (p *Peer) recordProofLocked(oc *ownedCoin, proof RelinquishProof) []wal.Mutation {
 	if oc.log == nil {
 		oc.log = make(map[uint64]RelinquishProof)
 	}
-	oc.log[proof.Body.PrevSeq] = proof
-	oc.logOrder = append(oc.logOrder, proof.Body.PrevSeq)
-	if cap := p.cfg.AuditLogCap; cap > 0 && len(oc.logOrder) > cap {
-		evict := oc.logOrder[0]
-		oc.logOrder = oc.logOrder[1:]
-		delete(oc.log, evict)
+	id, seq := oc.c.ID(), proof.Body.PrevSeq
+	oc.log[seq] = proof
+	muts := []wal.Mutation{proofMut(id, seq, &proof)}
+	if cap := p.cfg.AuditLogCap; cap > 0 && len(oc.log) > cap {
+		oldest := seq
+		for s := range oc.log {
+			oldest = min(oldest, s)
+		}
+		delete(oc.log, oldest)
+		muts = append(muts, wal.Delete(tblProof, proofKey(id, oldest)))
 	}
+	return muts
 }
 
 // publishOwnedBinding writes the binding to the public binding list, signed

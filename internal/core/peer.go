@@ -162,7 +162,6 @@ type ownedCoin struct {
 	selfHeld bool
 	dirty    bool // lazy sync: re-check the public binding before servicing
 	log      map[uint64]RelinquishProof
-	logOrder []uint64
 }
 
 // heldCoin is the holder-side state for one coin. c, holderKeys and order

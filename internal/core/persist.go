@@ -10,7 +10,6 @@ import (
 	"whopay/internal/coin"
 	"whopay/internal/groupsig"
 	"whopay/internal/sig"
-	"whopay/internal/store"
 	"whopay/internal/wal"
 	"whopay/internal/wire"
 )
@@ -25,12 +24,15 @@ import (
 // There is one journaling style: a handler applies its decision to the
 // in-memory stores and then journals every mutation it made as ONE
 // wal.Log.Commit — mint = coins + buyers, a punishment = freeze + case, a
-// downtime re-binding = new binding + relinquishment trail + sync queue — so
-// a crash between two stores is impossible by construction: a record
-// replays whole or not at all. A journal failure never blocks the in-memory
-// protocol (responses must not diverge from the unpersisted path); the log
-// latches its first failure, and PersistenceErr reads it so operators and
-// the crash suite can treat the entity as dead.
+// downtime renewal = new binding + relinquishment proof + sync queue — so a
+// crash between two stores is impossible by construction: a record replays
+// whole or not at all. A relinquishment proof is one record of its own,
+// written by the commit that puts it into memory, so journaling a
+// re-binding costs the same at a coin's first transfer as at its
+// thousandth. A journal failure never blocks the in-memory protocol
+// (responses must not diverge from the unpersisted path); the log latches
+// its first failure, and PersistenceErr reads it so operators and the
+// crash suite can treat the entity as dead.
 //
 // Record values are encoded with the internal/wire helpers: each record
 // type has an appendWire method and a decode function, and every decode
@@ -43,14 +45,12 @@ const (
 	tblBuyer    = "buyer"  // coin.ID -> purchaser identity
 	tblDowntime = "down"   // coin.ID -> coin.Binding
 	tblSync     = "sync"   // owner identity -> []coin.ID
-	tblClaims   = "claim"  // coin.ID -> claimsRec (sorted)
-	tblIntent   = "intent" // coin.ID -> intentRec: journaled-only pre-delivery evidence
+	tblProof    = "proof"  // proofKey(coin.ID, seq) -> RelinquishProof, broker and peer logs
 	tblDeposit  = "dep"    // coin.ID -> depositRec
 	tblFrozen   = "frozen" // identity -> (unit)
 	tblCase     = "case"   // case ID -> caseRec
 	tblOwned    = "owned"  // coin.ID -> ownedRec, peer logs
 	tblHeld     = "held"   // coin.ID -> heldRec, peer logs
-	tblEpoch    = "epoch"  // DHT node epoch (lives in internal/dht; listed for the format doc)
 	tblSettle   = "settle" // coin.ID -> settleRec: outbound cross-shard settlement state
 	tblSettled  = "stld"   // coin.ID -> settledRec: inbound settlement dedup (payout shard)
 
@@ -169,87 +169,30 @@ func decDepositRecord(b []byte) (*depositRecord, error) {
 	}, nil
 }
 
-// claimsRec journals a coin's broker-era relinquishment trail. The
-// in-memory form is a map; the journaled form is sorted by sequence so
-// encoding is deterministic.
-type claimsRec struct {
-	Seqs   []uint64
-	Proofs []RelinquishProof
+// proofKey is a relinquishment proof's journal key: the coin ID, then the
+// sequence the proof relinquished, big-endian, so a coin's proofs sort by
+// sequence.
+func proofKey(id coin.ID, seq uint64) []byte {
+	return binary.BigEndian.AppendUint64([]byte(id), seq)
 }
 
-func (r *claimsRec) appendWire(dst []byte) []byte {
-	dst = wire.AppendList(dst, r.Seqs, appendSeq)
-	return wire.AppendList(dst, r.Proofs, (*RelinquishProof).appendWire)
+// splitProofKey is proofKey's inverse.
+func splitProofKey(key []byte) (coin.ID, uint64, error) {
+	n := len(key) - 8
+	if n < 0 {
+		return "", 0, fmt.Errorf("core: proof key of %d bytes has no sequence", len(key))
+	}
+	return coin.ID(key[:n]), binary.BigEndian.Uint64(key[n:]), nil
 }
 
-func decodeClaimsRec(d *wire.Decoder) (claimsRec, error) {
-	var r claimsRec
-	var err error
-	if r.Seqs, err = wire.DecodeList(d, (*wire.Decoder).U64); err != nil {
-		return r, err
-	}
-	r.Proofs, err = wire.DecodeList(d, decodeRelinquishProof)
-	return r, err
+// proofMut is the journal record of one relinquishment proof.
+func proofMut(id coin.ID, seq uint64, proof *RelinquishProof) wal.Mutation {
+	return wal.Set(tblProof, proofKey(id, seq), proof.appendWire(nil))
 }
 
-func appendSeq(seq *uint64, dst []byte) []byte { return wire.AppendU64(dst, *seq) }
-
-func encClaims(proofs map[uint64]RelinquishProof) []byte {
-	rec := claimsRec{Seqs: make([]uint64, 0, len(proofs)), Proofs: make([]RelinquishProof, 0, len(proofs))}
-	for seq := range proofs {
-		rec.Seqs = append(rec.Seqs, seq)
-	}
-	sort.Slice(rec.Seqs, func(i, j int) bool { return rec.Seqs[i] < rec.Seqs[j] })
-	for _, seq := range rec.Seqs {
-		rec.Proofs = append(rec.Proofs, proofs[seq])
-	}
-	return rec.appendWire(nil)
-}
-
-func decClaims(b []byte) (map[uint64]RelinquishProof, error) {
-	rec, err := wire.DecodeExact(b, decodeClaimsRec)
-	if err != nil {
-		return nil, err
-	}
-	if len(rec.Seqs) != len(rec.Proofs) {
-		return nil, errors.New("core: claims record seq/proof length mismatch")
-	}
-	out := make(map[uint64]RelinquishProof, len(rec.Seqs))
-	for i, seq := range rec.Seqs {
-		out[seq] = rec.Proofs[i]
-	}
-	return out, nil
-}
-
-// intentRec is the pre-delivery journal of a downtime re-binding: the
-// holder's relinquishment proof, written and (policy permitting) synced
-// BEFORE the new binding leaves the broker. If the broker dies between
-// delivering to the payee and committing, recovery merges the proof into
-// the audit trail, so the payee's broker-signed binding — alive in the
-// world — can never later read as an unjustified re-binding and trigger a
-// false punishment. The binding itself is deliberately NOT adopted into
-// downtime state on recovery: an undelivered intent must not strand the
-// coin with a holder that never received it (the no-stuck-coins invariant);
-// the presented-evidence flavor of currentBinding accepts the delivered
-// binding if it does exist.
-type intentRec struct {
-	Seq   uint64
-	Proof RelinquishProof
-}
-
-func (r *intentRec) appendWire(dst []byte) []byte {
-	dst = wire.AppendU64(dst, r.Seq)
-	return r.Proof.appendWire(dst)
-}
-
-func decodeIntentRec(d *wire.Decoder) (intentRec, error) {
-	var r intentRec
-	var err error
-	if r.Seq, err = d.U64(); err != nil {
-		return r, err
-	}
-	r.Proof, err = decodeRelinquishProof(d)
-	return r, err
+// decProof decodes a proof record's value.
+func decProof(b []byte) (RelinquishProof, error) {
+	return wire.DecodeExact(b, decodeRelinquishProof)
 }
 
 // caseRec is the journaled form of a FraudCase: the GroupSigs [][2]any
@@ -392,34 +335,20 @@ func (b *Broker) journalMint(coins []coin.Coin, buyer string) {
 	b.journal.Commit(muts...)
 }
 
-// journalIntent journals the pre-delivery half of a downtime re-binding
-// (see intentRec).
-func (b *Broker) journalIntent(id coin.ID, seq uint64, proof RelinquishProof) {
-	if b.journal == nil {
-		return
-	}
-	rec := intentRec{Seq: seq, Proof: proof}
-	b.journal.Commit(wal.Set(tblIntent, []byte(id), rec.appendWire(nil)))
-}
-
 // journalDowntimeCommit journals a committed downtime re-binding or renewal:
-// the new authoritative binding, the coin's full relinquishment trail, and
-// the owner's full sync queue — one atomic batch, full values throughout, so
-// replaying any interleaving of commits converges to the memory state. Call
-// it after the in-memory commit, under the coin's service lock.
-func (b *Broker) journalDowntimeCommit(id coin.ID, owner string) {
+// the new authoritative binding and the owner's full sync queue, plus the
+// mutations in also (a renewal's proof), as one atomic batch. Full values
+// throughout, so replaying any interleaving of commits converges to the
+// memory state. Call it after the in-memory commit, under the coin's
+// service lock.
+func (b *Broker) journalDowntimeCommit(id coin.ID, owner string, also ...wal.Mutation) {
 	if b.journal == nil {
 		return
 	}
-	muts := make([]wal.Mutation, 0, 3)
+	muts := make([]wal.Mutation, 0, 2+len(also))
 	if binding, ok := b.downtime.Get(id); ok {
 		muts = append(muts, wal.Set(tblDowntime, []byte(id), encBinding(binding)))
 	}
-	b.relinquish.View(id, func(proofs map[uint64]RelinquishProof, ok bool) {
-		if ok {
-			muts = append(muts, wal.Set(tblClaims, []byte(id), encClaims(proofs)))
-		}
-	})
 	if owner != "" {
 		b.pendingSync.View(owner, func(ids []coin.ID, ok bool) {
 			if ok {
@@ -427,7 +356,7 @@ func (b *Broker) journalDowntimeCommit(id coin.ID, owner string) {
 			}
 		})
 	}
-	b.journal.Commit(muts...)
+	b.journal.Commit(append(muts, also...)...)
 }
 
 // journalSyncDrain journals a completed owner synchronization: the sync
@@ -509,20 +438,16 @@ func (b *Broker) CompactLog() error {
 		if failed != nil {
 			return failed
 		}
-		// Keys-then-View (not Range): encClaims must not run with the
-		// shard lock held by an enclosing Range while the View re-locks.
-		for _, id := range b.relinquish.Keys() {
-			var val []byte
-			b.relinquish.View(id, func(proofs map[uint64]RelinquishProof, ok bool) {
-				if ok {
-					val = encClaims(proofs)
-				}
-			})
-			if val != nil {
-				if err := emit(wal.Set(tblClaims, []byte(id), val)); err != nil {
-					return err
+		b.relinquish.Range(func(id coin.ID, proofs map[uint64]RelinquishProof) bool {
+			for seq, proof := range proofs {
+				if failed = emit(proofMut(id, seq, &proof)); failed != nil {
+					return false
 				}
 			}
+			return true
+		})
+		if failed != nil {
+			return failed
 		}
 		b.deposited.Range(func(id coin.ID, rec *depositRecord) bool {
 			failed = emit(wal.Set(tblDeposit, []byte(id), encDepositRecord(rec)))
@@ -570,7 +495,6 @@ func (b *Broker) CompactLog() error {
 // found. Must run before the broker starts serving.
 func (b *Broker) recoverBrokerState() (bool, error) {
 	found := false
-	intents := map[coin.ID]intentRec{}
 	settles := map[coin.ID]settleRec{}
 	err := b.journal.Replay(func(payload []byte) error {
 		muts, err := wal.DecodeBatch(payload)
@@ -579,7 +503,7 @@ func (b *Broker) recoverBrokerState() (bool, error) {
 		}
 		found = found || len(muts) > 0
 		for _, m := range muts {
-			if err := b.applyRecovered(m, intents, settles); err != nil {
+			if err := b.applyRecovered(m, settles); err != nil {
 				return fmt.Errorf("core: replaying %s record: %w", m.Table, err)
 			}
 		}
@@ -590,21 +514,6 @@ func (b *Broker) recoverBrokerState() (bool, error) {
 	}
 	if !found {
 		return false, nil
-	}
-
-	// Merge journaled-only intents into the audit trail: a proof for a
-	// sequence the committed trail already covers is superseded.
-	for id, intent := range intents {
-		seq, proof := intent.Seq, intent.Proof
-		b.relinquish.Compute(id, func(proofs map[uint64]RelinquishProof, _ bool) (map[uint64]RelinquishProof, store.Op) {
-			if proofs == nil {
-				proofs = make(map[uint64]RelinquishProof)
-			}
-			if _, committed := proofs[seq]; !committed {
-				proofs[seq] = proof
-			}
-			return proofs, store.OpSet
-		})
 	}
 
 	// Re-derive: a deposited coin is out of downtime service, the ledger
@@ -664,7 +573,7 @@ func (b *Broker) recoverBrokerState() (bool, error) {
 }
 
 // applyRecovered applies one replayed mutation to the broker's stores.
-func (b *Broker) applyRecovered(m wal.Mutation, intents map[coin.ID]intentRec, settles map[coin.ID]settleRec) error {
+func (b *Broker) applyRecovered(m wal.Mutation, settles map[coin.ID]settleRec) error {
 	id := coin.ID(m.Key)
 	switch m.Table {
 	case tblMeta:
@@ -704,18 +613,19 @@ func (b *Broker) applyRecovered(m wal.Mutation, intents map[coin.ID]intentRec, s
 			return err
 		}
 		b.pendingSync.Set(string(m.Key), ids)
-	case tblClaims:
-		proofs, err := decClaims(m.Val)
+	case tblProof:
+		if m.Op == wal.OpDelete {
+			return errors.New("core: broker proof records are never deleted")
+		}
+		id, seq, err := splitProofKey(m.Key)
 		if err != nil {
 			return err
 		}
-		b.relinquish.Set(id, proofs)
-	case tblIntent:
-		rec, err := wire.DecodeExact(m.Val, decodeIntentRec)
+		proof, err := decProof(m.Val)
 		if err != nil {
 			return err
 		}
-		intents[id] = rec
+		b.recordRelinquish(id, seq, proof)
 	case tblDeposit:
 		if m.Op == wal.OpDelete {
 			return errors.New("core: deposit records are never deleted")

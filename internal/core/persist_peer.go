@@ -15,7 +15,11 @@ import (
 // states — one record per owned or held coin, rewritten on every mutation —
 // rather than deltas: entries are small, full states make replay trivially
 // idempotent, and the per-entry record is atomic (a torn write loses the
-// whole update, never half a binding).
+// whole update, never half a binding). An owned coin's audit trail is not
+// part of its entry: each relinquishment proof is its own record, committed
+// with the entry save that records the re-binding it justified (and, past
+// AuditLogCap, with the delete of the proof it evicts), so a save costs the
+// same however long the coin's history is.
 //
 // Ordering: every journal append happens under the owning store shard's
 // write lock (saveOwned/saveHeld go through Compute), so the journal order
@@ -31,16 +35,14 @@ import (
 //     refill channel; a recovered peer re-enrolls with fresh keys instead.
 //   - fraud alerts and trigger versions: operational, reconstructible.
 
-// ownedRec is the journaled form of an ownedCoin. The audit trail is stored
-// as aligned slices in logOrder order (the in-memory map has no order).
+// ownedRec is the journaled form of an ownedCoin, without its audit trail
+// (the proof records carry that).
 type ownedRec struct {
 	Coin       coin.Coin
 	CoinKeys   sig.KeyPair
 	HandleKeys *sig.KeyPair
 	Binding    *coin.Binding // nil when never issued
 	SelfHeld   bool
-	LogSeqs    []uint64
-	LogProofs  []RelinquishProof
 }
 
 func (r *ownedRec) appendWire(dst []byte) []byte {
@@ -51,9 +53,7 @@ func (r *ownedRec) appendWire(dst []byte) []byte {
 		dst = appendKeyPair(dst, *r.HandleKeys)
 	}
 	dst = coin.AppendWireBindingPtr(dst, r.Binding)
-	dst = wire.AppendBool(dst, r.SelfHeld)
-	dst = wire.AppendList(dst, r.LogSeqs, appendSeq)
-	return wire.AppendList(dst, r.LogProofs, (*RelinquishProof).appendWire)
+	return wire.AppendBool(dst, r.SelfHeld)
 }
 
 func decodeOwnedRec(d *wire.Decoder) (ownedRec, error) {
@@ -79,13 +79,7 @@ func decodeOwnedRec(d *wire.Decoder) (ownedRec, error) {
 	if r.Binding, err = coin.DecodeWireBindingPtr(d); err != nil {
 		return r, err
 	}
-	if r.SelfHeld, err = d.Bool(); err != nil {
-		return r, err
-	}
-	if r.LogSeqs, err = wire.DecodeList(d, (*wire.Decoder).U64); err != nil {
-		return r, err
-	}
-	r.LogProofs, err = wire.DecodeList(d, decodeRelinquishProof)
+	r.SelfHeld, err = d.Bool()
 	return r, err
 }
 
@@ -97,10 +91,6 @@ func encOwnedLocked(oc *ownedCoin) []byte {
 		HandleKeys: oc.handleKeys,
 		Binding:    oc.binding,
 		SelfHeld:   oc.selfHeld,
-		LogSeqs:    oc.logOrder,
-	}
-	for _, seq := range rec.LogSeqs {
-		rec.LogProofs = append(rec.LogProofs, oc.log[seq])
 	}
 	return rec.appendWire(nil)
 }
@@ -110,24 +100,13 @@ func decOwned(b []byte) (*ownedCoin, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(rec.LogSeqs) != len(rec.LogProofs) {
-		return nil, errors.New("core: owned record audit-trail length mismatch")
-	}
-	oc := &ownedCoin{
+	return &ownedCoin{
 		c:          &rec.Coin,
 		coinKeys:   rec.CoinKeys,
 		handleKeys: rec.HandleKeys,
 		binding:    rec.Binding,
 		selfHeld:   rec.SelfHeld,
-	}
-	if len(rec.LogSeqs) > 0 {
-		oc.log = make(map[uint64]RelinquishProof, len(rec.LogSeqs))
-		oc.logOrder = rec.LogSeqs
-		for i, seq := range rec.LogSeqs {
-			oc.log[seq] = rec.LogProofs[i]
-		}
-	}
-	return oc, nil
+	}, nil
 }
 
 // heldRec is the journaled form of a heldCoin.
@@ -192,11 +171,12 @@ func (p *Peer) journalPeerKeys() {
 	p.journal.Sync()
 }
 
-// saveOwned re-journals an owned coin's full current state. Call it after
-// releasing the entry mutex at any mutation site; capture and append are
-// atomic under the shard write lock plus oc.mu, so concurrent saves land in
-// the journal in state order.
-func (p *Peer) saveOwned(id coin.ID) {
+// saveOwned re-journals an owned coin's full current state, in one commit
+// with also (the audit-trail mutations recordProofLocked returned). Call it
+// after releasing the entry mutex at any mutation site; capture and append
+// are atomic under the shard write lock plus oc.mu, so concurrent saves
+// land in the journal in state order.
+func (p *Peer) saveOwned(id coin.ID, also ...wal.Mutation) {
 	if p.journal == nil {
 		return
 	}
@@ -204,7 +184,7 @@ func (p *Peer) saveOwned(id coin.ID) {
 		oc.mu.Lock()
 		val := encOwnedLocked(oc)
 		oc.mu.Unlock()
-		p.journal.Commit(wal.Set(tblOwned, []byte(id), val))
+		p.journal.Commit(append([]wal.Mutation{wal.Set(tblOwned, []byte(id), val)}, also...)...)
 		return oc, store.OpKeep
 	})
 }
@@ -286,10 +266,17 @@ func (p *Peer) CompactLog() error {
 		var failed error
 		p.owned.Range(func(id coin.ID, oc *ownedCoin) bool {
 			oc.mu.Lock()
-			val := encOwnedLocked(oc)
+			muts := []wal.Mutation{wal.Set(tblOwned, []byte(id), encOwnedLocked(oc))}
+			for seq, proof := range oc.log {
+				muts = append(muts, proofMut(id, seq, &proof))
+			}
 			oc.mu.Unlock()
-			failed = emit(wal.Set(tblOwned, []byte(id), val))
-			return failed == nil
+			for _, m := range muts {
+				if failed = emit(m); failed != nil {
+					return false
+				}
+			}
+			return true
 		})
 		if failed != nil {
 			return failed
@@ -370,7 +357,32 @@ func (p *Peer) applyRecovered(m wal.Mutation) error {
 		if err != nil {
 			return err
 		}
+		// The entry carries no trail: keep the proofs replayed so far.
+		if prev, ok := p.owned.Get(id); ok {
+			oc.log = prev.log
+		}
 		p.owned.Set(id, oc)
+	case tblProof:
+		id, seq, err := splitProofKey(m.Key)
+		if err != nil {
+			return err
+		}
+		oc, ok := p.owned.Get(id)
+		if !ok {
+			return errors.New("core: proof for a coin the wallet does not own")
+		}
+		if m.Op == wal.OpDelete {
+			delete(oc.log, seq)
+			return nil
+		}
+		proof, err := decProof(m.Val)
+		if err != nil {
+			return err
+		}
+		if oc.log == nil {
+			oc.log = make(map[uint64]RelinquishProof)
+		}
+		oc.log[seq] = proof
 	case tblHeld:
 		if m.Op == wal.OpDelete {
 			p.held.Delete(id)

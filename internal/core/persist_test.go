@@ -2,8 +2,11 @@ package core
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"whopay/internal/bus"
 	"whopay/internal/wal"
 )
 
@@ -129,6 +132,132 @@ func TestBrokerRecoversDurableState(t *testing.T) {
 	}
 	if err := f.broker.PersistenceErr(); err != nil {
 		t.Fatalf("journaling failed after restart: %v", err)
+	}
+}
+
+// TestDowntimeProofSurvivesSnapshotCrash: a snapshot cut while a downtime
+// transfer is delivering must keep the relinquishment proof that justifies
+// the binding the payee is about to hold. The journal is copied while the
+// payee still blocks in DeliverRequest — a crash at that instant — and a
+// broker recovered from the copy must hold the proof.
+func TestDowntimeProofSurvivesSnapshotCrash(t *testing.T) {
+	f := persistedFixture(t, nil)
+	alice := f.addPeer("alice", nil)
+	bob := f.addPeer("bob", nil)
+	carol := f.addPeer("carol", nil)
+	id, err := alice.Purchase(3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.IssueTo(bob.Addr(), id); err != nil {
+		t.Fatal(err)
+	}
+	hc, _ := bob.held.Get(id)
+	seq := hc.binding.Seq
+	alice.GoOffline()
+
+	// The slow payee relays to carol, holding deliveries until released.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var relay bus.Endpoint
+	relay, err = f.net.Listen("slow-payee", func(_ bus.Address, msg any) (any, error) {
+		if _, ok := msg.(DeliverRequest); ok {
+			close(entered)
+			<-release
+		}
+		return relay.Call(carol.Addr(), msg)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	done := make(chan error, 1)
+	go func() { done <- bob.TransferViaBroker("slow-payee", id) }()
+	select {
+	case <-entered:
+	case err := <-done:
+		t.Fatalf("downtime transfer returned before delivery: %v", err)
+	}
+
+	crashed := t.TempDir()
+	err = func() error {
+		if err := f.broker.CompactLog(); err != nil {
+			return err
+		}
+		dir := f.brokerCfg.Persistence.Dir
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			return err
+		}
+		for _, fe := range files {
+			b, err := os.ReadFile(filepath.Join(dir, fe.Name()))
+			if err != nil {
+				return err
+			}
+			if err := os.WriteFile(filepath.Join(crashed, fe.Name()), b, 0o600); err != nil {
+				return err
+			}
+		}
+		return nil
+	}()
+	close(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("downtime transfer: %v", err)
+	}
+
+	cfg := f.brokerCfg
+	cfg.Addr = "broker-from-crash-copy"
+	cfg.Persistence = &wal.Config{Dir: crashed, Policy: wal.FsyncAlways}
+	nb, err := RecoverBroker(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nb.Close()
+	var found bool
+	nb.relinquish.View(id, func(proofs map[uint64]RelinquishProof, _ bool) {
+		_, found = proofs[seq]
+	})
+	if !found {
+		t.Fatalf("recovered broker has no relinquishment proof for seq %d", seq)
+	}
+}
+
+// TestOwnerJournalBytesPerTransferConstant: what a persisted owner journals
+// for one transfer does not grow with the coin's history.
+func TestOwnerJournalBytesPerTransferConstant(t *testing.T) {
+	f := newFixture(t, fixtureOpts{})
+	ownerCfg := f.peerConfig("owner", nil)
+	ownerCfg.Persistence = &wal.Config{Dir: t.TempDir(), Policy: wal.FsyncNever, SnapshotEvery: 1 << 40}
+	owner := f.addPeerWith(ownerCfg)
+	a := f.addPeer("a", nil)
+	b := f.addPeer("b", nil)
+	id, err := owner.Purchase(1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.IssueTo(a.Addr(), id); err != nil {
+		t.Fatal(err)
+	}
+	growth := make(map[int]int64)
+	for i := 1; i <= 200; i++ {
+		from, to := a, b
+		if i%2 == 0 {
+			from, to = b, a
+		}
+		before := owner.journal.LiveSize()
+		if err := from.TransferTo(to.Addr(), id); err != nil {
+			t.Fatalf("transfer %d: %v", i, err)
+		}
+		growth[i] = owner.journal.LiveSize() - before
+	}
+	if err := owner.PersistenceErr(); err != nil {
+		t.Fatal(err)
+	}
+	g10, g200 := growth[10], growth[200]
+	if g10 <= 0 || g200*10 > g10*11 || g200*10 < g10*9 {
+		t.Fatalf("owner journal grew %d B on the 10th transfer and %d B on the 200th; want within 10%%", g10, g200)
 	}
 }
 
@@ -260,7 +389,7 @@ func TestPeerRecoversWallet(t *testing.T) {
 	if oc.binding != nil {
 		seq = oc.binding.Seq
 	}
-	trail := len(oc.logOrder)
+	trail := len(oc.log)
 	oc.mu.Unlock()
 	if seq == 0 {
 		t.Error("issued coin recovered without a binding")
