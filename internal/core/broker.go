@@ -729,10 +729,9 @@ func (b *Broker) lookupActiveCoin(pub sig.PublicKey) (*coin.Coin, error) {
 }
 
 // recordRelinquish adds a broker-era relinquishment proof to the coin's
-// audit trail and returns the proof's journal record for the caller to
-// commit. The inner map is mutated under the shard's write lock; readers
-// copy it under View.
-func (b *Broker) recordRelinquish(id coin.ID, seq uint64, proof RelinquishProof) wal.Mutation {
+// audit trail; the caller journals it (proofMut). The inner map is mutated
+// under the shard's write lock; readers copy it under View.
+func (b *Broker) recordRelinquish(id coin.ID, seq uint64, proof RelinquishProof) {
 	b.relinquish.Compute(id, func(proofs map[uint64]RelinquishProof, _ bool) (map[uint64]RelinquishProof, store.Op) {
 		if proofs == nil {
 			proofs = make(map[uint64]RelinquishProof)
@@ -740,7 +739,6 @@ func (b *Broker) recordRelinquish(id coin.ID, seq uint64, proof RelinquishProof)
 		proofs[seq] = proof
 		return proofs, store.OpSet
 	})
-	return proofMut(id, seq, &proof)
 }
 
 // queueSync marks a coin for the owner's next synchronization.
@@ -796,12 +794,15 @@ func (b *Broker) handleDowntimeTransfer(m TransferRequest) (any, error) {
 	// the broker: once the payee holds a broker-signed binding, the proof
 	// that justified it must survive any crash or snapshot (else the
 	// audit-trail walk would read the re-binding as owner fraud — a false
-	// punishment). The binding itself commits only after delivery: an
-	// undelivered one must not strand the coin with a holder that never
-	// received it.
-	proof := b.recordRelinquish(c.ID(), cur.Seq, RelinquishProof{Body: m.Body, HolderSig: m.HolderSig, PrevHold: cur.Holder.Clone()})
+	// punishment). A failed delivery keeps the proof too: the broker cannot
+	// tell a payee that never got the binding from one whose reply was
+	// lost, and the holder did sign this relinquishment. The binding itself
+	// commits only after delivery: an undelivered one must not strand the
+	// coin with a holder that never received it.
+	proof := RelinquishProof{Body: m.Body, HolderSig: m.HolderSig, PrevHold: cur.Holder.Clone()}
+	b.recordRelinquish(c.ID(), cur.Seq, proof)
 	if b.journal != nil {
-		b.journal.Commit(proof)
+		b.journal.Commit(proofMut(c.ID(), cur.Seq, &proof))
 	}
 
 	// Deliver to the payee before committing: nothing to roll back if
@@ -870,14 +871,17 @@ func (b *Broker) handleDowntimeRenew(m RenewRequest) (any, error) {
 
 	owner := b.ownerIdentity(c)
 	b.downtime.Set(c.ID(), next)
-	proof := b.recordRelinquish(c.ID(), cur.Seq, RelinquishProof{
+	proof := RelinquishProof{
 		Renewal:   true,
 		Body:      coin.TransferBody{CoinPub: c.Pub.Clone(), PrevSeq: cur.Seq},
 		HolderSig: m.HolderSig,
 		PrevHold:  cur.Holder.Clone(),
-	})
+	}
+	b.recordRelinquish(c.ID(), cur.Seq, proof)
 	b.queueSync(owner, c.ID())
-	b.journalDowntimeCommit(c.ID(), owner, proof)
+	if b.journal != nil {
+		b.journalDowntimeCommit(c.ID(), owner, proofMut(c.ID(), cur.Seq, &proof))
+	}
 
 	b.publishBinding(next)
 	b.ops.Inc(OpDowntimeRenewal)

@@ -195,6 +195,60 @@ func TestLegitimateRebindNotPunished(t *testing.T) {
 	}
 }
 
+// TestDowntimeProofKeptWhenDeliveryFails: a downtime transfer whose
+// delivery reports failure keeps the holder's relinquishment proof. The
+// payee here got the broker-signed binding and only the reply was lost, so
+// the re-binding is real; the stale holder's alarm about it must resolve
+// as legitimate, not punish the owner for a binding the broker signed.
+func TestDowntimeProofKeptWhenDeliveryFails(t *testing.T) {
+	f := newFixture(t, fixtureOpts{})
+	u := f.addPeer("u", nil)
+	v := f.addPeer("v", nil)
+	w := f.addPeer("w", nil)
+
+	id, err := u.Purchase(1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := u.IssueTo(v.Addr(), id); err != nil {
+		t.Fatal(err)
+	}
+	vBinding, _ := v.HeldBinding(id)
+	u.GoOffline()
+
+	// The payee relays to w, which accepts the coin, then loses the reply.
+	var relay bus.Endpoint
+	relay, err = f.net.Listen("lossy-payee", func(_ bus.Address, msg any) (any, error) {
+		resp, err := relay.Call(w.Addr(), msg)
+		if _, ok := msg.(DeliverRequest); ok && err == nil {
+			return nil, errors.New("reply lost")
+		}
+		return resp, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	if err := v.TransferViaBroker("lossy-payee", id); err == nil {
+		t.Fatal("downtime transfer reported success despite the failed delivery")
+	}
+	wBinding, ok := w.HeldBinding(id)
+	if !ok || !wBinding.ByBroker || wBinding.Seq != vBinding.Seq+1 {
+		t.Fatalf("w's binding = %+v, want the broker-signed seq %d", wBinding, vBinding.Seq+1)
+	}
+	if err := u.GoOnline(); err != nil {
+		t.Fatal(err)
+	}
+
+	verdict := v.reportFraud(oc2pub(id), vBinding, wBinding)
+	if !strings.Contains(verdict, "legitimate") {
+		t.Fatalf("verdict = %q, want legitimate", verdict)
+	}
+	if f.broker.Frozen("u") {
+		t.Fatal("owner frozen for a binding the broker signed")
+	}
+}
+
 // TestDoubleDepositCaught: the second deposit of a coin is rejected and the
 // evidence escrowed; the judge opens the group signatures to identify both
 // depositors.

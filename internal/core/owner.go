@@ -8,7 +8,6 @@ import (
 	"whopay/internal/coin"
 	"whopay/internal/dht"
 	"whopay/internal/sig"
-	"whopay/internal/wal"
 )
 
 // Owner-side protocol: issuing coins, servicing transfers and renewals for
@@ -165,9 +164,10 @@ func (p *Peer) handleTransferRequest(m TransferRequest) (any, error) {
 
 	oc.mu.Lock()
 	oc.binding = next
-	proof := p.recordProofLocked(oc, RelinquishProof{Body: m.Body, HolderSig: m.HolderSig, PrevHold: cur.Holder.Clone()})
+	proof := RelinquishProof{Body: m.Body, HolderSig: m.HolderSig, PrevHold: cur.Holder.Clone()}
+	evicted := p.recordProofLocked(oc, proof)
 	oc.mu.Unlock()
-	p.saveOwned(id, proof...)
+	p.saveOwnedProof(id, &proof, evicted)
 
 	p.publishOwnedBinding(oc, next)
 	p.ops.Inc(OpTransfer)
@@ -221,14 +221,15 @@ func (p *Peer) handleRenewRequest(m RenewRequest) (any, error) {
 
 	oc.mu.Lock()
 	oc.binding = next
-	proof := p.recordProofLocked(oc, RelinquishProof{
+	proof := RelinquishProof{
 		Renewal:   true,
 		Body:      coin.TransferBody{CoinPub: c.Pub.Clone(), PrevSeq: cur.Seq},
 		HolderSig: m.HolderSig,
 		PrevHold:  cur.Holder.Clone(),
-	})
+	}
+	evicted := p.recordProofLocked(oc, proof)
 	oc.mu.Unlock()
-	p.saveOwned(id, proof...)
+	p.saveOwnedProof(id, &proof, evicted)
 
 	p.publishOwnedBinding(oc, next)
 	p.ops.Inc(OpRenewal)
@@ -303,25 +304,23 @@ func (p *Peer) ownerCatchUp(oc *ownedCoin, presented *coin.Binding) error {
 }
 
 // recordProofLocked adds a proof to the coin's audit trail, enforcing the
-// configured cap, and returns the journal mutations for saveOwned: the
-// proof's record and, past the cap, the delete of the evicted oldest proof
-// (the smallest seq, since a coin's seq only grows). Callers hold oc.mu.
-func (p *Peer) recordProofLocked(oc *ownedCoin, proof RelinquishProof) []wal.Mutation {
+// configured cap, and returns the seq of the proof the cap evicted, if any:
+// the oldest, which is the smallest seq since a coin's seq only grows.
+// Callers hold oc.mu.
+func (p *Peer) recordProofLocked(oc *ownedCoin, proof RelinquishProof) (evicted []uint64) {
 	if oc.log == nil {
 		oc.log = make(map[uint64]RelinquishProof)
 	}
-	id, seq := oc.c.ID(), proof.Body.PrevSeq
-	oc.log[seq] = proof
-	muts := []wal.Mutation{proofMut(id, seq, &proof)}
+	oc.log[proof.Body.PrevSeq] = proof
 	if cap := p.cfg.AuditLogCap; cap > 0 && len(oc.log) > cap {
-		oldest := seq
+		oldest := proof.Body.PrevSeq
 		for s := range oc.log {
 			oldest = min(oldest, s)
 		}
 		delete(oc.log, oldest)
-		muts = append(muts, wal.Delete(tblProof, proofKey(id, oldest)))
+		return []uint64{oldest}
 	}
-	return muts
+	return nil
 }
 
 // publishOwnedBinding writes the binding to the public binding list, signed

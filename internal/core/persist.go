@@ -26,13 +26,13 @@ import (
 // wal.Log.Commit — mint = coins + buyers, a punishment = freeze + case, a
 // downtime renewal = new binding + relinquishment proof + sync queue — so a
 // crash between two stores is impossible by construction: a record replays
-// whole or not at all. A relinquishment proof is one record of its own,
-// written by the commit that puts it into memory, so journaling a
-// re-binding costs the same at a coin's first transfer as at its
-// thousandth. A journal failure never blocks the in-memory protocol
-// (responses must not diverge from the unpersisted path); the log latches
-// its first failure, and PersistenceErr reads it so operators and the
-// crash suite can treat the entity as dead.
+// whole or not at all. A relinquishment proof is one record of its own
+// (proofMut, proofMuts: the only builders of its format), written by the
+// commit that puts it into memory, so journaling a re-binding costs the
+// same at a coin's first transfer as at its thousandth. A journal failure
+// never blocks the in-memory protocol (responses must not diverge from the
+// unpersisted path); the log latches its first failure, and PersistenceErr
+// reads it so operators and the crash suite can treat the entity as dead.
 //
 // Record values are encoded with the internal/wire helpers: each record
 // type has an appendWire method and a decode function, and every decode
@@ -188,6 +188,16 @@ func splitProofKey(key []byte) (coin.ID, uint64, error) {
 // proofMut is the journal record of one relinquishment proof.
 func proofMut(id coin.ID, seq uint64, proof *RelinquishProof) wal.Mutation {
 	return wal.Set(tblProof, proofKey(id, seq), proof.appendWire(nil))
+}
+
+// proofMuts is the journal record of one newly recorded relinquishment
+// proof, then the delete of each proof recording it evicted.
+func proofMuts(id coin.ID, seq uint64, proof *RelinquishProof, evicted ...uint64) []wal.Mutation {
+	muts := []wal.Mutation{proofMut(id, seq, proof)}
+	for _, s := range evicted {
+		muts = append(muts, wal.Delete(tblProof, proofKey(id, s)))
+	}
+	return muts
 }
 
 // decProof decodes a proof record's value.

@@ -172,10 +172,9 @@ func (p *Peer) journalPeerKeys() {
 }
 
 // saveOwned re-journals an owned coin's full current state, in one commit
-// with also (the audit-trail mutations recordProofLocked returned). Call it
-// after releasing the entry mutex at any mutation site; capture and append
-// are atomic under the shard write lock plus oc.mu, so concurrent saves
-// land in the journal in state order.
+// with also. Call it after releasing the entry mutex at any mutation site;
+// capture and append are atomic under the shard write lock plus oc.mu, so
+// concurrent saves land in the journal in state order.
 func (p *Peer) saveOwned(id coin.ID, also ...wal.Mutation) {
 	if p.journal == nil {
 		return
@@ -187,6 +186,15 @@ func (p *Peer) saveOwned(id coin.ID, also ...wal.Mutation) {
 		p.journal.Commit(append([]wal.Mutation{wal.Set(tblOwned, []byte(id), val)}, also...)...)
 		return oc, store.OpKeep
 	})
+}
+
+// saveOwnedProof is saveOwned at a site that recorded proof: the proof's
+// record, and the delete of each proof recordProofLocked evicted, commit
+// with the owned record.
+func (p *Peer) saveOwnedProof(id coin.ID, proof *RelinquishProof, evicted []uint64) {
+	if p.journal != nil {
+		p.saveOwned(id, proofMuts(id, proof.Body.PrevSeq, proof, evicted...)...)
+	}
 }
 
 // saveHeld re-journals a held coin's full current state (same discipline as
