@@ -236,7 +236,7 @@ func run() error {
 			return err
 		}
 		defer broker.Close()
-		brokerAddr = broker.BoundAddr()
+		brokerAddr = broker.Addr()
 		brokerPub = broker.PublicKey()
 		fmt.Printf("broker listening on %s\n", brokerAddr)
 		if reg != nil {
@@ -296,19 +296,17 @@ func run() error {
 			CredPool:   8,
 			Obs:        reg,
 
-			DHTNodes:           dhtAddrs,
-			DHTReplication:     dhtRep,
-			PublishBindings:    dhtCl != nil,
-			WatchHeldCoins:     dhtCl != nil,
-			CheckPublicBinding: dhtCl != nil,
+			DHTNodes:       dhtAddrs,
+			DHTReplication: dhtRep,
+			WatchHeldCoins: dhtCl != nil,
 		})
 		if err != nil {
 			return err
 		}
 		defer p.Close()
-		dir.Register(id, p.PublicKey(), p.BoundAddr())
+		dir.Register(id, p.PublicKey(), p.Addr())
 		peers[i] = p
-		fmt.Printf("%s listening on %s\n", id, p.BoundAddr())
+		fmt.Printf("%s listening on %s\n", id, p.Addr())
 	}
 
 	start := time.Now()
@@ -319,7 +317,7 @@ func run() error {
 		return fmt.Errorf("purchase: %w", err)
 	}
 	fmt.Printf("peer-0 purchased coin %s (value 10)\n", id)
-	if err := peers[0].IssueTo(peers[1].BoundAddr(), id); err != nil {
+	if err := peers[0].IssueTo(peers[1].Addr(), id); err != nil {
 		return fmt.Errorf("issue: %w", err)
 	}
 	fmt.Println("peer-0 issued the coin to peer-1 (payee stays anonymous)")
@@ -332,7 +330,7 @@ func run() error {
 		if from == to {
 			continue
 		}
-		if err := from.TransferTo(to.BoundAddr(), id); err != nil {
+		if err := from.TransferTo(to.Addr(), id); err != nil {
 			return fmt.Errorf("hop %d: %w", h, err)
 		}
 		fmt.Printf("hop %d: %s -> %s (owner peer-0 serviced it; identities hidden)\n", h+1, from.ID(), to.ID())
@@ -366,7 +364,7 @@ func run() error {
 		}
 		fmt.Printf("%s renewed the coin through the broker (owner offline)\n", holder.ID())
 	} else {
-		if err := holder.TransferViaBroker(target.BoundAddr(), id); err != nil {
+		if err := holder.TransferViaBroker(target.Addr(), id); err != nil {
 			return fmt.Errorf("downtime transfer: %w", err)
 		}
 		fmt.Printf("%s paid %s through the broker\n", holder.ID(), target.ID())
@@ -385,7 +383,7 @@ func run() error {
 		fmt.Println()
 		fmt.Println("=== micropayment channel ===")
 		payer, vendor := peers[1], peers[*numPeers-1]
-		root, err := payer.OpenChannel(vendor.BoundAddr(), core.ChannelOptions{
+		root, err := payer.OpenChannel(vendor.Addr(), core.ChannelOptions{
 			Capacity: *chanPays + 1,
 		})
 		if err != nil {
@@ -444,7 +442,7 @@ func run() error {
 			if err != nil {
 				return fmt.Errorf("post-failover purchase: %w", err)
 			}
-			if err := survivor.IssueTo(survivor.BoundAddr(), cid); err != nil {
+			if err := survivor.IssueTo(survivor.Addr(), cid); err != nil {
 				return fmt.Errorf("post-failover issue: %w", err)
 			}
 			if err := survivor.Deposit(cid, ref); err != nil {

@@ -55,8 +55,7 @@ func main() {
 			ID:      fmt.Sprintf("trader-%d", i),
 			Network: net, Scheme: scheme, Directory: dir,
 			BrokerAddr: broker.Addr(), BrokerPub: broker.PublicKey(), Judge: judge,
-			DHTNodes: cluster.Addrs(), PublishBindings: true,
-			WatchHeldCoins: true, CheckPublicBinding: true,
+			DHTNodes: cluster.Addrs(), WatchHeldCoins: true,
 			SyncMode: mode, Prober: net, Presence: net,
 		})
 		if err != nil {

@@ -44,19 +44,17 @@ func main() {
 
 	newPeer := func(id string) *whopay.Peer {
 		p, err := whopay.NewPeer(whopay.PeerConfig{
-			ID:                 id,
-			Network:            net,
-			Scheme:             scheme,
-			Directory:          dir,
-			BrokerAddr:         broker.Addr(),
-			BrokerPub:          broker.PublicKey(),
-			Judge:              judge,
-			DHTNodes:           cluster.Addrs(),
-			PublishBindings:    true,
-			WatchHeldCoins:     true,
-			CheckPublicBinding: true,
-			Prober:             net,
-			Presence:           net,
+			ID:             id,
+			Network:        net,
+			Scheme:         scheme,
+			Directory:      dir,
+			BrokerAddr:     broker.Addr(),
+			BrokerPub:      broker.PublicKey(),
+			Judge:          judge,
+			DHTNodes:       cluster.Addrs(),
+			WatchHeldCoins: true,
+			Prober:         net,
+			Presence:       net,
 		})
 		if err != nil {
 			log.Fatal(err)

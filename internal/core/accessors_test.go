@@ -15,12 +15,6 @@ func TestAccessors(t *testing.T) {
 	if u.ID() != "u" {
 		t.Fatalf("ID = %q", u.ID())
 	}
-	if u.BoundAddr() != u.Addr() {
-		t.Fatal("BoundAddr != Addr on the memory bus")
-	}
-	if f.broker.BoundAddr() != f.broker.Addr() {
-		t.Fatal("broker BoundAddr != Addr")
-	}
 	if !u.Online() {
 		t.Fatal("fresh peer not online")
 	}

@@ -349,10 +349,6 @@ func (b *Broker) Recovered() bool { return b.recovered }
 // Addr returns the broker's bus address (the actually-bound one).
 func (b *Broker) Addr() bus.Address { return b.cfg.Addr }
 
-// BoundAddr is an alias of Addr, named for transports where the configured
-// and bound addresses differ (TCP ":0").
-func (b *Broker) BoundAddr() bus.Address { return b.cfg.Addr }
-
 // PublicKey returns the broker's signing key; every entity verifies coins
 // and downtime bindings against it.
 func (b *Broker) PublicKey() sig.PublicKey { return b.keys.Public.Clone() }
@@ -460,12 +456,12 @@ func (b *Broker) dispatch(_ bus.Address, msg any) (any, error) {
 		return resp, err
 	case TransferRequest:
 		sp := b.instr.Begin("serve-downtime-transfer")
-		resp, err := b.handleDowntimeTransfer(m)
+		resp, err := b.serviceDowntime(transferReq(&m))
 		b.instr.End(sp, err)
 		return resp, err
 	case RenewRequest:
 		sp := b.instr.Begin("serve-downtime-renewal")
-		resp, err := b.handleDowntimeRenew(m)
+		resp, err := b.serviceDowntime(renewReq(&m))
 		b.instr.End(sp, err)
 		return resp, err
 	case DepositRequest:
@@ -751,46 +747,31 @@ func (b *Broker) queueSync(owner string, id coin.ID) {
 	})
 }
 
-func (b *Broker) handleDowntimeTransfer(m TransferRequest) (any, error) {
-	c, err := b.lookupActiveCoin(m.Body.CoinPub)
+// serviceDowntime services a transfer or renewal during the owner's
+// downtime (paper Section 4.2): the owner's rebind decision, signed with the
+// broker key against the binding currentBinding establishes. The new
+// binding is queued for the owner's next synchronization and published.
+func (b *Broker) serviceDowntime(r rebindReq) (any, error) {
+	c, err := b.lookupActiveCoin(r.body.CoinPub)
 	if err != nil {
 		return nil, err
 	}
-	unlock, err := b.lockCoin(c.ID())
+	id := c.ID()
+	unlock, err := b.lockCoin(id)
 	if err != nil {
 		return nil, err
 	}
 	defer unlock()
-	cur, err := b.currentBinding(c, m.PresentedBinding)
+	cur, err := b.currentBinding(c, r.presented)
 	if err != nil {
 		return nil, err
 	}
-	if m.Body.PrevSeq != cur.Seq {
-		return nil, fmt.Errorf("%w: request cites seq %d, current is %d", ErrStaleBinding, m.Body.PrevSeq, cur.Seq)
-	}
-	bodyMsg := m.Body.Message()
-	if err := verifyHolderAndGroup(b.suite, b.gsv, b.cfg.GroupPub, cur.Holder, bodyMsg, m.HolderSig, m.GroupSig); err != nil {
+	next, proof, err := rebind(b.suite, b.gsv, b.cfg.GroupPub, b.keys.Private, true, c, cur, r, b.cfg.Clock(), b.cfg.RenewalPeriod)
+	if err != nil {
 		return nil, err
 	}
 
-	next := &coin.Binding{
-		CoinPub: c.Pub.Clone(),
-		Holder:  m.Body.NewHolder.Clone(),
-		Seq:     cur.Seq + 1,
-		// Transfers preserve expiry; only renewals extend (see
-		// renewedExpiry).
-		Expiry:   renewedExpiry(cur.Expiry, b.cfg.Clock(), b.cfg.RenewalPeriod, false),
-		ByBroker: true,
-	}
-	if next.Sig, err = b.suite.Sign(b.keys.Private, next.Message()); err != nil {
-		return nil, fmt.Errorf("core: signing downtime binding: %w", err)
-	}
-	challengeSig, err := b.suite.Sign(b.keys.Private, coin.ChallengeMessage(c.Pub, m.Body.Nonce))
-	if err != nil {
-		return nil, fmt.Errorf("core: signing challenge: %w", err)
-	}
-
-	// Record and journal the relinquishment before the new binding leaves
+	// A transfer journals the relinquishment before the new binding leaves
 	// the broker: once the payee holds a broker-signed binding, the proof
 	// that justified it must survive any crash or snapshot (else the
 	// audit-trail walk would read the re-binding as owner fraud — a false
@@ -798,30 +779,33 @@ func (b *Broker) handleDowntimeTransfer(m TransferRequest) (any, error) {
 	// tell a payee that never got the binding from one whose reply was
 	// lost, and the holder did sign this relinquishment. The binding itself
 	// commits only after delivery: an undelivered one must not strand the
-	// coin with a holder that never received it.
-	proof := RelinquishProof{Body: m.Body, HolderSig: m.HolderSig, PrevHold: cur.Holder.Clone()}
-	b.recordRelinquish(c.ID(), cur.Seq, proof)
+	// coin with a holder that never received it. A renewal delivers
+	// nothing, so its proof rides its binding's one commit.
+	b.recordRelinquish(id, cur.Seq, proof)
+	var also []wal.Mutation
 	if b.journal != nil {
-		b.journal.Commit(proofMut(c.ID(), cur.Seq, &proof))
+		if r.renewal {
+			also = []wal.Mutation{proofMut(id, cur.Seq, &proof)}
+		} else {
+			b.journal.Commit(proofMut(id, cur.Seq, &proof))
+		}
 	}
-
-	// Deliver to the payee before committing: nothing to roll back if
-	// the payee is gone.
-	_, err = b.ep.Call(bus.Address(m.Body.PayeeAddr), DeliverRequest{
-		Coin:         *c,
-		Binding:      *next,
-		ChallengeSig: challengeSig,
-	})
-	if err != nil {
-		return TransferResponse{OK: false, Reason: "payee delivery failed: " + err.Error()}, nil
+	if !r.renewal {
+		if err := deliver(b.ep.Call, b.suite, b.keys.Private, bus.Address(r.body.PayeeAddr), r.body.Nonce, DeliverRequest{Coin: *c, Binding: *next}); err != nil {
+			return undelivered(err)
+		}
 	}
 
 	owner := b.ownerIdentity(c)
-	b.downtime.Set(c.ID(), next)
-	b.queueSync(owner, c.ID())
-	b.journalDowntimeCommit(c.ID(), owner)
+	b.downtime.Set(id, next)
+	b.queueSync(owner, id)
+	b.journalDowntimeCommit(id, owner, also...)
 
-	b.publishBinding(next)
+	publish(b.dhtc, b.suite, b.keys, next)
+	if r.renewal {
+		b.ops.Inc(OpDowntimeRenewal)
+		return RenewResponse{Binding: *next}, nil
+	}
 	b.ops.Inc(OpDowntimeTransfer)
 	return TransferResponse{OK: true}, nil
 }
@@ -834,58 +818,6 @@ func (b *Broker) ownerIdentity(c *coin.Coin) string {
 	}
 	buyer, _ := b.purchasedBy.Get(c.ID())
 	return buyer
-}
-
-func (b *Broker) handleDowntimeRenew(m RenewRequest) (any, error) {
-	c, err := b.lookupActiveCoin(m.CoinPub)
-	if err != nil {
-		return nil, err
-	}
-	unlock, err := b.lockCoin(c.ID())
-	if err != nil {
-		return nil, err
-	}
-	defer unlock()
-	cur, err := b.currentBinding(c, m.PresentedBinding)
-	if err != nil {
-		return nil, err
-	}
-	if m.Seq != cur.Seq {
-		return nil, fmt.Errorf("%w: request cites seq %d, current is %d", ErrStaleBinding, m.Seq, cur.Seq)
-	}
-	msg := renewMessage(m.CoinPub, m.Seq)
-	if err := verifyHolderAndGroup(b.suite, b.gsv, b.cfg.GroupPub, cur.Holder, msg, m.HolderSig, m.GroupSig); err != nil {
-		return nil, err
-	}
-
-	next := &coin.Binding{
-		CoinPub:  c.Pub.Clone(),
-		Holder:   cur.Holder.Clone(),
-		Seq:      cur.Seq + 1,
-		Expiry:   renewedExpiry(cur.Expiry, b.cfg.Clock(), b.cfg.RenewalPeriod, true),
-		ByBroker: true,
-	}
-	if next.Sig, err = b.suite.Sign(b.keys.Private, next.Message()); err != nil {
-		return nil, fmt.Errorf("core: signing renewal binding: %w", err)
-	}
-
-	owner := b.ownerIdentity(c)
-	b.downtime.Set(c.ID(), next)
-	proof := RelinquishProof{
-		Renewal:   true,
-		Body:      coin.TransferBody{CoinPub: c.Pub.Clone(), PrevSeq: cur.Seq},
-		HolderSig: m.HolderSig,
-		PrevHold:  cur.Holder.Clone(),
-	}
-	b.recordRelinquish(c.ID(), cur.Seq, proof)
-	b.queueSync(owner, c.ID())
-	if b.journal != nil {
-		b.journalDowntimeCommit(c.ID(), owner, proofMut(c.ID(), cur.Seq, &proof))
-	}
-
-	b.publishBinding(next)
-	b.ops.Inc(OpDowntimeRenewal)
-	return RenewResponse{Binding: *next}, nil
 }
 
 func (b *Broker) handleSync(m SyncRequest) (any, error) {
@@ -920,22 +852,6 @@ func (b *Broker) handleSync(m SyncRequest) (any, error) {
 	}
 	b.ops.Inc(OpSync)
 	return SyncResponse{Bindings: bindings}, nil
-}
-
-// publishBinding writes a binding to the public binding list. The broker is
-// a trusted DHT writer, which is what keeps real-time detection working
-// through owner downtime (paper Section 5.1).
-func (b *Broker) publishBinding(binding *coin.Binding) {
-	if b.dhtc == nil {
-		return
-	}
-	key := dht.KeyFor(binding.CoinPub)
-	rec, err := dht.SignRecord(b.suite, b.keys, key, binding.Seq, binding.Marshal())
-	if err != nil {
-		return
-	}
-	// Best effort: a failed publish degrades detection, not payment.
-	_ = b.dhtc.Put(rec)
 }
 
 // recordCase appends a fraud case to the case log and journals it in one

@@ -226,28 +226,26 @@ func (f *fixture) peerConfig(id string, rec sig.Recorder) PeerConfig {
 	// paper scopes network-level anonymity to onion routing/Tarzan and
 	// the application protocol must not leak identities itself.
 	return PeerConfig{
-		ID:                 id,
-		Network:            network,
-		Addr:               bus.Address(fmt.Sprintf("addr:%d", f.seq)),
-		Scheme:             f.scheme,
-		Recorder:           rec,
-		Clock:              f.clock.Now,
-		Directory:          f.dir,
-		BrokerAddr:         f.broker.Addr(),
-		BrokerPub:          f.broker.PublicKey(),
-		Judge:              f.judge,
-		DHTNodes:           f.dhtAddrs(),
-		PublishBindings:    f.opts.detection,
-		WatchHeldCoins:     f.opts.detection,
-		CheckPublicBinding: f.opts.detection,
-		IndirectServers:    f.indirA,
-		SyncMode:           f.opts.syncMode,
-		Prober:             prober,
-		Presence:           presence,
-		Rand:               mrand.New(mrand.NewSource(int64(f.seq) * 7919)),
-		Retry:              f.opts.retry,
-		Obs:                f.opts.obs,
-		DHTReplication:     f.opts.dhtReplication,
+		ID:              id,
+		Network:         network,
+		Addr:            bus.Address(fmt.Sprintf("addr:%d", f.seq)),
+		Scheme:          f.scheme,
+		Recorder:        rec,
+		Clock:           f.clock.Now,
+		Directory:       f.dir,
+		BrokerAddr:      f.broker.Addr(),
+		BrokerPub:       f.broker.PublicKey(),
+		Judge:           f.judge,
+		DHTNodes:        f.dhtAddrs(),
+		WatchHeldCoins:  f.opts.detection,
+		IndirectServers: f.indirA,
+		SyncMode:        f.opts.syncMode,
+		Prober:          prober,
+		Presence:        presence,
+		Rand:            mrand.New(mrand.NewSource(int64(f.seq) * 7919)),
+		Retry:           f.opts.retry,
+		Obs:             f.opts.obs,
+		DHTReplication:  f.opts.dhtReplication,
 	}
 }
 

@@ -540,6 +540,37 @@ func TestDeliverToOfflinePayeeFailsCleanly(t *testing.T) {
 	if err := v.TransferTo(w.Addr(), id); err != nil {
 		t.Fatalf("retry to a live payee: %v", err)
 	}
+
+	// An issue whose payee answers the offer and then rejects delivery
+	// returns the payee's rejection, leaves the coin self-held, and a
+	// second issue to a live payee goes through.
+	noOffer, err := f.net.Listen("no-offer", func(from bus.Address, msg any) (any, error) {
+		if m, ok := msg.(OfferRequest); ok {
+			return w.handleOffer(m)
+		}
+		return nil, ErrNoOffer
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer noOffer.Close()
+	id2, err := u.Purchase(1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := u.IssueTo("no-offer", id2); !errors.Is(err, ErrNoOffer) {
+		t.Fatalf("issue to a rejecting payee = %v, want ErrNoOffer", err)
+	}
+	oc, _ := u.owned.Get(id2)
+	oc.mu.Lock()
+	selfHeld := oc.selfHeld
+	oc.mu.Unlock()
+	if !selfHeld {
+		t.Fatal("coin left self-held after a rejected issue")
+	}
+	if err := u.IssueTo(w.Addr(), id2); err != nil {
+		t.Fatalf("issue to a live payee after a rejected one: %v", err)
+	}
 }
 
 // TestValueMismatchRejected: delivering a coin whose face value differs

@@ -115,9 +115,10 @@ type TransferRequest struct {
 }
 
 // TransferResponse reports the outcome. On failure (e.g. the payee went
-// away between offer and delivery) no state changed anywhere: the servicer
-// delivers before committing, so the payer still holds the coin under its
-// existing binding and can simply retry.
+// away between offer and delivery) no binding moved: the servicer delivers
+// before committing, so the payer still holds the coin under its existing
+// binding and can simply retry. (A broker servicer keeps the holder's
+// signed relinquishment all the same; see Broker.serviceDowntime.)
 type TransferResponse struct {
 	OK     bool
 	Reason string

@@ -59,25 +59,16 @@ func (p *Peer) issueTo(payee bus.Address, id coin.ID) error {
 		return fmt.Errorf("core: signing issue binding: %w", err)
 	}
 
-	deliver := DeliverRequest{Coin: *c, Binding: *binding, Issue: true}
-	challengeMsg := coin.ChallengeMessage(c.Pub, offer.Nonce)
+	d := DeliverRequest{Coin: *c, Binding: *binding, Issue: true}
 	if c.Anonymous() {
-		if deliver.ChallengeSig, err = p.suite.Sign(oc.coinKeys.Private, challengeMsg); err != nil {
-			return fmt.Errorf("core: signing challenge: %w", err)
-		}
 		gs, err := p.member.Sign(p.suite, binding.Message())
 		if err != nil {
 			return fmt.Errorf("core: group-signing issue: %w", err)
 		}
-		deliver.GroupSig = &gs
-	} else {
-		if deliver.ChallengeSig, err = p.suite.Sign(p.keys.Private, challengeMsg); err != nil {
-			return fmt.Errorf("core: signing challenge: %w", err)
-		}
+		d.GroupSig = &gs
 	}
-
-	if _, err := p.call(payee, deliver); err != nil {
-		return fmt.Errorf("core: delivering issue: %w", err)
+	if err := deliver(p.call, p.suite, p.challengeKey(oc), payee, offer.Nonce, d); err != nil {
+		return err
 	}
 
 	oc.mu.Lock()
@@ -87,32 +78,28 @@ func (p *Peer) issueTo(payee bus.Address, id coin.ID) error {
 	oc.mu.Unlock()
 	p.saveOwned(id)
 
-	p.publishOwnedBinding(oc, binding)
+	publish(p.dhtc, p.suite, oc.coinKeys, binding)
 	p.ops.Inc(OpIssue)
 	return nil
 }
 
-// handleTransferRequest services a transfer of a coin this peer owns: it
-// validates the current holder's relinquishment and group signature,
-// re-binds the coin to the payee's fresh holder key, delivers, records the
-// relinquishment proof in the audit trail, and publishes the new binding.
-func (p *Peer) handleTransferRequest(m TransferRequest) (any, error) {
-	id := coin.ID(m.Body.CoinPub)
+// serviceOwned services a transfer or renewal of a coin this peer owns
+// (paper Section 4.2): it catches up on downtime re-bindings, runs the
+// rebind decision under the coin key, delivers a transfer to its payee,
+// records and journals the relinquishment proof, and publishes the new
+// binding.
+func (p *Peer) serviceOwned(r rebindReq) (any, error) {
+	id := coin.ID(r.body.CoinPub)
 	oc, ok := p.owned.Get(id)
 	if !ok {
 		return nil, ErrNotOwner
 	}
-	// Build the canonical messages before taking the coin's service lock:
-	// they depend only on the request, and every byte of work done under
-	// svc serializes all other requests for this coin.
-	bodyMsg := m.Body.Message()
-	challengeMsg := coin.ChallengeMessage(m.Body.CoinPub, m.Body.Nonce)
 	if !oc.svc.TryLock() {
 		return nil, ErrCoinBusy
 	}
 	defer oc.svc.Unlock()
 
-	if err := p.ownerCatchUp(oc, m.PresentedBinding); err != nil {
+	if err := p.ownerCatchUp(oc, r.presented); err != nil {
 		return nil, err
 	}
 
@@ -123,128 +110,42 @@ func (p *Peer) handleTransferRequest(m TransferRequest) (any, error) {
 	}
 	cur := oc.binding.Clone()
 	oc.mu.Unlock()
-	c := oc.c
 
-	if m.Body.PrevSeq != cur.Seq {
-		return nil, fmt.Errorf("%w: request cites seq %d, current is %d", ErrStaleBinding, m.Body.PrevSeq, cur.Seq)
-	}
-	if err := verifyHolderAndGroup(p.suite, p.gsv, p.groupPub, cur.Holder, bodyMsg, m.HolderSig, m.GroupSig); err != nil {
+	next, proof, err := rebind(p.suite, p.gsv, p.groupPub, oc.coinKeys.Private, false, oc.c, cur, r, p.cfg.Clock(), p.cfg.RenewalPeriod)
+	if err != nil {
 		return nil, err
 	}
-
-	next := &coin.Binding{
-		CoinPub: c.Pub.Clone(),
-		Holder:  m.Body.NewHolder.Clone(),
-		Seq:     cur.Seq + 1,
-		// A transfer does not extend the coin's life — renewals do.
-		// (Otherwise a circulating coin would never need renewal and
-		// the paper's renewal load could not exist.) A coin that sat
-		// out its expiry with an offline holder is refreshed here.
-		Expiry: renewedExpiry(cur.Expiry, p.cfg.Clock(), p.cfg.RenewalPeriod, false),
-	}
-	var err error
-	if next.Sig, err = p.suite.Sign(oc.coinKeys.Private, next.Message()); err != nil {
-		return nil, fmt.Errorf("core: signing transfer binding: %w", err)
-	}
-	deliver := DeliverRequest{Coin: *c, Binding: *next}
-	if c.Anonymous() {
-		deliver.ChallengeSig, err = p.suite.Sign(oc.coinKeys.Private, challengeMsg)
-	} else {
-		deliver.ChallengeSig, err = p.suite.Sign(p.keys.Private, challengeMsg)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: signing challenge: %w", err)
-	}
-
 	// Deliver before committing: a failed delivery leaves the original
 	// holder bound, with nothing published to roll back.
-	if _, err := p.call(bus.Address(m.Body.PayeeAddr), deliver); err != nil {
-		return TransferResponse{OK: false, Reason: "payee delivery failed: " + err.Error()}, nil
+	if !r.renewal {
+		if err := deliver(p.call, p.suite, p.challengeKey(oc), bus.Address(r.body.PayeeAddr), r.body.Nonce, DeliverRequest{Coin: *oc.c, Binding: *next}); err != nil {
+			return undelivered(err)
+		}
 	}
 
 	oc.mu.Lock()
 	oc.binding = next
-	proof := RelinquishProof{Body: m.Body, HolderSig: m.HolderSig, PrevHold: cur.Holder.Clone()}
 	evicted := p.recordProofLocked(oc, proof)
 	oc.mu.Unlock()
 	p.saveOwnedProof(id, &proof, evicted)
 
-	p.publishOwnedBinding(oc, next)
+	publish(p.dhtc, p.suite, oc.coinKeys, next)
+	if r.renewal {
+		p.ops.Inc(OpRenewal)
+		return RenewResponse{Binding: *next}, nil
+	}
 	p.ops.Inc(OpTransfer)
 	return TransferResponse{OK: true}, nil
 }
 
-// handleRenewRequest services a renewal for a coin this peer owns: same
-// holder, next sequence number, fresh expiry (paper Section 4.2, Renewal).
-func (p *Peer) handleRenewRequest(m RenewRequest) (any, error) {
-	id := coin.ID(m.CoinPub)
-	oc, ok := p.owned.Get(id)
-	if !ok {
-		return nil, ErrNotOwner
+// challengeKey is the key that answers a payee's ownership challenge for an
+// owned coin: the coin key when the owner is anonymous (Section 5.2), else
+// the identity key the payee finds in the directory.
+func (p *Peer) challengeKey(oc *ownedCoin) sig.PrivateKey {
+	if oc.c.Anonymous() {
+		return oc.coinKeys.Private
 	}
-	// As in handleTransferRequest: message construction stays outside svc.
-	msg := renewMessage(m.CoinPub, m.Seq)
-	if !oc.svc.TryLock() {
-		return nil, ErrCoinBusy
-	}
-	defer oc.svc.Unlock()
-	if err := p.ownerCatchUp(oc, m.PresentedBinding); err != nil {
-		return nil, err
-	}
-
-	oc.mu.Lock()
-	if oc.binding == nil {
-		oc.mu.Unlock()
-		return nil, fmt.Errorf("%w: coin was never issued", ErrStaleBinding)
-	}
-	cur := oc.binding.Clone()
-	oc.mu.Unlock()
-	c := oc.c
-
-	if m.Seq != cur.Seq {
-		return nil, fmt.Errorf("%w: request cites seq %d, current is %d", ErrStaleBinding, m.Seq, cur.Seq)
-	}
-	if err := verifyHolderAndGroup(p.suite, p.gsv, p.groupPub, cur.Holder, msg, m.HolderSig, m.GroupSig); err != nil {
-		return nil, err
-	}
-
-	next := &coin.Binding{
-		CoinPub: c.Pub.Clone(),
-		Holder:  cur.Holder.Clone(),
-		Seq:     cur.Seq + 1,
-		Expiry:  renewedExpiry(cur.Expiry, p.cfg.Clock(), p.cfg.RenewalPeriod, true),
-	}
-	var err error
-	if next.Sig, err = p.suite.Sign(oc.coinKeys.Private, next.Message()); err != nil {
-		return nil, fmt.Errorf("core: signing renewal binding: %w", err)
-	}
-
-	oc.mu.Lock()
-	oc.binding = next
-	proof := RelinquishProof{
-		Renewal:   true,
-		Body:      coin.TransferBody{CoinPub: c.Pub.Clone(), PrevSeq: cur.Seq},
-		HolderSig: m.HolderSig,
-		PrevHold:  cur.Holder.Clone(),
-	}
-	evicted := p.recordProofLocked(oc, proof)
-	oc.mu.Unlock()
-	p.saveOwnedProof(id, &proof, evicted)
-
-	p.publishOwnedBinding(oc, next)
-	p.ops.Inc(OpRenewal)
-	return RenewResponse{Binding: *next}, nil
-}
-
-// renewedExpiry computes a binding's expiry. Renewals extend by the
-// renewal period; transfers preserve the current expiry (refreshing it only
-// when already past, so stale coins revive on their next hop instead of
-// wedging).
-func renewedExpiry(current int64, now time.Time, period time.Duration, renewal bool) int64 {
-	if renewal || current <= now.Unix() {
-		return now.Add(period).Unix()
-	}
-	return current
+	return p.keys.Private
 }
 
 // ownerCatchUp reconciles the owner's local binding with reality after
@@ -321,20 +222,6 @@ func (p *Peer) recordProofLocked(oc *ownedCoin, proof RelinquishProof) (evicted 
 		return []uint64{oldest}
 	}
 	return nil
-}
-
-// publishOwnedBinding writes the binding to the public binding list, signed
-// with the coin key (only the owner knows it — the DHT's write ACL).
-func (p *Peer) publishOwnedBinding(oc *ownedCoin, binding *coin.Binding) {
-	if p.dhtc == nil || !p.cfg.PublishBindings {
-		return
-	}
-	rec, err := dht.SignRecord(p.suite, oc.coinKeys, dht.KeyFor(oc.c.Pub), binding.Seq, binding.Marshal())
-	if err != nil {
-		return
-	}
-	// Best effort: a failed publish degrades detection, not the payment.
-	_ = p.dhtc.Put(rec)
 }
 
 // handleDispute answers the broker's audit-trail request with the

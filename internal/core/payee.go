@@ -112,7 +112,7 @@ func (p *Peer) handleDeliver(m DeliverRequest) (any, error) {
 	// list must not contradict the delivered binding. Owners publish
 	// right after delivery, so "not yet published" is acceptable; a
 	// *conflicting* record at or above our sequence is a double spend.
-	if p.cfg.CheckPublicBinding && p.dhtc != nil && !binding.ByBroker {
+	if p.cfg.WatchHeldCoins && p.dhtc != nil && !binding.ByBroker {
 		rec, found, err := p.dhtc.Get(dht.KeyFor(c.Pub))
 		if err == nil && found {
 			if rec.Version > binding.Seq {

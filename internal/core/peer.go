@@ -90,23 +90,20 @@ type PeerConfig struct {
 	JudgeAddr bus.Address
 	// CredPool is the initial group-credential pool size (default 32).
 	CredPool int
-	// DHTNodes enables the public binding list; empty disables.
+	// DHTNodes enables the public binding list; empty disables. With it,
+	// an owner publishes every binding it signs.
 	DHTNodes []bus.Address
 	// DHTReplication sets the quorums and the hot-coin lease TTL of the
 	// peer's DHT client (DESIGN.md §14); the client routes one-hop to
 	// each key's replica set. Nil means the replica.Config defaults.
 	DHTReplication *replica.Config
-	// PublishBindings controls whether this peer, as an owner, publishes
-	// binding updates to the DHT.
-	PublishBindings bool
 	// WatchHeldCoins subscribes to held coins' public bindings and
 	// raises fraud alerts on unexpected re-bindings, each filed with the
 	// broker as a FraudReport — the real-time double-spending detection
-	// of Section 5.1.
+	// of Section 5.1. It also makes the payee cross-check the public
+	// binding list before accepting an owner-signed binding. Needs
+	// DHTNodes.
 	WatchHeldCoins bool
-	// CheckPublicBinding makes the payee cross-check the public binding
-	// list before finalizing acceptance.
-	CheckPublicBinding bool
 	// IndirectServers enable owner-anonymous coins (Section 5.2).
 	IndirectServers []bus.Address
 	// SyncMode selects proactive or lazy owner synchronization.
@@ -445,10 +442,6 @@ func (p *Peer) DHTLeaseStats() (hits, misses, stale, repaired uint64) {
 	return p.dhtc.LeaseStats()
 }
 
-// BoundAddr is an alias of Addr, named for transports where the configured
-// and bound addresses differ (TCP ":0").
-func (p *Peer) BoundAddr() bus.Address { return p.cfg.Addr }
-
 // PublicKey returns the peer's identity key.
 func (p *Peer) PublicKey() sig.PublicKey { return p.keys.Public.Clone() }
 
@@ -588,12 +581,12 @@ func (p *Peer) dispatch(_ bus.Address, msg any) (any, error) {
 		return resp, err
 	case TransferRequest:
 		sp := p.instr.Begin("serve-transfer")
-		resp, err := p.handleTransferRequest(m)
+		resp, err := p.serviceOwned(transferReq(&m))
 		p.instr.End(sp, err)
 		return resp, err
 	case RenewRequest:
 		sp := p.instr.Begin("serve-renewal")
-		resp, err := p.handleRenewRequest(m)
+		resp, err := p.serviceOwned(renewReq(&m))
 		p.instr.End(sp, err)
 		return resp, err
 	case DisputeRequest:

@@ -99,19 +99,18 @@ func newTCPWorld(t *testing.T, scheme sig.Scheme, opts tcpWorldOpts) *tcpWorld {
 func (w *tcpWorld) peer(id string, rec sig.Recorder) *Peer {
 	w.t.Helper()
 	p, err := NewPeer(PeerConfig{
-		ID:              id,
-		Network:         w.network,
-		Addr:            "127.0.0.1:0",
-		Scheme:          w.scheme,
-		Recorder:        rec,
-		Directory:       w.dir,
-		BrokerAddr:      brokerBoundAddr(w.broker),
-		BrokerPub:       w.broker.PublicKey(),
-		Judge:           w.judge,
-		CredPool:        4,
-		DHTNodes:        w.dhtAddrs,
-		PublishBindings: w.opts.detection,
-		Obs:             w.opts.reg,
+		ID:         id,
+		Network:    w.network,
+		Addr:       "127.0.0.1:0",
+		Scheme:     w.scheme,
+		Recorder:   rec,
+		Directory:  w.dir,
+		BrokerAddr: brokerBoundAddr(w.broker),
+		BrokerPub:  w.broker.PublicKey(),
+		Judge:      w.judge,
+		CredPool:   4,
+		DHTNodes:   w.dhtAddrs,
+		Obs:        w.opts.reg,
 	})
 	if err != nil {
 		w.t.Fatal(err)

@@ -425,22 +425,20 @@ func (w *World) spawnActors(dhtAddrs []bus.Address) error {
 	return eachIndex(cfg.Actors, func(i int) error {
 		id := fmt.Sprintf("actor-%04d", i)
 		p, err := core.NewPeer(core.PeerConfig{
-			ID:                 id,
-			Network:            w.Net,
-			Addr:               w.addr("peer:" + id),
-			Scheme:             cfg.Scheme,
-			Directory:          w.Dir,
-			BrokerAddr:         brokerAddr,
-			BrokerPub:          brokerPub,
-			Router:             router,
-			Retry:              retry,
-			JudgeAddr:          w.JudgeSrv.Addr(),
-			CredPool:           actorCredPool,
-			DHTNodes:           dhtAddrs,
-			DHTReplication:     cfg.DHTReplication,
-			PublishBindings:    cfg.Detection,
-			WatchHeldCoins:     cfg.Detection,
-			CheckPublicBinding: cfg.Detection,
+			ID:             id,
+			Network:        w.Net,
+			Addr:           w.addr("peer:" + id),
+			Scheme:         cfg.Scheme,
+			Directory:      w.Dir,
+			BrokerAddr:     brokerAddr,
+			BrokerPub:      brokerPub,
+			Router:         router,
+			Retry:          retry,
+			JudgeAddr:      w.JudgeSrv.Addr(),
+			CredPool:       actorCredPool,
+			DHTNodes:       dhtAddrs,
+			DHTReplication: cfg.DHTReplication,
+			WatchHeldCoins: cfg.Detection,
 		})
 		if err != nil {
 			return fmt.Errorf("load: actor %d: %w", i, err)
@@ -455,7 +453,7 @@ func (w *World) spawnActors(dhtAddrs []bus.Address) error {
 // federation (the Router keeps both current from there).
 func (w *World) brokerIdentity() (bus.Address, sig.PublicKey) {
 	if w.Fed == nil {
-		return w.Broker.BoundAddr(), w.Broker.PublicKey()
+		return w.Broker.Addr(), w.Broker.PublicKey()
 	}
 	addr, _ := w.Fed.Leader(0)
 	return addr, w.Fed.BrokerPub(0)
@@ -480,7 +478,7 @@ func (w *World) brokers() []*core.Broker {
 // federation nodes' (leaders and followers — partitions cut them all).
 func (w *World) brokerAddrs() []bus.Address {
 	if w.Fed == nil {
-		return []bus.Address{w.Broker.BoundAddr()}
+		return []bus.Address{w.Broker.Addr()}
 	}
 	var out []bus.Address
 	for s := 0; s < w.Fed.Shards(); s++ {

@@ -340,31 +340,30 @@ func Run(cfg Config) (*Result, error) {
 		rec := &sig.Counter{}
 		w.recs[i] = rec
 		p, err := core.NewPeer(core.PeerConfig{
-			ID:              fmt.Sprintf("peer-%d", i),
-			Network:         w.net,
-			Addr:            bus.Address(fmt.Sprintf("p:%d", i)),
-			Scheme:          scheme,
-			Recorder:        rec,
-			Clock:           w.clock,
-			RenewalPeriod:   cfg.RenewalPeriod,
-			Directory:       dir,
-			BrokerAddr:      "broker",
-			BrokerPub:       broker.PublicKey(),
-			Judge:           judge,
-			CredPool:        cfg.CredPool,
-			DHTNodes:        dhtAddrs,
-			DHTReplication:  dhtRep,
-			PublishBindings: cfg.DHTNodes > 0,
-			// Watch/cross-check are the detection extension; the
+			ID:             fmt.Sprintf("peer-%d", i),
+			Network:        w.net,
+			Addr:           bus.Address(fmt.Sprintf("p:%d", i)),
+			Scheme:         scheme,
+			Recorder:       rec,
+			Clock:          w.clock,
+			RenewalPeriod:  cfg.RenewalPeriod,
+			Directory:      dir,
+			BrokerAddr:     "broker",
+			BrokerPub:      broker.PublicKey(),
+			Judge:          judge,
+			CredPool:       cfg.CredPool,
+			DHTNodes:       dhtAddrs,
+			DHTReplication: dhtRep,
+			// Owners publish whenever there is a DHT; the watch and its
+			// cross-check are the detection extension, and the
 			// paper's load study counts the publish and the lazy
 			// checks only.
-			WatchHeldCoins:     false,
-			CheckPublicBinding: false,
-			SyncMode:           cfg.SyncMode,
-			Prober:             w.net,
-			Presence:           w.net,
-			Rand:               mrand.New(mrand.NewSource(cfg.Seed ^ int64(i)*0x5851F42D4C957F2D)),
-			AuditLogCap:        cfg.AuditLogCap,
+			WatchHeldCoins: false,
+			SyncMode:       cfg.SyncMode,
+			Prober:         w.net,
+			Presence:       w.net,
+			Rand:           mrand.New(mrand.NewSource(cfg.Seed ^ int64(i)*0x5851F42D4C957F2D)),
+			AuditLogCap:    cfg.AuditLogCap,
 		})
 		if err != nil {
 			return nil, err
