@@ -46,7 +46,7 @@ chaos:
 crash-suite:
 	$(GO) test -race -count=1 ./internal/wal/...
 	WHOPAY_CRASH_SEED=$(CRASH_SEED) $(GO) test -race -count=1 \
-		-run 'Crash|CorruptTail|GobRoundTrip|OldFormatJournal|WALBatch' ./internal/core/
+		-run 'Crash|CorruptTail|GobRoundTrip|OldFormatJournal|WALBatch|Snapshot' ./internal/core/
 	$(GO) test -race -count=1 -run 'Restart|Epoch' ./internal/dht/
 
 # Replication suite for the double-spend DHT (DESIGN.md §14): the replica

@@ -252,7 +252,7 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) {
 			}
 		}
 	}
-	ep, err := cfg.Network.Listen(cfg.Addr, b.handle)
+	ep, err := cfg.Network.Listen(cfg.Addr, b.dispatch)
 	if err != nil {
 		if b.journal != nil {
 			_ = b.journal.Close()
@@ -423,14 +423,6 @@ func (b *Broker) FraudCases() []FraudCase {
 // ServiceLocks reports how many per-coin service locks are live
 // (tests/metrics for the eviction policy).
 func (b *Broker) ServiceLocks() int { return b.svc.Len() }
-
-// handle dispatches one protocol message, then cuts a compaction snapshot
-// if the journal has crossed its growth threshold.
-func (b *Broker) handle(from bus.Address, msg any) (any, error) {
-	resp, err := b.dispatch(from, msg)
-	b.maybePersistSnapshot()
-	return resp, err
-}
 
 func (b *Broker) dispatch(_ bus.Address, msg any) (any, error) {
 	// Federation shard gate: foreign keys bounce with a redirect hint

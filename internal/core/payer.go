@@ -82,7 +82,6 @@ func (p *Peer) purchase(value int64, anonymous bool) (coin.ID, error) {
 		selfHeld:   true,
 	})
 	p.saveOwned(c.ID())
-	p.maybePersistSnapshot()
 	p.ops.Inc(OpPurchase)
 	return c.ID(), nil
 }
@@ -153,7 +152,6 @@ func (p *Peer) purchaseBatch(n int, value int64) ([]coin.ID, error) {
 			ids[i] = c.ID()
 		}
 	}
-	p.maybePersistSnapshot()
 	p.ops.Inc(OpPurchase)
 	return ids, nil
 }
@@ -266,7 +264,6 @@ func (p *Peer) transferInner(payee bus.Address, id coin.ID, viaBroker bool) erro
 	}
 
 	p.dropHeld(id)
-	p.maybePersistSnapshot()
 	p.unwatch(id)
 	if viaBroker {
 		p.ops.Inc(OpDowntimeTransfer)
@@ -423,7 +420,6 @@ func (p *Peer) deposit(id coin.ID, payoutRef string) error {
 		return fmt.Errorf("%w: unexpected deposit response %T", ErrBadRequest, raw)
 	}
 	p.dropHeld(id)
-	p.maybePersistSnapshot()
 	p.unwatch(id)
 	p.ops.Inc(OpDeposit)
 	return nil
@@ -528,7 +524,6 @@ func (p *Peer) depositMany(ids []coin.ID, payoutRef string) ([]error, error) {
 			p.ops.Inc(OpDeposit)
 		}
 	}
-	p.maybePersistSnapshot()
 	return outcomes, nil
 }
 
@@ -609,7 +604,6 @@ func (p *Peer) syncWithBroker() error {
 			p.saveOwned(coin.ID(binding.CoinPub))
 		}
 	}
-	p.maybePersistSnapshot()
 	p.ops.Inc(OpSync)
 	return nil
 }

@@ -332,7 +332,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		return nil, errors.New("core: peer needs a Judge or a JudgeAddr")
 	}
 
-	ep, err := cfg.Network.Listen(cfg.Addr, p.handle)
+	ep, err := cfg.Network.Listen(cfg.Addr, p.dispatch)
 	if err != nil {
 		p.closePersist()
 		return nil, fmt.Errorf("core: peer listen: %w", err)
@@ -554,14 +554,6 @@ func (p *Peer) Redirects() int64 {
 		return rc.Redirects()
 	}
 	return 0
-}
-
-// handle dispatches one protocol message, then cuts a compaction snapshot
-// when the journal has grown past its threshold (outside all store locks).
-func (p *Peer) handle(from bus.Address, msg any) (any, error) {
-	resp, err := p.dispatch(from, msg)
-	p.maybePersistSnapshot()
-	return resp, err
 }
 
 func (p *Peer) dispatch(_ bus.Address, msg any) (any, error) {

@@ -402,104 +402,6 @@ func (b *Broker) PersistenceErr() error {
 	return b.journal.Err()
 }
 
-// maybePersistSnapshot cuts a compaction snapshot when the live log crosses
-// the configured threshold. Called at the end of mutating handlers; a
-// failure is latched in the log (PersistenceErr).
-func (b *Broker) maybePersistSnapshot() {
-	if b.journal != nil && b.journal.SnapshotDue() {
-		b.CompactLog()
-	}
-}
-
-// CompactLog writes a full-state snapshot and truncates the journal to it.
-// Safe to call at any time on a persisted broker; a no-op otherwise.
-func (b *Broker) CompactLog() error {
-	if b.journal == nil {
-		return nil
-	}
-	return b.journal.Snapshot(func(app func([]byte) error) error {
-		emit := func(muts ...wal.Mutation) error { return app(wal.EncodeBatch(muts)) }
-		if err := emit(wal.Set(tblMeta, []byte(metaKeysKey), encKeys(b.cfg.Scheme, b.keys))); err != nil {
-			return err
-		}
-		var failed error
-		b.coins.Range(func(id coin.ID, c *coin.Coin) bool {
-			muts := []wal.Mutation{wal.Set(tblCoin, []byte(id), encCoin(c))}
-			if buyer, ok := b.purchasedBy.Get(id); ok {
-				muts = append(muts, wal.Set(tblBuyer, []byte(id), []byte(buyer)))
-			}
-			failed = emit(muts...)
-			return failed == nil
-		})
-		if failed != nil {
-			return failed
-		}
-		b.downtime.Range(func(id coin.ID, binding *coin.Binding) bool {
-			failed = emit(wal.Set(tblDowntime, []byte(id), encBinding(binding)))
-			return failed == nil
-		})
-		if failed != nil {
-			return failed
-		}
-		b.pendingSync.Range(func(owner string, ids []coin.ID) bool {
-			failed = emit(wal.Set(tblSync, []byte(owner), wire.AppendStrings(nil, ids)))
-			return failed == nil
-		})
-		if failed != nil {
-			return failed
-		}
-		b.relinquish.Range(func(id coin.ID, proofs map[uint64]RelinquishProof) bool {
-			for seq, proof := range proofs {
-				if failed = emit(proofMut(id, seq, &proof)); failed != nil {
-					return false
-				}
-			}
-			return true
-		})
-		if failed != nil {
-			return failed
-		}
-		b.deposited.Range(func(id coin.ID, rec *depositRecord) bool {
-			failed = emit(wal.Set(tblDeposit, []byte(id), encDepositRecord(rec)))
-			return failed == nil
-		})
-		if failed != nil {
-			return failed
-		}
-		b.frozen.Range(func(identity string, _ struct{}) bool {
-			failed = emit(frozenMut(identity))
-			return failed == nil
-		})
-		if failed != nil {
-			return failed
-		}
-		b.settled.Range(func(id coin.ID, rec *settledRec) bool {
-			failed = emit(wal.Set(tblSettled, []byte(id), rec.appendWire(nil)))
-			return failed == nil
-		})
-		if failed != nil {
-			return failed
-		}
-		b.settleMu.Lock()
-		settleSnap := make(map[coin.ID]settleRec, len(b.settleState))
-		for id, rec := range b.settleState {
-			settleSnap[id] = rec
-		}
-		b.settleMu.Unlock()
-		for id, rec := range settleSnap {
-			if err := emit(wal.Set(tblSettle, []byte(id), rec.appendWire(nil))); err != nil {
-				return err
-			}
-		}
-		for _, fc := range b.FraudCases() {
-			if err := emit(wal.Set(tblCase, caseKey(fc.ID), encCase(fc))); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
 // recoverBrokerState replays the journal into the broker's stores and
 // re-derives the redundant state. It returns whether any durable state was
 // found. Must run before the broker starts serving.

@@ -252,54 +252,6 @@ func (p *Peer) PersistenceErr() error {
 // Recovered reports whether this peer replayed durable state at startup.
 func (p *Peer) Recovered() bool { return p.recovered }
 
-// maybePersistSnapshot cuts a compaction snapshot when due; a failure is
-// latched in the log (PersistenceErr). Never call it while holding a store
-// shard lock (the emitter ranges the stores).
-func (p *Peer) maybePersistSnapshot() {
-	if p.journal != nil && p.journal.SnapshotDue() {
-		p.CompactLog()
-	}
-}
-
-// CompactLog writes a full-wallet snapshot and truncates the journal to it.
-func (p *Peer) CompactLog() error {
-	if p.journal == nil {
-		return nil
-	}
-	return p.journal.Snapshot(func(app func([]byte) error) error {
-		emit := func(muts ...wal.Mutation) error { return app(wal.EncodeBatch(muts)) }
-		if err := emit(wal.Set(tblMeta, []byte(metaKeysKey), encKeys(p.cfg.Scheme, p.keys))); err != nil {
-			return err
-		}
-		var failed error
-		p.owned.Range(func(id coin.ID, oc *ownedCoin) bool {
-			oc.mu.Lock()
-			muts := []wal.Mutation{wal.Set(tblOwned, []byte(id), encOwnedLocked(oc))}
-			for seq, proof := range oc.log {
-				muts = append(muts, proofMut(id, seq, &proof))
-			}
-			oc.mu.Unlock()
-			for _, m := range muts {
-				if failed = emit(m); failed != nil {
-					return false
-				}
-			}
-			return true
-		})
-		if failed != nil {
-			return failed
-		}
-		p.held.Range(func(id coin.ID, hc *heldCoin) bool {
-			hc.mu.Lock()
-			val := encHeldLocked(hc)
-			hc.mu.Unlock()
-			failed = emit(wal.Set(tblHeld, []byte(id), val))
-			return failed == nil
-		})
-		return failed
-	})
-}
-
 // recoverPeerState replays the journal into the wallet. Must run before the
 // peer starts serving. Returns whether any durable state was found.
 func (p *Peer) recoverPeerState() (bool, error) {

@@ -2,11 +2,15 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"whopay/internal/bus"
+	"whopay/internal/coin"
+	"whopay/internal/sig"
 	"whopay/internal/wal"
 )
 
@@ -180,7 +184,7 @@ func TestDowntimeProofSurvivesSnapshotCrash(t *testing.T) {
 
 	crashed := t.TempDir()
 	err = func() error {
-		if err := f.broker.CompactLog(); err != nil {
+		if err := f.broker.journal.Snapshot(); err != nil {
 			return err
 		}
 		dir := f.brokerCfg.Persistence.Dir
@@ -221,6 +225,45 @@ func TestDowntimeProofSurvivesSnapshotCrash(t *testing.T) {
 	})
 	if !found {
 		t.Fatalf("recovered broker has no relinquishment proof for seq %d", seq)
+	}
+}
+
+// TestSnapshotHoldsOnlyJournaledState: a snapshot cut inside a mint's
+// insert-then-rollback window and a punishment's freeze-then-case window
+// holds what the journal holds, not what memory held at that instant. The
+// rolled-back coin must not be issued after a restart, and a freeze must
+// not come back without its fraud case.
+func TestSnapshotHoldsOnlyJournaledState(t *testing.T) {
+	f := persistedFixture(t, nil)
+	u := f.addPeer("u", nil)
+	id, err := u.Purchase(5, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := f.broker.coins.Get(id)
+	ghost := c.Clone()
+	ghost.Pub = append(sig.PublicKey(nil), "ghost-coin"...)
+	ghost.Value = 7
+
+	f.broker.frozen.Set("u", struct{}{})
+	f.broker.coins.Insert(ghost.ID(), ghost)
+	if err := f.broker.journal.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	f.broker.coins.Delete(ghost.ID()) // the rollback
+
+	f.restartBroker()
+	if got := f.broker.IssuedValue(); got != 5 {
+		t.Errorf("IssuedValue = %d after restart, want the journaled 5", got)
+	}
+	cases := 0
+	for _, fc := range f.broker.FraudCases() {
+		if fc.Punished == "u" {
+			cases++
+		}
+	}
+	if f.broker.Frozen("u") && cases == 0 {
+		t.Error("u came back frozen with no fraud case")
 	}
 }
 
@@ -275,50 +318,122 @@ func TestRecoverBrokerRequiresState(t *testing.T) {
 	}
 }
 
+// snapshotRows are the compaction budgets the snapshot tests run under:
+// a small live-byte budget, and compaction after every commit.
+var snapshotRows = []struct {
+	name  string
+	every int64
+}{{"budget-16KiB", 16 << 10}, {"every-commit", 1}}
+
+// requireSnapshot fails unless the journal in dir replays from a snapshot.
+func requireSnapshot(t *testing.T, dir string) {
+	t.Helper()
+	files, err := wal.Files(nil, dir)
+	if err != nil || len(files) == 0 || !strings.HasPrefix(filepath.Base(files[0]), "snap-") {
+		t.Fatalf("journal was never compacted: %v %v", files, err)
+	}
+}
+
 // TestBrokerSnapshotCompaction drives enough traffic through a tiny
-// journal budget that segments rotate and snapshots get cut, then proves a
-// restart from the compacted log reproduces the books.
+// journal budget that segments rotate and snapshots get cut — mints,
+// deposits, a downtime transfer and a punished fraud report, so every
+// broker table enters the fold — then proves a restart from the compacted
+// log reproduces the books.
 func TestBrokerSnapshotCompaction(t *testing.T) {
-	f := persistedFixture(t, &wal.Config{
-		Dir:           t.TempDir(),
-		Policy:        wal.FsyncNever,
-		SegmentSize:   4 << 10,
-		SnapshotEvery: 16 << 10,
-	})
-	alice := f.addPeer("alice-compact", nil)
-	bob := f.addPeer("bob-compact", nil)
-	for i := 0; i < 60; i++ {
-		id, err := alice.Purchase(2, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i%2 == 0 {
-			if err := alice.IssueTo(bob.Addr(), id); err != nil {
+	for _, row := range snapshotRows {
+		t.Run(row.name, func(t *testing.T) {
+			f := persistedFixture(t, &wal.Config{
+				Dir:           t.TempDir(),
+				Policy:        wal.FsyncNever,
+				SegmentSize:   4 << 10,
+				SnapshotEvery: row.every,
+			})
+			alice := f.addPeer("alice-compact", nil)
+			bob := f.addPeer("bob-compact", nil)
+			carol := f.addPeer("carol-compact", nil)
+			for i := 0; i < 120; i++ {
+				id, err := alice.Purchase(2, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i%2 == 0 {
+					if err := alice.IssueTo(bob.Addr(), id); err != nil {
+						t.Fatal(err)
+					}
+					if err := bob.Deposit(id, bob.ID()); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// A downtime transfer: binding, sync queue and proof records.
+			idDown, err := alice.Purchase(3, false)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := bob.Deposit(id, bob.ID()); err != nil {
+			if err := alice.IssueTo(bob.Addr(), idDown); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	if err := f.broker.PersistenceErr(); err != nil {
-		t.Fatalf("journaling: %v", err)
-	}
+			alice.GoOffline()
+			if err := bob.TransferViaBroker(carol.Addr(), idDown); err != nil {
+				t.Fatal(err)
+			}
+			// A punished fraud report: freeze and case records.
+			u := f.addPeer("u", nil)
+			v := f.addPeer("v", nil)
+			idFraud, err := u.Purchase(1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := u.IssueTo(v.Addr(), idFraud); err != nil {
+				t.Fatal(err)
+			}
+			accomplice, err := u.suite.GenerateKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			forged, err := u.ForgeDoubleIssue(idFraud, accomplice.Public)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mine, _ := v.HeldBinding(idFraud)
+			if verdict := v.reportFraud(oc2pub(idFraud), mine, forged); !strings.Contains(verdict, "owner-fraud") {
+				t.Fatalf("verdict = %q, want owner-fraud", verdict)
+			}
+			if err := f.broker.PersistenceErr(); err != nil {
+				t.Fatalf("journaling: %v", err)
+			}
+			requireSnapshot(t, f.brokerCfg.Persistence.Dir)
 
-	wantIssued := f.broker.IssuedValue()
-	wantDeposited := f.broker.DepositedValue()
-	wantBalance := f.broker.Balance(bob.ID())
+			wantIssued := f.broker.IssuedValue()
+			wantDeposited := f.broker.DepositedValue()
+			wantBalance := f.broker.Balance(bob.ID())
+			wantCases := len(f.broker.FraudCases())
+			wantDown, _ := f.broker.downtime.Get(idDown)
 
-	f.restartBroker()
+			f.restartBroker()
 
-	if got := f.broker.IssuedValue(); got != wantIssued {
-		t.Errorf("IssuedValue = %d, want %d", got, wantIssued)
-	}
-	if got := f.broker.DepositedValue(); got != wantDeposited {
-		t.Errorf("DepositedValue = %d, want %d", got, wantDeposited)
-	}
-	if got := f.broker.Balance(bob.ID()); got != wantBalance {
-		t.Errorf("Balance(bob) = %d, want %d", got, wantBalance)
+			if got := f.broker.IssuedValue(); got != wantIssued {
+				t.Errorf("IssuedValue = %d, want %d", got, wantIssued)
+			}
+			if got := f.broker.DepositedValue(); got != wantDeposited {
+				t.Errorf("DepositedValue = %d, want %d", got, wantDeposited)
+			}
+			if got := f.broker.Balance(bob.ID()); got != wantBalance {
+				t.Errorf("Balance(bob) = %d, want %d", got, wantBalance)
+			}
+			if got := len(f.broker.FraudCases()); got != wantCases || !f.broker.Frozen("u") {
+				t.Errorf("after restart: %d cases, u frozen %v; want %d cases, frozen", got, f.broker.Frozen("u"), wantCases)
+			}
+			if got, _ := f.broker.downtime.Get(idDown); wantDown == nil || got == nil || !got.Equal(wantDown) {
+				t.Errorf("downtime binding = %v, want %v", got, wantDown)
+			}
+			if err := carol.Deposit(idDown, carol.ID()); err != nil {
+				t.Errorf("deposit of the downtime-transferred coin after restart: %v", err)
+			}
+			if err := alice.GoOnline(); err != nil {
+				t.Errorf("owner rejoin after restart: %v", err)
+			}
+		})
 	}
 }
 
@@ -437,40 +552,90 @@ func TestRecoverPeerRequiresState(t *testing.T) {
 	}
 }
 
+// TestPeerSnapshotCompaction: an owner whose journal is compacted while
+// holders transfer its coins — relinquishment proofs recorded and, past
+// AuditLogCap, evicted — recovers the same wallet, the same owner-side
+// bindings and the same dispute answers.
 func TestPeerSnapshotCompaction(t *testing.T) {
-	f := newFixture(t, fixtureOpts{})
-	aliceCfg := f.peerConfig("alice-compact", nil)
-	aliceCfg.Persistence = &wal.Config{
-		Dir:           t.TempDir(),
-		Policy:        wal.FsyncNever,
-		SegmentSize:   4 << 10,
-		SnapshotEvery: 8 << 10,
-	}
-	alice := f.addPeerWith(aliceCfg)
-	bob := f.addPeer("bob-compact", nil)
-	for i := 0; i < 60; i++ {
-		id, err := alice.Purchase(2, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i%2 == 0 {
-			if err := alice.IssueTo(bob.Addr(), id); err != nil {
-				t.Fatal(err)
+	for _, row := range snapshotRows {
+		t.Run(row.name, func(t *testing.T) {
+			f := newFixture(t, fixtureOpts{})
+			aliceCfg := f.peerConfig("alice-compact", nil)
+			aliceCfg.AuditLogCap = 2
+			aliceCfg.Persistence = &wal.Config{
+				Dir:           t.TempDir(),
+				Policy:        wal.FsyncNever,
+				SegmentSize:   4 << 10,
+				SnapshotEvery: row.every,
 			}
-		}
-	}
-	if err := alice.PersistenceErr(); err != nil {
-		t.Fatalf("journaling: %v", err)
-	}
-	wantOwned := len(alice.OwnedCoins())
-	wantSelf := len(alice.SelfHeldCoins())
+			alice := f.addPeerWith(aliceCfg)
+			bob := f.addPeer("bob-compact", nil)
+			carol := f.addPeer("carol-compact", nil)
+			var issued []coin.ID
+			for i := 0; i < 60; i++ {
+				id, err := alice.Purchase(2, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i%2 == 0 {
+					if err := alice.IssueTo(bob.Addr(), id); err != nil {
+						t.Fatal(err)
+					}
+					issued = append(issued, id)
+				}
+			}
+			// Three owner-serviced hops per coin: three proofs, one evicted.
+			for _, id := range issued[:10] {
+				for hop := 0; hop < 3; hop++ {
+					from, to := bob, carol
+					if hop%2 == 1 {
+						from, to = carol, bob
+					}
+					if err := from.TransferTo(to.Addr(), id); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := alice.PersistenceErr(); err != nil {
+				t.Fatalf("journaling: %v", err)
+			}
+			requireSnapshot(t, aliceCfg.Persistence.Dir)
+			owner := func(p *Peer, id coin.ID) string {
+				b, _ := p.OwnerBinding(id)
+				resp, err := p.handleDispute(DisputeRequest{CoinPub: oc2pub(id), FromSeq: b.Seq - min(b.Seq, 3), ToSeq: b.Seq})
+				if err != nil {
+					t.Fatal(err)
+				}
+				proofs := resp.(DisputeResponse).Proofs
+				if id == issued[0] && len(proofs) != aliceCfg.AuditLogCap {
+					t.Fatalf("dispute answer holds %d proofs, want the cap %d", len(proofs), aliceCfg.AuditLogCap)
+				}
+				out := fmt.Sprintf("%x", b.AppendWire(nil))
+				for i := range proofs {
+					out += fmt.Sprintf(" %x", proofs[i].appendWire(nil))
+				}
+				return out
+			}
+			want := make(map[coin.ID]string)
+			for _, id := range issued {
+				want[id] = owner(alice, id)
+			}
+			wantOwned := len(alice.OwnedCoins())
+			wantSelf := len(alice.SelfHeldCoins())
 
-	alice = f.restartPeer(alice, aliceCfg)
+			alice = f.restartPeer(alice, aliceCfg)
 
-	if got := len(alice.OwnedCoins()); got != wantOwned {
-		t.Errorf("owned = %d, want %d", got, wantOwned)
-	}
-	if got := len(alice.SelfHeldCoins()); got != wantSelf {
-		t.Errorf("self-held = %d, want %d", got, wantSelf)
+			if got := len(alice.OwnedCoins()); got != wantOwned {
+				t.Errorf("owned = %d, want %d", got, wantOwned)
+			}
+			if got := len(alice.SelfHeldCoins()); got != wantSelf {
+				t.Errorf("self-held = %d, want %d", got, wantSelf)
+			}
+			for _, id := range issued {
+				if got := owner(alice, id); got != want[id] {
+					t.Errorf("coin %x: owner binding and dispute answer changed across the restart", id)
+				}
+			}
+		})
 	}
 }

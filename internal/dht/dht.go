@@ -189,13 +189,10 @@ type Node struct {
 // Addr returns the node's bus address.
 func (n *Node) Addr() bus.Address { return n.addr }
 
-// handle dispatches one DHT message, then cuts a compaction snapshot when
-// the journal is due (outside all store locks).
+// handle dispatches one DHT message once the node has started.
 func (n *Node) handle(from bus.Address, msg any) (any, error) {
 	<-n.started
-	resp, err := n.dispatch(from, msg)
-	n.maybeSnapshot()
-	return resp, err
+	return n.dispatch(from, msg)
 }
 
 func (n *Node) dispatch(_ bus.Address, msg any) (any, error) {

@@ -156,42 +156,3 @@ func (n *Node) healthCheck() (string, error) {
 	}
 	return fmt.Sprintf("epoch %d, force-synced %v ago", n.Epoch(), age), nil
 }
-
-// maybeSnapshot cuts a compaction snapshot when the journal has outgrown its
-// threshold. Never called under a store shard lock.
-func (n *Node) maybeSnapshot() {
-	if n.walLog != nil && n.walLog.SnapshotDue() {
-		n.snapshot() // a failure is latched in the log (PersistenceErr)
-	}
-}
-
-// snapshot writes the node's full state and truncates the journal to it.
-func (n *Node) snapshot() error {
-	return n.walLog.Snapshot(func(app func([]byte) error) error {
-		emit := func(muts ...wal.Mutation) error { return app(wal.EncodeBatch(muts)) }
-		if err := emit(wal.Set(tblEpoch, epochKey, wire.AppendU64(nil, n.epoch))); err != nil {
-			return err
-		}
-		var failed error
-		n.store.Range(func(_ Key, rec Record) bool {
-			failed = emit(wal.Set(tblRec, rec.Key[:], rec.AppendWire(nil)))
-			return failed == nil
-		})
-		if failed != nil {
-			return failed
-		}
-		for _, key := range n.subs.Keys() {
-			var watchers []string
-			n.subs.View(key, func(ws map[bus.Address]bool, _ bool) {
-				watchers = sortedWatchers(ws)
-			})
-			if len(watchers) == 0 {
-				continue
-			}
-			if err := emit(wal.Set(tblSub, key[:], wire.AppendStrings(nil, watchers))); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}

@@ -14,8 +14,9 @@ import (
 )
 
 // persistedFixture builds a durable cluster with the broker as trusted
-// writer, cluster and client both at N = replicas.
-func persistedFixture(t *testing.T, nodes, replicas int) (*fixture, *Client) {
+// writer, cluster and client both at N = replicas. snapshotEvery is the
+// nodes' compaction budget (0: the default).
+func persistedFixture(t *testing.T, nodes, replicas int, snapshotEvery int64) (*fixture, *Client) {
 	t.Helper()
 	net := bus.NewMemory()
 	scheme := sig.NewNull(400)
@@ -31,7 +32,7 @@ func persistedFixture(t *testing.T, nodes, replicas int) (*fixture, *Client) {
 		Nodes:       nodes,
 		Replication: &rep,
 		Trusted:     []sig.PublicKey{broker.Public},
-		Persistence: &wal.Config{Dir: t.TempDir(), Policy: wal.FsyncAlways},
+		Persistence: &wal.Config{Dir: t.TempDir(), Policy: wal.FsyncAlways, SnapshotEvery: snapshotEvery},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,10 +50,20 @@ func persistedFixture(t *testing.T, nodes, replicas int) (*fixture, *Client) {
 	return &fixture{net: net, cluster: cluster, suite: suite, broker: broker}, client
 }
 
-// TestNodeRestartRejoins is the tentpole's DHT scenario: a crash-restarted
-// node rejoins with its records and subscriptions intact and keeps serving.
+// TestNodeRestartRejoins: a crash-restarted node rejoins with its records
+// and subscriptions intact and keeps serving, also when its journal was
+// compacted after every commit.
 func TestNodeRestartRejoins(t *testing.T) {
-	f, c := persistedFixture(t, 4, 2)
+	for _, row := range []struct {
+		name  string
+		every int64
+	}{{"default-budget", 0}, {"every-commit", 1}} {
+		t.Run(row.name, func(t *testing.T) { testNodeRestartRejoins(t, row.every) })
+	}
+}
+
+func testNodeRestartRejoins(t *testing.T, snapshotEvery int64) {
+	f, c := persistedFixture(t, 4, 2, snapshotEvery)
 
 	var mu sync.Mutex
 	var notified []Record
@@ -125,7 +136,7 @@ func TestNodeRestartRejoins(t *testing.T) {
 // record that predates the latest recovery at the same version; everything
 // else at that version is refused, in both arrival orders.
 func TestEpochFencesPreCrashRace(t *testing.T) {
-	f, c := persistedFixture(t, 1, 1)
+	f, c := persistedFixture(t, 1, 1, 0)
 	owner, rec := f.ownedRecord(t, 5, "pre-crash")
 	if err := c.Put(rec); err != nil {
 		t.Fatal(err)
@@ -204,7 +215,7 @@ func TestEpochFencesPreCrashRace(t *testing.T) {
 // across a restart: within one epoch, equal-version conflicts are refused
 // even for trusted writers.
 func TestEpochFenceClosedWithinEpoch(t *testing.T) {
-	f, c := persistedFixture(t, 1, 1)
+	f, c := persistedFixture(t, 1, 1, 0)
 	rec, err := SignRecord(f.suite, f.broker, KeyFor(f.broker.Public), 3, []byte("first"))
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +234,7 @@ func TestEpochFenceClosedWithinEpoch(t *testing.T) {
 
 // TestEpochMonotonic checks the epoch advances on every recovery.
 func TestEpochMonotonic(t *testing.T) {
-	f, _ := persistedFixture(t, 1, 1)
+	f, _ := persistedFixture(t, 1, 1, 0)
 	for want := uint64(2); want <= 4; want++ {
 		if err := f.cluster.Restart(0); err != nil {
 			t.Fatal(err)

@@ -187,7 +187,6 @@ func (n *Node) SweepOnce() int {
 	} else {
 		n.backlogGrowth.Store(0)
 	}
-	n.maybeSnapshot()
 	return div
 }
 

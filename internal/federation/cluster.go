@@ -318,10 +318,9 @@ func (c *Cluster) brokerConfig(n *Node) core.BrokerConfig {
 	wc.Dir = n.dir
 	wc.OnAppend = n.onAppend
 	wc.Obs = nil
-	// Snapshots rewrite the log in place, which would tear the mirrors'
-	// byte-stream contract; effectively disable them. Compaction of a
-	// federated shard is an explicit operator action (CompactLog) taken
-	// with replicas resynced afterwards.
+	// A snapshot rewrites the log in place, which would tear the mirrors'
+	// byte-stream contract; this budget keeps Commit from ever cutting
+	// one, so a federated shard's log is never compacted.
 	wc.SnapshotEvery = 1 << 62
 	cfg.Persistence = &wc
 	cfg.Federation = &core.FederationConfig{

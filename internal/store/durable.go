@@ -271,27 +271,3 @@ func (d *Durable[K, V]) ApplyDelete(key []byte) error {
 	d.Sharded.Delete(k)
 	return nil
 }
-
-// EmitAll streams the store's current entries as encoded set mutations —
-// the snapshot writer's per-table feed.
-func (d *Durable[K, V]) EmitAll(emit func(key, val []byte) error) error {
-	var failed error
-	d.Sharded.Range(func(k K, v V) bool {
-		kb, err := d.kc.Enc(k)
-		if err != nil {
-			failed = fmt.Errorf("store: %s snapshot key encode: %w", d.table, err)
-			return false
-		}
-		vb, err := d.vc.Enc(v)
-		if err != nil {
-			failed = fmt.Errorf("store: %s snapshot value encode: %w", d.table, err)
-			return false
-		}
-		if err := emit(kb, vb); err != nil {
-			failed = err
-			return false
-		}
-		return true
-	})
-	return failed
-}

@@ -1,7 +1,7 @@
 // Package wal implements the write-ahead log behind WhoPay's crash-safe
 // durability (DESIGN.md §10): a segmented, CRC-checksummed, length-prefixed
-// append log with configurable fsync policy, segment rotation, and a
-// compaction/snapshot writer.
+// append log with configurable fsync policy, segment rotation, and
+// compaction that folds the log into a snapshot.
 //
 // On-disk layout (one directory per entity):
 //
@@ -18,9 +18,14 @@
 // later segment in order; a truncated or corrupted tail record fails its CRC
 // and cleanly ends replay of that file — a torn record is discarded whole,
 // never half-applied.
+//
+// The log compacts itself: every committed record is a batch of full-value
+// sets and deletes (Mutation), so a snapshot is the fold of the files it
+// covers (see fold) and can hold nothing that no commit journaled.
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -90,6 +95,10 @@ const maxRecordLen = 16 << 20
 // frameHeaderLen is the per-record framing overhead: length + CRC.
 const frameHeaderLen = 8
 
+// snapshotRecordLen bounds the mutations batched into one snapshot record;
+// it is also the buffer size of snapshot writes and of every file scan.
+const snapshotRecordLen = 64 << 10
+
 // Config configures a Log. Entities take a *Config knob (nil = no
 // persistence, today's pure in-memory behavior).
 type Config struct {
@@ -102,10 +111,9 @@ type Config struct {
 	// SegmentSize rotates to a fresh segment once the current one exceeds
 	// this many bytes (default DefaultSegmentSize).
 	SegmentSize int64
-	// SnapshotEvery is the live-byte threshold above which entities cut a
-	// snapshot (default DefaultSnapshotEvery). The log itself never
-	// decides to snapshot — the owning entity does, because only it can
-	// emit its state.
+	// SnapshotEvery is the live-byte threshold past which a Commit
+	// compacts the log on its own goroutine, after the write (default
+	// DefaultSnapshotEvery).
 	SnapshotEvery int64
 	// FS overrides the filesystem (crash injection); default the OS.
 	FS FS
@@ -303,16 +311,20 @@ func (l *Log) Replay(fn func(payload []byte) error) error {
 		return errors.New("wal: Replay after Append")
 	}
 	snap, segs := l.snapFile, append([]uint64(nil), l.replaySegs...)
-	dir := l.cfg.Dir
 	l.mu.Unlock()
+	return l.scan(snap, segs, fn)
+}
 
+// scan streams the records of snapshot snap ("" for none), then of segments
+// segs in order, to fn.
+func (l *Log) scan(snap string, segs []uint64, fn func(payload []byte) error) error {
 	if snap != "" {
 		if _, _, err := scanFile(l.fs, snap, fn); err != nil {
 			return err
 		}
 	}
 	for _, seq := range segs {
-		if _, _, err := scanFile(l.fs, filepath.Join(dir, fileName("seg-", seq)), fn); err != nil {
+		if _, _, err := scanFile(l.fs, filepath.Join(l.cfg.Dir, fileName("seg-", seq)), fn); err != nil {
 			return err
 		}
 	}
@@ -321,12 +333,18 @@ func (l *Log) Replay(fn func(payload []byte) error) error {
 
 // Commit journals muts as one atomic record (EncodeBatch payload): replay
 // applies the whole batch or none of it. An empty commit writes nothing.
-// This is how entities journal every decision.
+// This is how entities journal every decision. A commit that leaves the
+// live log at Config.SnapshotEvery or more then compacts it (Snapshot); the
+// commit is durable either way, so a compaction failure only latches in Err.
 func (l *Log) Commit(muts ...Mutation) error {
 	if len(muts) == 0 {
 		return nil
 	}
-	return l.Append(EncodeBatch(muts))
+	due, err := l.append(EncodeBatch(muts))
+	if due {
+		_ = l.Snapshot()
+	}
+	return err
 }
 
 // Err returns the first failure of Append, Sync or Snapshot since Open, or
@@ -352,19 +370,36 @@ func (l *Log) fail(err error) error {
 
 // Append frames payload as one record and writes it, rotating segments and
 // syncing per the configured policy. The record is durable per the policy
-// when Append returns.
+// when Append returns. Append never compacts: only Commit's records are
+// known to be mutation batches a snapshot can fold.
 func (l *Log) Append(payload []byte) error {
+	_, err := l.append(payload)
+	return err
+}
+
+// append is Append, also reporting whether the live log has reached
+// Config.SnapshotEvery. It reads the size in the lock hold that wrote the
+// record: under FsyncAlways a second acquisition queues behind other
+// commits' fsyncs.
+func (l *Log) append(payload []byte) (due bool, err error) {
 	if len(payload) > maxRecordLen {
-		return l.fail(fmt.Errorf("wal: record of %d bytes exceeds max %d", len(payload), maxRecordLen))
+		return false, l.fail(fmt.Errorf("wal: record of %d bytes exceeds max %d", len(payload), maxRecordLen))
 	}
-	buf := make([]byte, frameHeaderLen+len(payload))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[frameHeaderLen:], payload)
+	buf := appendFrame(make([]byte, 0, frameHeaderLen+len(payload)), payload)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.fail(l.appendLocked(buf))
+	if err := l.fail(l.appendLocked(buf)); err != nil {
+		return false, err
+	}
+	return l.sealedLive+l.curSize >= l.cfg.SnapshotEvery, nil
+}
+
+// appendFrame appends payload to dst in the record framing.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
 }
 
 // appendLocked writes one framed record under l.mu.
@@ -408,7 +443,7 @@ func (l *Log) Sync() error {
 }
 
 // LiveSize returns the bytes of record data not yet covered by a snapshot —
-// the replay cost of a crash right now. Entities compare it against
+// the replay cost of a crash right now. Commit compares it against
 // Config.SnapshotEvery.
 func (l *Log) LiveSize() int64 {
 	l.mu.Lock()
@@ -416,30 +451,22 @@ func (l *Log) LiveSize() int64 {
 	return l.sealedLive + l.curSize
 }
 
-// SnapshotDue reports whether LiveSize has crossed the snapshot threshold
-// and no snapshot is already in flight.
-func (l *Log) SnapshotDue() bool {
-	return l.LiveSize() >= l.cfg.SnapshotEvery && !l.snapBusy.Load()
-}
-
-// Snapshot compacts the log: it seals the current segment, asks emit to
-// write the entity's full state as records (emit receives an append
-// function using the standard framing), and atomically installs the result
-// as the new replay root, deleting the segments it covers.
+// Snapshot compacts the log: it seals the current segment, folds the
+// previous snapshot and every segment up to it into the state they replay
+// to (see fold), and atomically installs the result as the new replay root,
+// deleting the files it covers.
 //
-// emit runs without the log lock held, so entities may read their stores
-// (which journal into this log on other goroutines) freely; mutations racing
-// the state read land in the post-rotation segment and are re-applied on
-// replay, which is safe because every record carries a full value (set) or a
-// tombstone (delete) — re-application is idempotent.
-func (l *Log) Snapshot(emit func(app func(payload []byte) error) error) error {
-	return l.fail(l.snapshot(emit))
+// Only sealed files are read, so commits carry on into the post-rotation
+// segment while the fold runs. Every record must be a mutation batch
+// (Commit's format); any other record fails the snapshot.
+func (l *Log) Snapshot() error {
+	return l.fail(l.snapshot())
 }
 
 // snapshot is Snapshot without the failure latch.
-func (l *Log) snapshot(emit func(app func(payload []byte) error) error) error {
+func (l *Log) snapshot() error {
 	if !l.snapBusy.CompareAndSwap(false, true) {
-		return nil // one at a time; the next threshold check retries
+		return nil // one at a time; the next commit past the threshold retries
 	}
 	defer l.snapBusy.Store(false)
 
@@ -464,28 +491,22 @@ func (l *Log) snapshot(emit func(app func(payload []byte) error) error) error {
 	}
 	l.mu.Unlock()
 
-	// Phase 2 (unlocked): stream state into a temporary file and fsync it
-	// before the rename — a crash mid-write leaves only ignorable garbage.
+	// Phase 2 (unlocked): fold the covered files, then write the survivors
+	// to a temporary file and fsync it before the rename — a crash
+	// mid-write leaves only ignorable garbage.
+	survivors, err := l.fold(oldSnap, covered)
+	if err != nil {
+		return fmt.Errorf("wal: snapshot fold: %w", err)
+	}
 	tmp := filepath.Join(l.cfg.Dir, fileName("snap-", snapSeq)+".tmp")
 	f, err := l.fs.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("wal: snapshot create: %w", err)
 	}
-	app := func(payload []byte) error {
-		if len(payload) > maxRecordLen {
-			return fmt.Errorf("wal: snapshot record of %d bytes exceeds max %d", len(payload), maxRecordLen)
-		}
-		buf := make([]byte, frameHeaderLen+len(payload))
-		binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
-		binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-		copy(buf[frameHeaderLen:], payload)
-		_, err := f.Write(buf)
-		return err
-	}
-	if err := emit(app); err != nil {
+	if err := writeSnapshot(f, survivors); err != nil {
 		_ = f.Close()
 		_ = l.fs.Remove(tmp)
-		return fmt.Errorf("wal: snapshot emit: %w", err)
+		return fmt.Errorf("wal: snapshot write: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		_ = f.Close()
@@ -503,13 +524,7 @@ func (l *Log) snapshot(emit func(app func(payload []byte) error) error) error {
 	// segments and the previous snapshot are garbage.
 	l.mu.Lock()
 	l.snapFile = final
-	live := l.replaySegs[:0]
-	for _, seq := range l.replaySegs {
-		if seq > snapSeq {
-			live = append(live, seq)
-		}
-	}
-	l.replaySegs = live
+	l.replaySegs = l.replaySegs[len(covered):] // rotations since phase 1 only appended
 	l.sealedLive -= sealedBytes
 	l.mu.Unlock()
 	for _, seq := range covered {
@@ -520,6 +535,77 @@ func (l *Log) snapshot(emit func(app func(payload []byte) error) error) error {
 	}
 	l.mSnapshots.Inc()
 	return nil
+}
+
+// foldKey names one journaled row.
+type foldKey struct{ table, key string }
+
+// fold replays snapshot snap and segments segs into the state they
+// describe: the last set of each (table, key) survives unless a later
+// delete dropped it. Survivors come back as sets in the order of their
+// latest insert — the set that found the key absent — so a row that other
+// rows presuppose (a peer's owned coin before its proofs) still replays
+// first.
+func (l *Log) fold(snap string, segs []uint64) ([]Mutation, error) {
+	var rows []Mutation // latest-insert order; Op 0 marks a deleted row
+	index := make(map[foldKey]int)
+	apply := func(payload []byte) error {
+		muts, err := DecodeBatch(payload)
+		if err != nil {
+			return err
+		}
+		for _, m := range muts {
+			k := foldKey{m.Table, string(m.Key)}
+			i, live := index[k]
+			switch {
+			case m.Op == OpDelete:
+				if live {
+					rows[i] = Mutation{}
+					delete(index, k)
+				}
+			case live:
+				rows[i].Val = m.Val
+			default:
+				index[k] = len(rows)
+				rows = append(rows, m)
+			}
+		}
+		return nil
+	}
+	if err := l.scan(snap, segs, apply); err != nil {
+		return nil, err
+	}
+	survivors := rows[:0]
+	for _, m := range rows {
+		if m.Op != 0 {
+			survivors = append(survivors, m)
+		}
+	}
+	return survivors, nil
+}
+
+// writeSnapshot writes muts as mutation batches of at most about
+// snapshotRecordLen bytes each, through one buffered writer. A mutation
+// larger than that is a record of its own, no larger than the journal
+// record it came from.
+func writeSnapshot(f File, muts []Mutation) error {
+	w := bufio.NewWriterSize(f, snapshotRecordLen)
+	var frame []byte
+	for len(muts) > 0 {
+		n, size := 0, 0
+		for ; n < len(muts); n++ {
+			size += len(muts[n].Table) + len(muts[n].Key) + len(muts[n].Val)
+			if n > 0 && size > snapshotRecordLen {
+				break
+			}
+		}
+		frame = appendFrame(frame[:0], EncodeBatch(muts[:n]))
+		if _, err := w.Write(frame); err != nil {
+			return err
+		}
+		muts = muts[n:]
+	}
+	return w.Flush()
 }
 
 // Close syncs and closes the current segment.
@@ -620,9 +706,10 @@ func scanFile(fs FS, path string, fn func(payload []byte) error) (valid int64, c
 		return 0, false, fmt.Errorf("wal: open %s: %w", path, err)
 	}
 	defer f.Close()
+	r := bufio.NewReaderSize(f, snapshotRecordLen)
 	var header [frameHeaderLen]byte
 	for {
-		if _, err := io.ReadFull(f, header[:]); err != nil {
+		if _, err := io.ReadFull(r, header[:]); err != nil {
 			return valid, err == io.EOF, nil
 		}
 		length := binary.BigEndian.Uint32(header[0:4])
@@ -631,7 +718,7 @@ func scanFile(fs FS, path string, fn func(payload []byte) error) (valid int64, c
 			return valid, false, nil // corrupted length: torn tail
 		}
 		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
+		if _, err := io.ReadFull(r, payload); err != nil {
 			return valid, false, nil // short payload: torn tail
 		}
 		if crc32.ChecksumIEEE(payload) != sum {

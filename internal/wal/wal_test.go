@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -244,6 +246,21 @@ func TestCorruptRecordDiscarded(t *testing.T) {
 	}
 }
 
+// replayMuts opens dir and returns every replayed mutation, batch by batch
+// flattened.
+func replayMuts(t *testing.T, cfg wal.Config) []wal.Mutation {
+	t.Helper()
+	var muts []wal.Mutation
+	for _, p := range replayAll(t, cfg) {
+		batch, err := wal.DecodeBatch(p)
+		if err != nil {
+			t.Fatalf("DecodeBatch: %v", err)
+		}
+		muts = append(muts, batch...)
+	}
+	return muts
+}
+
 func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	cfg := wal.Config{Dir: dir, SegmentSize: 256}
@@ -251,44 +268,40 @@ func TestSnapshotCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("state-%c", 'a'+i%2)) }
 	for i := 0; i < 30; i++ {
-		if err := l.Append(payload(i)); err != nil {
-			t.Fatalf("Append: %v", err)
+		if err := l.Commit(wal.Set("t", key(i), payload(i))); err != nil {
+			t.Fatalf("Commit: %v", err)
 		}
 	}
 	pre := l.LiveSize()
-	// Compact to two summary records.
-	err = l.Snapshot(func(app func([]byte) error) error {
-		if err := app([]byte("state-a")); err != nil {
-			return err
-		}
-		return app([]byte("state-b"))
-	})
-	if err != nil {
+	// Thirty sets of two keys compact to two summary mutations.
+	if err := l.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	if l.LiveSize() >= pre {
 		t.Fatalf("LiveSize %d did not shrink from %d after snapshot", l.LiveSize(), pre)
 	}
 	for i := 30; i < 35; i++ {
-		if err := l.Append(payload(i)); err != nil {
-			t.Fatalf("Append after snapshot: %v", err)
+		if err := l.Commit(wal.Set("t", []byte(fmt.Sprint(i)), payload(i))); err != nil {
+			t.Fatalf("Commit after snapshot: %v", err)
 		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	got := replayAll(t, cfg)
-	want := [][]byte{[]byte("state-a"), []byte("state-b")}
+	got := replayMuts(t, cfg)
+	want := []wal.Mutation{wal.Set("t", key(28), payload(28)), wal.Set("t", key(29), payload(29))}
 	for i := 30; i < 35; i++ {
-		want = append(want, payload(i))
+		want = append(want, wal.Set("t", []byte(fmt.Sprint(i)), payload(i)))
 	}
 	if len(got) != len(want) {
-		t.Fatalf("replayed %d records, want %d", len(got), len(want))
+		t.Fatalf("replayed %d mutations, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("record %d = %q, want %q", i, got[i], want[i])
+		if got[i].Table != want[i].Table || got[i].Op != want[i].Op ||
+			!bytes.Equal(got[i].Key, want[i].Key) || !bytes.Equal(got[i].Val, want[i].Val) {
+			t.Fatalf("mutation %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 	// The covered segments must be gone.
@@ -296,6 +309,253 @@ func TestSnapshotCompaction(t *testing.T) {
 	if len(files) > 3 {
 		t.Fatalf("compaction left %d files: %v", len(files), files)
 	}
+}
+
+// TestSnapshotRefusesRawRecords: a log holding a record that is not a
+// mutation batch cannot be folded, so Snapshot fails, latches the failure,
+// and deletes nothing — the raw record still replays.
+func TestSnapshotRefusesRawRecords(t *testing.T) {
+	cfg := wal.Config{Dir: t.TempDir()}
+	l, err := wal.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(payload(0)); err != nil {
+		t.Fatal(err)
+	}
+	err = l.Snapshot()
+	if err == nil {
+		t.Fatal("Snapshot folded a raw record")
+	}
+	if l.Err() != err {
+		t.Fatalf("Err = %v, want the snapshot failure %v", l.Err(), err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayAll(t, cfg); len(got) != 1 || !bytes.Equal(got[0], payload(0)) {
+		t.Fatalf("after the failed snapshot the log replays %q", got)
+	}
+}
+
+// orderedState is the state a replay yields, kept apart from the log's own
+// fold: the live rows of every table in the order of their latest insert.
+type orderedState struct {
+	rows  []wal.Mutation // Op 0 marks a deleted row
+	index map[string]int
+}
+
+func (s *orderedState) apply(m wal.Mutation) {
+	k := m.Table + "/" + string(m.Key)
+	i, live := s.index[k]
+	switch {
+	case m.Op == wal.OpDelete && live:
+		s.rows[i] = wal.Mutation{}
+		delete(s.index, k)
+	case m.Op == wal.OpSet && live:
+		s.rows[i].Val = m.Val
+	case m.Op == wal.OpSet:
+		s.index[k] = len(s.rows)
+		s.rows = append(s.rows, m)
+	}
+}
+
+// replayState replays dir into an orderedState and renders its live rows.
+func replayState(t *testing.T, dir string) []string {
+	t.Helper()
+	s := orderedState{index: map[string]int{}}
+	for _, m := range replayMuts(t, wal.Config{Dir: dir}) {
+		s.apply(m)
+	}
+	var out []string
+	for _, m := range s.rows {
+		if m.Op != 0 {
+			out = append(out, fmt.Sprintf("%s/%s=%x", m.Table, m.Key, m.Val))
+		}
+	}
+	return out
+}
+
+// TestSnapshotReplaysLikeTheLog: a seeded stream of sets, deletes and
+// re-sets over three tables is committed to a compacting log — snapshots
+// cut at random points and by Commit past a small threshold, across many
+// small segments, one of which loses its torn tail record — and to a copy
+// that never compacts. Both directories must replay to the same rows in the
+// same latest-insert order.
+func TestSnapshotReplaysLikeTheLog(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			cfg := wal.Config{Dir: t.TempDir(), SegmentSize: 384, SnapshotEvery: 2 << 10}
+			refCfg := wal.Config{Dir: t.TempDir(), SegmentSize: 384, SnapshotEvery: 1 << 40}
+			l, err := wal.Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := wal.Open(refCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := func() []wal.Mutation {
+				muts := make([]wal.Mutation, 1+rng.Intn(4))
+				for i := range muts {
+					table := string(rune('a' + rng.Intn(3)))
+					key := []byte(fmt.Sprintf("k%d", rng.Intn(8)))
+					if rng.Intn(10) < 3 {
+						muts[i] = wal.Delete(table, key)
+						continue
+					}
+					val := make([]byte, rng.Intn(40))
+					rng.Read(val)
+					muts[i] = wal.Set(table, key, val)
+				}
+				return muts
+			}
+			const steps = 400
+			tearAt, torn := 100+rng.Intn(200), false
+			for step := 0; step < steps; step++ {
+				muts := batch()
+				if err := l.Commit(muts...); err != nil {
+					t.Fatalf("step %d: Commit: %v", step, err)
+				}
+				if !torn && step >= tearAt && tearLastRecord(t, l, cfg, muts, rng) {
+					torn = true
+					if l, err = wal.Open(cfg); err != nil {
+						t.Fatalf("reopen after tear: %v", err)
+					}
+					continue // the torn batch never happened
+				}
+				if err := ref.Commit(muts...); err != nil {
+					t.Fatalf("step %d: reference Commit: %v", step, err)
+				}
+				if rng.Intn(25) == 0 {
+					if err := l.Snapshot(); err != nil {
+						t.Fatalf("step %d: Snapshot: %v", step, err)
+					}
+				}
+			}
+			if !torn {
+				t.Fatal("no segment tail was torn")
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Close(); err != nil {
+				t.Fatal(err)
+			}
+			files, err := wal.Files(nil, cfg.Dir)
+			if err != nil || len(files) == 0 || !strings.HasPrefix(filepath.Base(files[0]), "snap-") {
+				t.Fatalf("compacting log has no snapshot: %v %v", files, err)
+			}
+			got, want := replayState(t, cfg.Dir), replayState(t, refCfg.Dir)
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("compacted log replays to\n%s\nnever-compacted log to\n%s",
+					strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+		})
+	}
+}
+
+// TestSnapshotUnderConcurrentCommits: writers committing at once past a
+// tiny SnapshotEvery compact the log from their own goroutines while the
+// others keep appending; the compacted log replays each writer's last
+// write per key.
+func TestSnapshotUnderConcurrentCommits(t *testing.T) {
+	cfg := wal.Config{Dir: t.TempDir(), SegmentSize: 512, SnapshotEvery: 1 << 10}
+	l, err := wal.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, commits = 4, 200
+	mut := func(w, i int) wal.Mutation {
+		key := []byte(fmt.Sprintf("%d/%d", w, i%10))
+		if i%7 == 6 {
+			return wal.Delete("t", key)
+		}
+		return wal.Set("t", key, payload(i))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < commits; i++ {
+				if err := l.Commit(mut(w, i)); err != nil {
+					t.Errorf("writer %d: Commit: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := l.Err(); err != nil {
+		t.Fatalf("Err = %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string)
+	for w := 0; w < writers; w++ {
+		for i := 0; i < commits; i++ {
+			if m := mut(w, i); m.Op == wal.OpSet {
+				want[string(m.Key)] = string(m.Val)
+			} else {
+				delete(want, string(m.Key))
+			}
+		}
+	}
+	got := make(map[string]string)
+	for _, m := range replayMuts(t, cfg) {
+		if m.Op == wal.OpSet {
+			got[string(m.Key)] = string(m.Val)
+		} else {
+			delete(got, string(m.Key))
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("compacted log replays\n%v\nwant\n%v", got, want)
+	}
+	files, err := wal.Files(nil, cfg.Dir)
+	if err != nil || !strings.HasPrefix(filepath.Base(files[0]), "snap-") {
+		t.Fatalf("no snapshot was cut: %v %v", files, err)
+	}
+}
+
+// tearLastRecord closes l and cuts its last record, the batch muts just
+// committed, short by a random number of bytes — a torn write. It reports
+// false, leaving l open, when that record is already folded into a
+// snapshot.
+func tearLastRecord(t *testing.T, l *wal.Log, cfg wal.Config, muts []wal.Mutation, rng *rand.Rand) bool {
+	t.Helper()
+	files, err := wal.Files(nil, cfg.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := ""
+	for _, f := range files {
+		if st, err := os.Stat(f); err == nil && st.Size() > 0 {
+			last = f
+		}
+	}
+	if !strings.HasPrefix(filepath.Base(last), "seg-") {
+		return false
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := 8 + len(wal.EncodeBatch(muts))
+	if len(data) < frame {
+		t.Fatalf("%s holds %d bytes, less than its last record's %d", last, len(data), frame)
+	}
+	cut := len(data) - 1 - rng.Intn(frame-1)
+	if err := os.WriteFile(last, data[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return true
 }
 
 // TestCrashfsByteSweep drives the log through a crash at every byte budget:
@@ -412,7 +672,7 @@ func TestErrLatchesFirstFailure(t *testing.T) {
 	if err := l.Sync(); err == nil {
 		t.Fatal("Sync after the crash succeeded")
 	}
-	if err := l.Snapshot(func(func([]byte) error) error { return nil }); err == nil {
+	if err := l.Snapshot(); err == nil {
 		t.Fatal("Snapshot after the crash succeeded")
 	}
 	if got := l.Err(); got != first {

@@ -7,7 +7,8 @@
 #   make bench-pair PARENT=<rev> WORKLOAD=steady PAIRS=10
 #
 # It exports <parent-rev> into a temp directory, replaces its bench/ with this
-# tree's, builds both binaries, and runs pair i on seed i for bench's own run
+# tree's, builds both binaries (printing their SHA-256s: on a clean tree with
+# <parent-rev> = HEAD they match), and runs pair i on seed i for bench's own run
 # length, the parent first on odd pairs and the change first on even ones. It
 # prints each pair's values of the five end-to-end metrics and, per metric,
 # the change's wins, both medians, the relative shift and the parent's
@@ -30,9 +31,12 @@ mkdir -p "$tmp/parent"
 git -C "$root" archive "$parent" | tar -x -C "$tmp/parent"
 rm -rf "$tmp/parent/bench"
 cp -r "$root/bench" "$tmp/parent/bench"
-(cd "$tmp/parent" && go build -o "$tmp/bench-parent" ./bench)
-(cd "$root" && go build -o "$tmp/bench-change" ./bench)
+# -trimpath and -buildvcs=false keep the build directory and VCS stamps out
+# of the binaries, so identical source builds byte-identical on both sides.
+(cd "$tmp/parent" && go build -trimpath -buildvcs=false -o "$tmp/bench-parent" ./bench)
+(cd "$root" && go build -trimpath -buildvcs=false -o "$tmp/bench-change" ./bench)
 echo "parent $(git -C "$root" rev-parse --short "$parent") vs this tree; $workload, $pairs pairs" >&2
+(cd "$tmp" && sha256sum bench-parent bench-change) >&2
 
 metrics=(ops_per_s p50_ms p99_ms cpu_ms_per_op setup_s)
 results="$tmp/results.tsv" # side seed correct metric...
